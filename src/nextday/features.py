@@ -451,10 +451,6 @@ def scheme_columns(scheme: str, params: FeatureParams) -> tuple[str, ...]:
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def scheme_needs_tweets(scheme: str) -> bool:
-    return scheme == SCHEME_PROPOSED
-
-
 def assemble_matrix(
     corpus: Corpus,
     associations: list[ArticleAssociation] | None,
@@ -516,7 +512,11 @@ def assemble_matrix(
             values = event_importance(article, articles, params, clusters).values
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
-        assert tuple(values) == columns, f"scheme {scheme} emitted wrong columns"
+        if tuple(values) != columns:
+            raise ValueError(
+                f"scheme {scheme!r} emitted columns {tuple(values)} for article "
+                f"'{article.id}', expected {columns}"
+            )
         return FeatureVector(
             article_id=article.id, scheme=scheme, values=values, label=article.label
         )

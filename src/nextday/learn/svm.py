@@ -94,6 +94,20 @@ def train_svm(x, y, cfg: SvmConfig | None = None, feature_names=()) -> SvmModel:
     step schedule, while the averaged one settles, so its objective
     (recorded per epoch on the model) decreases cleanly once past the
     early noisy epochs.
+
+    Step t visits row x with sign s and updates
+    w_t = (1 - 1/t) * w_{t-1} + [s * (x.w_{t-1} + b) < 1] * s * x / (lambda*t),
+    so v_t = t * w_t is the plain sum of the increments
+    delta_k = s_k * x_k / lambda over the violating steps k <= t. The loop
+    keeps lambda * v_t and reads w_{t-1} = v_{t-1} / (t-1) off it, which
+    makes a step one dot product plus, on a violation, one vector add.
+    The average of w_1..w_T is then, with H the harmonic numbers,
+
+        (1/T) * sum_t v_t / t = (H_T * v_T - sum_k delta_k * H_{k-1}) / T,
+
+    and sum_k delta_k * H_{k-1} is kept as one coefficient per training
+    row (the sum of H_{k-1} over that row's violating steps) and folded
+    in with one product against the matrix per epoch.
     """
     cfg = cfg or SvmConfig()
     matrix = np.asarray(x, dtype=np.float64)
@@ -112,7 +126,14 @@ def train_svm(x, y, cfg: SvmConfig | None = None, feature_names=()) -> SvmModel:
     standardized = (matrix - mean) / scale
 
     lam = 1.0 / (cfg.c * n)
-    weights = np.zeros(d)
+    rows = list(standardized)
+    row_signs = signs.tolist()
+    # scaled_sum = lambda * v_step, the sum of sign * row over the violating
+    # steps; harmonic_sums[i] is the sum of H_{k-1} over row i's violating steps k
+    scaled_sum = np.zeros(d)
+    harmonic_sums = [0.0] * n
+    harmonic = 0.0  # H_step
+    eta = 0.0  # 1 / (lambda * step), so w_step = eta * scaled_sum (w_0 = 0)
     bias = 0.0
     avg_weights = np.zeros(d)
     avg_bias = 0.0
@@ -123,15 +144,21 @@ def train_svm(x, y, cfg: SvmConfig | None = None, feature_names=()) -> SvmModel:
         order = list(range(n))
         rng.shuffle(order)
         for i in order:
+            sign = row_signs[i]
+            margin = sign * (eta * float(rows[i].dot(scaled_sum)) + bias)
             step += 1
             eta = 1.0 / (lam * step)
-            margin = signs[i] * (standardized[i] @ weights + bias)
-            weights *= 1.0 - 1.0 / step
             if margin < 1.0:
-                weights += (eta * signs[i]) * standardized[i]
-                bias += eta * signs[i]
-            avg_weights += (weights - avg_weights) / step
+                if sign > 0.0:
+                    scaled_sum += rows[i]
+                else:
+                    scaled_sum -= rows[i]
+                bias += eta * sign
+                harmonic_sums[i] += harmonic
             avg_bias += (bias - avg_bias) / step
+            harmonic += 1.0 / step
+        folded = (signs * np.asarray(harmonic_sums)) @ standardized
+        avg_weights = (harmonic * scaled_sum - folded) / (lam * step)
         history.append(hinge_objective(avg_weights, avg_bias, standardized, signs, cfg.c))
 
     return SvmModel(

@@ -225,16 +225,6 @@ def _resource(name: str) -> str:
     return resources.files("nextday.data").joinpath(name).read_text("utf-8")
 
 
-def load_sentiment_lexicon(path, negators_path=None, boosters_path=None) -> SentimentLexicon:
-    negators = parse_negators(_read(negators_path) if negators_path else _resource("negators.txt"))
-    boosters = parse_boosters(_read(boosters_path) if boosters_path else _resource("boosters.tsv"))
-    return parse_sentiment_lexicon(_read(path), negators, boosters, path=path)
-
-
-def load_emotion_lexicon(path) -> EmotionLexicon:
-    return parse_emotion_lexicon(_read(path), path=path)
-
-
 def default_sentiment_lexicon() -> SentimentLexicon:
     return parse_sentiment_lexicon(
         _resource("sentiment.tsv"),

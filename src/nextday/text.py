@@ -1,4 +1,4 @@
-"""Shared text utilities: tokenization, stop words, n-grams."""
+"""Shared text utilities: tokenization and stop words."""
 
 from __future__ import annotations
 
@@ -45,15 +45,6 @@ def load_stopwords_text(data: str) -> set[str]:
     return words
 
 
-def load_stopwords_file(path) -> set[str]:
-    with open(path, encoding="utf-8") as fh:
-        return load_stopwords_text(fh.read())
-
-
 def content_tokens(text: str, stopwords: frozenset[str] | set[str]) -> list[str]:
     """Tokens with stop words removed (order and duplicates kept)."""
     return [t for t in tokenize(text) if t not in stopwords]
-
-
-def bigrams(tokens: list[str]) -> set[tuple[str, str]]:
-    return set(zip(tokens, tokens[1:]))

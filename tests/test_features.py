@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+from nextday import features
 from nextday.features import (
     ALL_SCHEMES,
+    BaselineFeatures,
     FeatureParams,
     article_content_features,
     article_polarity_features,
@@ -397,6 +399,17 @@ class TestMatrix:
             assert len(matrix.vectors) == len(golden_corpus.articles)
             for vector in matrix.vectors:
                 assert tuple(vector.values) == matrix.columns
+
+    def test_wrong_columns_rejected(self, monkeypatch, golden_corpus, lexicons):
+        real = features.event_importance
+
+        def one_column_short(*args):
+            result = real(*args)
+            return BaselineFeatures(result.scheme, {"event_days": result.values["event_days"]})
+
+        monkeypatch.setattr(features, "event_importance", one_column_short)
+        with pytest.raises(ValueError, match="scheme 'event_importance' emitted columns"):
+            assemble_matrix(golden_corpus, None, "event_importance", lexicons, FeatureParams())
 
     def test_authoritative_column_appended(self, golden_corpus, golden_associations, lexicons):
         params = FeatureParams(authoritative=True)

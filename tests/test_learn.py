@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nextday.corpus import load_corpus
+from nextday.features import FeatureParams, assemble_matrix, write_feature_csv
 from nextday.learn import (
     CartConfig,
     Dataset,
@@ -24,7 +26,11 @@ from nextday.learn import (
 )
 from nextday.learn import kernels
 from nextday.learn.cv import default_classifier_configs
+from nextday.learn.svm import SvmModel, hinge_objective
 from nextday.learn.tree import Node
+from nextday.lexicons import default_lexicons
+from nextday.relevance import RelevanceParams, associate_all
+from signal_corpus import write_signal_corpus
 
 # two features, eight rows; the second feature separates cleanly at 3.5
 EIGHT_ROWS = [
@@ -282,6 +288,109 @@ class TestSvm:
         b = train_svm(FOUR_X, FOUR_Y, SvmConfig(seed=5))
         assert np.array_equal(a.weights, b.weights)
         assert a.objective_history == b.objective_history
+
+    def test_zero_epochs_gives_zero_model(self):
+        model = train_svm(FOUR_X, FOUR_Y, SvmConfig(epochs=0))
+        assert np.array_equal(model.weights, np.zeros(2))
+        assert model.bias == 0.0
+        assert model.objective_history == ()
+
+
+def reference_train_svm(x, y, cfg: SvmConfig) -> SvmModel:
+    """The per-sample loop `train_svm` replaced, kept as an oracle.
+
+    It rescales the whole weight vector and updates the running average
+    of the iterates at every step.
+    """
+    matrix = np.asarray(x, dtype=np.float64)
+    n, d = matrix.shape
+    signs = np.where(np.asarray(y) == 1, 1.0, -1.0)
+    mean = matrix.mean(axis=0)
+    std = matrix.std(axis=0)
+    scale = np.where(std == 0.0, 1.0, std)
+    standardized = (matrix - mean) / scale
+
+    lam = 1.0 / (cfg.c * n)
+    weights = np.zeros(d)
+    bias = 0.0
+    avg_weights = np.zeros(d)
+    avg_bias = 0.0
+    rng = random.Random(f"svm:{cfg.seed}")
+    history = []
+    step = 0
+    for _ in range(cfg.epochs):
+        order = list(range(n))
+        rng.shuffle(order)
+        for i in order:
+            step += 1
+            eta = 1.0 / (lam * step)
+            margin = signs[i] * (standardized[i] @ weights + bias)
+            weights *= 1.0 - 1.0 / step
+            if margin < 1.0:
+                weights += (eta * signs[i]) * standardized[i]
+                bias += eta * signs[i]
+            avg_weights += (weights - avg_weights) / step
+            avg_bias += (bias - avg_bias) / step
+        history.append(hinge_objective(avg_weights, avg_bias, standardized, signs, cfg.c))
+    return SvmModel(
+        config=cfg, weights=avg_weights, bias=avg_bias, mean=mean, scale=scale,
+        objective_history=tuple(history),
+    )
+
+
+@pytest.fixture(scope="module")
+def signal_features(tmp_path_factory):
+    """Feature matrices of small generated signal corpora, read back from CSV."""
+    lexicons = default_lexicons()
+    matrices = {}
+    for seed in (1, 2, 3):
+        root = tmp_path_factory.mktemp(f"signal{seed}")
+        write_signal_corpus(root, n_articles=60, seed=seed)
+        corpus = load_corpus(
+            root / "articles.jsonl", root / "tweets.jsonl", root / "users.jsonl"
+        )
+        associations = associate_all(corpus, RelevanceParams())
+        for scheme in ("proposed", "article_content_polarity"):
+            path = root / f"features_{scheme}.csv"
+            write_feature_csv(
+                assemble_matrix(corpus, associations, scheme, lexicons, FeatureParams()), path
+            )
+            data = Dataset.from_csv(path, scheme)
+            matrices[(seed, scheme)] = (data.x, data.y)
+    return matrices
+
+
+class TestSvmMatchesReferenceLoop:
+    def assert_same_fit(self, x, y, cfg):
+        got = train_svm(x, y, cfg)
+        want = reference_train_svm(x, y, cfg)
+        assert np.array_equal(got.predict(x), want.predict(x))
+        np.testing.assert_allclose(got.weights, want.weights, rtol=1e-9)
+        np.testing.assert_allclose(got.bias, want.bias, rtol=1e-9)
+        np.testing.assert_allclose(got.objective_history, want.objective_history, rtol=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_four_points(self, seed):
+        self.assert_same_fit(FOUR_X, FOUR_Y, SvmConfig(seed=seed))
+
+    def test_zero_variance_column(self):
+        x = np.array([[1.0, 5.0, 0.3], [2.0, 5.0, -1.2], [3.0, 5.0, 0.7], [4.0, 5.0, 0.1]])
+        self.assert_same_fit(x, np.array([0, 0, 1, 1]), SvmConfig(seed=3))
+
+    def test_single_feature(self):
+        x = np.array([[0.5], [1.5], [-0.25], [2.0], [-1.0], [0.75]])
+        self.assert_same_fit(x, np.array([1, 1, 0, 1, 0, 0]), SvmConfig(c=0.5, seed=2))
+
+    def test_two_rows(self):
+        x = np.array([[1.0, -3.0, 2.0], [0.0, 4.0, 2.5]])
+        self.assert_same_fit(x, np.array([1, 0]), SvmConfig(epochs=50, seed=7))
+
+    @pytest.mark.parametrize("corpus_seed", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", ["proposed", "article_content_polarity"])
+    def test_signal_corpus_features(self, signal_features, corpus_seed, scheme):
+        x, y = signal_features[(corpus_seed, scheme)]
+        assert 0 < y.sum() < len(y)
+        self.assert_same_fit(x, y, SvmConfig(seed=corpus_seed))
 
 
 class TestMetrics:
