@@ -33,14 +33,8 @@ from nextday.features import (
     write_feature_csv,
 )
 from nextday.learn.cv import Dataset, DatasetError, build_report, kfold_cv, render_report_md
-from nextday.learn.persist import ModelLoadError
 from nextday.lexicons import LexiconError, Lexicons, lexicons_from_paths
-from nextday.relevance import (
-    RelevanceError,
-    associate_all,
-    load_associations,
-    write_associations,
-)
+from nextday.relevance import associate_all, load_associations, write_associations
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -100,7 +94,7 @@ def cmd_associate(config: PipelineConfig, args) -> int:
     config.require_files("articles", "tweets", "users")
     corpus = load_corpus(config.paths.articles, config.paths.tweets, config.paths.users)
     emit_diagnostics(corpus)
-    associations = associate_all(corpus, config.relevance, jobs=args.jobs)
+    associations = associate_all(corpus, config.relevance)
     out = config.output_dir()
     out.mkdir(parents=True, exist_ok=True)
     write_associations(out / "associations.jsonl", associations)
@@ -139,9 +133,7 @@ def cmd_features(config: PipelineConfig, args) -> int:
         associations = []
 
     for scheme in schemes:
-        matrix = assemble_matrix(
-            corpus, associations, scheme, lexicons, config.features, jobs=args.jobs
-        )
+        matrix = assemble_matrix(corpus, associations, scheme, lexicons, config.features)
         path = out / f"features_{scheme}.csv"
         write_feature_csv(matrix, path)
         print(f"wrote {path} ({len(matrix.vectors)} rows)")
@@ -226,14 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("ingest-check", help="validate corpus files"))
 
-    p_assoc = sub.add_parser("associate", help="link tweets to articles")
-    common(p_assoc)
-    p_assoc.add_argument("--jobs", type=int, default=1, help="worker threads")
+    common(sub.add_parser("associate", help="link tweets to articles"))
 
     p_feat = sub.add_parser("features", help="emit feature CSVs")
     common(p_feat)
     p_feat.add_argument("--scheme", default="all", help="scheme name or 'all'")
-    p_feat.add_argument("--jobs", type=int, default=1, help="worker threads")
 
     p_eval = sub.add_parser("evaluate", help="cross-validate classifiers")
     common(p_eval)
@@ -254,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CorpusError, DatasetError, LexiconError, ModelLoadError, RelevanceError) as exc:
+    except (CorpusError, DatasetError, LexiconError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     _write_run_meta(config, args.command, argv, started)

@@ -238,16 +238,11 @@ class Corpus:
     tweet_by_id: dict[str, Tweet] = field(repr=False)
     user_by_id: dict[str, UserProfile] = field(repr=False)
     hashtag_index: dict[str, tuple[str, ...]] = field(repr=False)
-    user_index: dict[str, tuple[str, ...]] = field(repr=False)
-    date_index: dict[date, tuple[str, ...]] = field(repr=False)
     tweet_date_index: dict[date, tuple[str, ...]] = field(repr=False)
     diagnostics: tuple[dict, ...] = ()
 
     def tweets_on(self, day: date) -> list[Tweet]:
         return [self.tweet_by_id[t] for t in self.tweet_date_index.get(day, ())]
-
-    def articles_on(self, day: date) -> list[NewsArticle]:
-        return [self.article_by_id[a] for a in self.date_index.get(day, ())]
 
 
 def _sorted_index(pairs: Iterable[tuple]) -> dict:
@@ -280,8 +275,6 @@ def build_corpus(
         tweet_by_id={t.id: t for t in tweets},
         user_by_id=user_by_id,
         hashtag_index=_sorted_index((h, t.id) for t in tweets for h in t.hashtags),
-        user_index=_sorted_index((t.user_id, t.id) for t in tweets),
-        date_index=_sorted_index((a.published_day, a.id) for a in articles),
         tweet_date_index=_sorted_index((t.created_day, t.id) for t in tweets),
         diagnostics=tuple(diagnostics),
     )

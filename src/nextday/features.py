@@ -457,13 +457,11 @@ def assemble_matrix(
     scheme: str,
     lexicons: Lexicons,
     params: FeatureParams,
-    jobs: int = 1,
 ) -> FeatureMatrix:
     """One FeatureVector per article, ordered by article id.
 
     The proposed scheme requires an association for every article; the
-    baselines ignore `associations` entirely. `jobs` bounds worker
-    threads for the per-article loop; output order is unaffected.
+    baselines ignore `associations` entirely.
     """
     columns = scheme_columns(scheme, params)
     articles = sorted(corpus.articles, key=lambda a: a.id)
@@ -521,14 +519,8 @@ def assemble_matrix(
             article_id=article.id, scheme=scheme, values=values, label=article.label
         )
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            vectors = list(pool.map(compute, articles))
-    else:
-        vectors = [compute(a) for a in articles]
-    return FeatureMatrix(scheme=scheme, columns=columns, vectors=tuple(vectors))
+    vectors = tuple(compute(a) for a in articles)
+    return FeatureMatrix(scheme=scheme, columns=columns, vectors=vectors)
 
 
 def write_feature_csv(matrix: FeatureMatrix, path) -> None:

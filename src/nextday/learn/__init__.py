@@ -9,7 +9,6 @@ from nextday.learn.cv import (
     metrics,
     stratified_folds,
 )
-from nextday.learn.persist import ModelLoadError, load_model, save_model
 from nextday.learn.svm import SvmConfig, SvmModel, train_svm
 from nextday.learn.tree import (
     CartConfig,
@@ -28,9 +27,6 @@ __all__ = [
     "kfold_cv",
     "metrics",
     "stratified_folds",
-    "ModelLoadError",
-    "load_model",
-    "save_model",
     "SvmConfig",
     "SvmModel",
     "train_svm",

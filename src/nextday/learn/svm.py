@@ -62,18 +62,6 @@ class SvmModel:
             "objective_history": list(self.objective_history),
         }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SvmModel":
-        return cls(
-            config=SvmConfig(**obj["config"]),
-            weights=np.asarray(obj["weights"], dtype=np.float64),
-            bias=float(obj["bias"]),
-            mean=np.asarray(obj["mean"], dtype=np.float64),
-            scale=np.asarray(obj["scale"], dtype=np.float64),
-            feature_names=tuple(obj["feature_names"]),
-            objective_history=tuple(obj["objective_history"]),
-        )
-
 
 def hinge_objective(weights: np.ndarray, bias: float, x: np.ndarray, signs: np.ndarray, c: float) -> float:
     """0.5*||w||^2 + C * sum of hinge losses on (x, signs)."""

@@ -58,19 +58,6 @@ class Node:
             "right": self.right.to_dict(),
         }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "Node":
-        counts = tuple(obj["counts"])
-        if "feature" not in obj:
-            return cls(counts=counts)
-        return cls(
-            feature=obj["feature"],
-            threshold=obj["threshold"],
-            left=cls.from_dict(obj["left"]),
-            right=cls.from_dict(obj["right"]),
-            counts=counts,
-        )
-
 
 def _grow(
     x: np.ndarray,
@@ -153,14 +140,6 @@ class CartModel:
             "tree": self.root.to_dict(),
         }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "CartModel":
-        return cls(
-            config=CartConfig(**obj["config"]),
-            root=Node.from_dict(obj["tree"]),
-            feature_names=tuple(obj["feature_names"]),
-        )
-
 
 @dataclass
 class ForestModel:
@@ -194,16 +173,6 @@ class ForestModel:
             "feature_names": list(self.feature_names),
             "trees": [root.to_dict() for root in self.roots],
         }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ForestModel":
-        cfg = dict(obj["config"])
-        cfg["tree"] = CartConfig(**cfg["tree"])
-        return cls(
-            config=ForestConfig(**cfg),
-            roots=[Node.from_dict(t) for t in obj["trees"]],
-            feature_names=tuple(obj["feature_names"]),
-        )
 
 
 def train_cart(x, y, cfg: CartConfig | None = None, feature_names=()) -> CartModel:

@@ -71,8 +71,40 @@ class TestAssociate:
         cfg = golden_config()
         assert run(capsys, "associate", "--config", str(cfg))[0] == 0
         serial = (tmp_path / "out" / "associations.jsonl").read_bytes()
-        assert run(capsys, "associate", "--config", str(cfg), "--jobs", "4")[0] == 0
+        assert run(capsys, "associate", "--config", str(cfg))[0] == 0
         assert (tmp_path / "out" / "associations.jsonl").read_bytes() == serial
+
+    def test_stopword_only_article_gets_empty_association(
+        self, capsys, golden_config, golden_dir, tmp_path
+    ):
+        cfg = golden_config()
+        assert run(capsys, "associate", "--config", str(cfg))[0] == 0
+        golden_lines = (tmp_path / "out" / "associations.jsonl").read_text().splitlines()
+        stop = {
+            "id": "zz-stop", "title": "the and of", "body": "the and of",
+            "published_at": "2016-08-01T06:00:00Z", "label": 0,
+        }
+        articles = tmp_path / "articles.jsonl"
+        articles.write_text(
+            (golden_dir / "articles.jsonl").read_text() + json.dumps(stop) + "\n"
+        )
+        code, out, err = run(
+            capsys, "associate", "--config", str(cfg), "--set", f"paths.articles={articles}"
+        )
+        assert code == 0
+        assert "articles=27" in out
+        lines = (tmp_path / "out" / "associations.jsonl").read_text().splitlines()
+        assert lines[:-1] == golden_lines
+        assert json.loads(lines[-1]) == {
+            "article_id": "zz-stop",
+            "seed_tweet_ids": [],
+            "expanded_tweet_ids": [],
+            "article_specific_hashtags": [],
+            "generic_hashtags": [],
+            "iterations_run": 0,
+        }
+        events = [json.loads(l) for l in err.splitlines() if l.startswith("{")]
+        assert {"kind": "unindexable_article", "article_id": "zz-stop"} in events
 
 
 class TestFeatures:

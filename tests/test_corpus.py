@@ -272,7 +272,7 @@ class TestBuildCorpus:
     def test_indexes_sorted(self, golden_corpus):
         keys = list(golden_corpus.hashtag_index)
         assert keys == sorted(keys)
-        for ids in golden_corpus.user_index.values():
+        for ids in golden_corpus.hashtag_index.values():
             assert list(ids) == sorted(ids)
 
     def test_diagnostics_wire_format(self):

@@ -374,15 +374,14 @@ class TestMatrix:
         self, tmp_path, golden_corpus, golden_associations, lexicons
     ):
         outputs = []
-        for jobs in (1, 1, 4):
+        for _ in range(2):
             matrix = assemble_matrix(
-                golden_corpus, list(golden_associations), "proposed", lexicons,
-                FeatureParams(), jobs=jobs,
+                golden_corpus, list(golden_associations), "proposed", lexicons, FeatureParams()
             )
             path = tmp_path / f"m{len(outputs)}.csv"
             write_feature_csv(matrix, path)
             outputs.append(path.read_bytes())
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1]
 
     def test_normalization_peaks_at_one(self, golden_corpus, golden_associations, lexicons):
         matrix = assemble_matrix(

@@ -12,13 +12,10 @@ from nextday.learn import (
     Dataset,
     DatasetError,
     ForestConfig,
-    ModelLoadError,
     SvmConfig,
     f_score,
     kfold_cv,
-    load_model,
     metrics,
-    save_model,
     stratified_folds,
     train_cart,
     train_forest,
@@ -535,42 +532,3 @@ class TestDataset:
         path.write_text("article_id,f0,f1,label\na,0.0,1\n")
         with pytest.raises(DatasetError, match="wrong column count"):
             Dataset.from_csv(path)
-
-
-class TestPersistence:
-    @pytest.mark.parametrize("kind", ["cart", "forest", "svm"])
-    def test_save_load_save_byte_identical(self, tmp_path, kind):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(30, 4))
-        y = (x[:, 0] > 0).astype(int)
-        model = {
-            "cart": lambda: train_cart(x, y, CartConfig()),
-            "forest": lambda: train_forest(x, y, ForestConfig(n_trees=3, seed=1)),
-            "svm": lambda: train_svm(x, y, SvmConfig(epochs=30)),
-        }[kind]()
-        first = tmp_path / "m1.json"
-        second = tmp_path / "m2.json"
-        save_model(model, first)
-        loaded = load_model(first)
-        save_model(loaded, second)
-        assert first.read_bytes() == second.read_bytes()
-        probe = rng.normal(size=(100, 4))
-        assert np.array_equal(model.predict(probe), loaded.predict(probe))
-
-    def test_corrupted_file(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text('{"format": "nextday.model", "version": 1, "model": {"kind"')
-        with pytest.raises(ModelLoadError):
-            load_model(path)
-
-    def test_version_mismatch(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text('{"format": "nextday.model", "version": 99, "model": {}}')
-        with pytest.raises(ModelLoadError, match="unsupported model version"):
-            load_model(path)
-
-    def test_wrong_format(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text('{"hello": 1}')
-        with pytest.raises(ModelLoadError, match="not a model file"):
-            load_model(path)

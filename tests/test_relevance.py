@@ -1,14 +1,22 @@
+import io
 import json
 import math
+from collections import Counter
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nextday import relevance
+from nextday.corpus import load_corpus
 from nextday.relevance import (
     HashtagKind,
     HistoryWindow,
     KeywordProfile,
     RelevanceError,
     RelevanceParams,
+    article_text,
     associate_all,
     association_to_dict,
     build_history,
@@ -19,7 +27,9 @@ from nextday.relevance import (
     tfidf_keywords,
     write_associations,
 )
+from nextday.text import content_tokens, default_stopwords
 
+from signal_corpus import write_signal_corpus
 from util import article, corpus_of, tweet, utc
 
 
@@ -244,8 +254,7 @@ class TestAssociationProperties:
         params = RelevanceParams()
         serial = [association_to_dict(a) for a in associate_all(golden_corpus, params)]
         again = [association_to_dict(a) for a in associate_all(golden_corpus, params)]
-        threaded = [association_to_dict(a) for a in associate_all(golden_corpus, params, jobs=4)]
-        assert serial == again == threaded
+        assert serial == again
 
     def test_round_trip_file(self, tmp_path, golden_associations):
         path = tmp_path / "associations.jsonl"
@@ -279,3 +288,262 @@ class TestGoldenAgreement:
         for tag in ("whitehouse", "trump2016", "chicago"):
             assert len(history.hashtag_articles[tag]) >= 5
         assert "irandeal" not in history.hashtag_counts
+
+
+# The per-article association path that associate_all replaced, kept as its
+# differential oracle. It re-tokenizes the whole article set for each
+# article's document frequencies, and rescans every tweet and every prior
+# article for each history window. An article with no indexable tokens gets
+# an empty association and is skipped in history windows.
+
+
+def _reference_index_tokens(text, stopwords):
+    return [t for t in content_tokens(text, stopwords) if len(t) >= 3]
+
+
+def _reference_keywords(art, corpus, params, stopwords):
+    tokens = _reference_index_tokens(article_text(art, params.keywords_source), stopwords)
+    if not tokens:
+        return None
+    df = Counter()
+    for doc in corpus.articles:
+        df.update(set(_reference_index_tokens(article_text(doc, params.keywords_source), stopwords)))
+    counts = Counter(tokens)
+    scored = [
+        (token, (count / len(tokens)) * math.log(1.0 + len(corpus.articles) / df[token]))
+        for token, count in counts.items()
+    ]
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return {token for token, _ in scored[: params.keyword_count]}
+
+
+def _reference_day_tweets(corpus, day):
+    return [t for t in corpus.tweets if t.created_day == day]
+
+
+def _reference_history(corpus, art, params, seeds):
+    day = art.published_day
+    start = day - timedelta(days=params.history_days)
+    window_ids = set()
+    counts = Counter()
+    for tw in corpus.tweets:
+        if start <= tw.created_day < day:
+            window_ids.add(tw.id)
+            counts.update(tw.hashtags)
+    attached = {}
+    for prior in corpus.articles:
+        if start <= prior.published_day < day and prior.id in seeds:
+            for tweet_id in seeds[prior.id]:
+                for tag in corpus.tweet_by_id[tweet_id].hashtags:
+                    attached.setdefault(tag, set()).add(prior.id)
+    return window_ids, counts, attached
+
+
+def _reference_labels(candidates, history, params):
+    """(specific, generic) split of the candidate hashtags."""
+    window_ids, counts, attached = history
+    if not window_ids:
+        return set(candidates), set()
+    values = sorted(counts.values())
+    threshold = 0
+    if values:
+        rank = max(1, math.ceil(params.generic_frequency_quantile * len(values)))
+        threshold = values[min(rank, len(values)) - 1]
+    generic = {
+        tag
+        for tag in candidates
+        if len(attached.get(tag, ())) >= params.generic_article_threshold
+        or counts.get(tag, 0) > threshold
+    }
+    return set(candidates) - generic, generic
+
+
+def reference_associate_all(corpus, params):
+    """association_to_dict output per article, ordered by article id."""
+    stopwords = default_stopwords()
+    keywords = {}
+    for art in corpus.articles:
+        profile = _reference_keywords(art, corpus, params, stopwords)
+        if profile is not None:
+            keywords[art.id] = profile
+    seeds = {
+        art.id: {
+            tw.id
+            for tw in _reference_day_tweets(corpus, art.published_day)
+            if len(keywords[art.id].intersection(content_tokens(tw.text, stopwords)))
+            >= params.min_overlap
+        }
+        for art in corpus.articles
+        if art.id in keywords
+    }
+    results = []
+    for art in sorted(corpus.articles, key=lambda a: a.id):
+        seed_ids = seeds.get(art.id, set())
+        current = set(seed_ids)
+        specific, generic, classified = set(), set(), set()
+        iterations_run = 0
+        if art.id in keywords:
+            history = _reference_history(corpus, art, params, seeds)
+            day_tweets = _reference_day_tweets(corpus, art.published_day)
+            for iteration in range(1, params.max_iterations + 1):
+                harvested = set()
+                for tweet_id in current:
+                    harvested.update(corpus.tweet_by_id[tweet_id].hashtags)
+                new_specific, new_generic = _reference_labels(harvested - classified, history, params)
+                classified |= new_specific | new_generic
+                specific |= new_specific
+                generic |= new_generic
+                additions = {
+                    tw.id for tw in day_tweets if tw.hashtags & specific and tw.id not in current
+                }
+                if not additions:
+                    break
+                current |= additions
+                iterations_run = iteration
+        results.append(
+            {
+                "article_id": art.id,
+                "seed_tweet_ids": sorted(seed_ids),
+                "expanded_tweet_ids": sorted(current),
+                "article_specific_hashtags": sorted(specific),
+                "generic_hashtags": sorted(generic),
+                "iterations_run": iterations_run,
+            }
+        )
+    return results
+
+
+def assert_matches_reference(corpus, params):
+    got = [association_to_dict(a) for a in associate_all(corpus, params, stream=io.StringIO())]
+    assert got == reference_associate_all(corpus, params)
+
+
+PARAM_VARIANTS = [
+    RelevanceParams(),
+    RelevanceParams(keywords_source="title"),
+    RelevanceParams(history_days=1),
+    RelevanceParams(history_days=7),
+    RelevanceParams(min_overlap=1),
+]
+
+
+@pytest.fixture(scope="module")
+def signal_corpora(tmp_path_factory):
+    corpora = {}
+    for seed in (1, 2, 3):
+        root = tmp_path_factory.mktemp(f"signal{seed}")
+        write_signal_corpus(root, n_articles=60, seed=seed)
+        corpora[seed] = load_corpus(
+            root / "articles.jsonl", root / "tweets.jsonl", root / "users.jsonl"
+        )
+    return corpora
+
+
+WORDS = ["ransom", "iran", "cash", "vote", "fraud", "storm", "coast", "the", "and", "of", "ab"]
+TAGS = ["aa", "bb", "cc", "dd", "ee"]
+
+
+@st.composite
+def small_corpora(draw):
+    """Up to six days; article days and tweet days are drawn apart, so some
+    days have tweets and no articles, and others the reverse. Stop words and
+    short tokens can leave an article with no indexable tokens."""
+    text = st.lists(st.sampled_from(WORDS), min_size=1, max_size=6).map(" ".join)
+    article_days = draw(st.lists(st.integers(0, 5), min_size=1, max_size=8))
+    articles = [
+        article(
+            id=f"a{i}", title=draw(text), body=draw(text),
+            when=utc(month=7, day=1 + offset, hour=6),
+        )
+        for i, offset in enumerate(article_days)
+    ]
+    tweet_days = draw(st.lists(st.integers(0, 5), max_size=25))
+    tweets = [
+        tweet(
+            id=f"t{i:02d}",
+            text=draw(text) + "".join(f" #{tag}" for tag in draw(st.sets(st.sampled_from(TAGS), max_size=3))),
+            when=utc(month=7, day=1 + offset, hour=1 + i % 20),
+        )
+        for i, offset in enumerate(tweet_days)
+    ]
+    return corpus_of(articles=articles, tweets=tweets)
+
+
+class TestMatchesReferencePath:
+    @pytest.mark.parametrize("params", PARAM_VARIANTS)
+    def test_golden_corpus(self, golden_corpus, params):
+        assert_matches_reference(golden_corpus, params)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("params", PARAM_VARIANTS)
+    def test_signal_corpus(self, signal_corpora, seed, params):
+        assert_matches_reference(signal_corpora[seed], params)
+
+    def test_unindexable_article_counts_in_document_total(self):
+        # D = 4 ranks "ransom" first (0.6 ln 3 > 0.4 ln 5); D = 3 would rank "iran"
+        day = utc(hour=9)
+        corpus = corpus_of(
+            articles=[
+                article(id="a1", title="ransom ransom ransom", body="iran iran", when=day),
+                article(id="a2", title="ransom", body="storm", when=day),
+                article(id="a3", title="coast", body="coast", when=day),
+                article(id="a4", title="the of", body="and to", when=day),
+            ],
+            tweets=[tweet(id="t1", text="iran talks", when=day)],
+        )
+        params = RelevanceParams(keyword_count=1, min_overlap=1)
+        assert_matches_reference(corpus, params)
+        assert associate_all(corpus, params, stream=io.StringIO())[0].seed_tweet_ids == set()
+
+    @given(
+        small_corpora(),
+        st.builds(
+            RelevanceParams,
+            min_overlap=st.integers(1, 3),
+            generic_article_threshold=st.integers(1, 3),
+            generic_frequency_quantile=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+            max_iterations=st.integers(1, 3),
+            history_days=st.integers(1, 4),
+            keywords_source=st.sampled_from(["title", "title_body"]),
+            keyword_count=st.integers(1, 4),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_small_generated_corpora(self, corpus, params):
+        assert_matches_reference(corpus, params)
+
+
+class TestOnePass:
+    def test_each_text_tokenized_at_most_once(self, golden_corpus, monkeypatch):
+        calls = Counter()
+
+        def counting(text, stopwords):
+            calls[text] += 1
+            return content_tokens(text, stopwords)
+
+        monkeypatch.setattr(relevance, "content_tokens", counting)
+        associate_all(golden_corpus, RelevanceParams())
+        texts = Counter(article_text(a, "title_body") for a in golden_corpus.articles)
+        texts.update(t.text for t in golden_corpus.tweets)
+        assert calls
+        assert {text: n for text, n in calls.items() if n > texts[text]} == {}
+
+    def test_unindexable_article_gets_empty_association(self):
+        day = utc(hour=9)
+        stop = article(id="a0", title="the of", body="and the of to", when=day)
+        real = article(id="a1", title="vote fraud ballots", body="vote fraud ballots", when=day)
+        tweets = [tweet(id="t1", text="vote fraud ballots #rigged", when=day)]
+        events = io.StringIO()
+        first, second = associate_all(
+            corpus_of(articles=[stop, real], tweets=tweets), RelevanceParams(), stream=events
+        )
+        assert association_to_dict(first) == {
+            "article_id": "a0",
+            "seed_tweet_ids": [],
+            "expanded_tweet_ids": [],
+            "article_specific_hashtags": [],
+            "generic_hashtags": [],
+            "iterations_run": 0,
+        }
+        assert second.seed_tweet_ids == {"t1"}
+        assert events.getvalue() == '{"kind": "unindexable_article", "article_id": "a0"}\n'
