@@ -4,28 +4,38 @@ The package is fully functional without the extension; a numpy fallback
 is selected at import time (see nextday.learn.kernels). Any compiler or
 Cython failure therefore downgrades to a warning instead of aborting
 the install.
+
+With Cython installed the extension is generated from the `.pyx` source;
+without it, the shipped C++ that Cython generated from that source is
+compiled as is.
 """
 
 import sys
+from pathlib import Path
 
-from setuptools import setup
+from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
+
+PYX = "src/nextday/learn/_gini_fast.pyx"
+CPP = "src/nextday/learn/_gini_fast.cpp"
+
+
+def _extension(source: str) -> Extension:
+    return Extension(
+        "nextday.learn._gini_fast",
+        sources=[source],
+        language="c++",
+        extra_compile_args=["-O2"],
+    )
 
 
 def _extensions():
     try:
         from Cython.Build import cythonize
     except ImportError:
-        return []
-    from setuptools import Extension
-
-    ext = Extension(
-        "nextday.learn._gini_fast",
-        sources=["src/nextday/learn/_gini_fast.pyx"],
-        language="c++",
-        extra_compile_args=["-O2"],
-    )
-    return cythonize([ext], language_level="3")
+        # source paths are relative to the project root, where setup.py runs
+        return [_extension(CPP)] if Path(CPP).is_file() else []
+    return cythonize([_extension(PYX)], language_level="3")
 
 
 class optional_build_ext(build_ext):

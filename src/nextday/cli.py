@@ -21,6 +21,7 @@ from nextday import __version__
 from nextday.config import ConfigError, PipelineConfig, load_config
 from nextday.corpus import (
     CorpusError,
+    atomic_write,
     build_corpus,
     emit_diagnostics,
     load_articles,
@@ -45,6 +46,11 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _write_text(path, text: str) -> None:
+    with atomic_write(path) as fh:
+        fh.write(text)
+
+
 def _write_run_meta(config: PipelineConfig, command: str, argv: list[str], started: str) -> None:
     out = config.output_dir()
     out.mkdir(parents=True, exist_ok=True)
@@ -56,7 +62,7 @@ def _write_run_meta(config: PipelineConfig, command: str, argv: list[str], start
         "version": __version__,
         "effective_config": config.effective_dict(),
     }
-    (out / "run_meta.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+    _write_text(out / "run_meta.json", json.dumps(meta, indent=2) + "\n")
 
 
 def _load_lexicons(config: PipelineConfig) -> Lexicons:
@@ -169,11 +175,9 @@ def cmd_evaluate(config: PipelineConfig, args) -> int:
     # keeping them out makes report.json location-independent
     snapshot = {k: v for k, v in config.effective_dict().items() if k != "paths"}
     report = build_report(runs, config.learn.k, seeds, snapshot)
-    (out / "report.json").write_text(
-        json.dumps(report, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_text(out / "report.json", json.dumps(report, indent=2) + "\n")
     markdown = render_report_md(report)
-    (out / "report.md").write_text(markdown + "\n", encoding="utf-8")
+    _write_text(out / "report.md", markdown + "\n")
     print(markdown)
     return EXIT_OK
 
@@ -184,7 +188,7 @@ def cmd_report(config: PipelineConfig, args) -> int:
         raise ConfigError(f"{path} not found; run 'nextday evaluate' first")
     report = json.loads(path.read_text(encoding="utf-8"))
     markdown = render_report_md(report)
-    (config.output_dir() / "report.md").write_text(markdown + "\n", encoding="utf-8")
+    _write_text(config.output_dir() / "report.md", markdown + "\n")
     print(markdown)
     return EXIT_OK
 

@@ -2,17 +2,21 @@
 
 File format is JSON-Lines throughout (one object per line). Loaders
 validate eagerly and report the offending line number; a built Corpus is
-immutable and safe to share across threads.
+immutable and safe to share across threads. Every file the pipeline
+writes goes through `atomic_write`, so a reader never sees a partial one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
-from typing import IO, Iterable
+from pathlib import Path
+from typing import IO, Iterable, Iterator
 
 from nextday.text import extract_hashtags
 
@@ -319,6 +323,25 @@ def user_to_dict(user: UserProfile) -> dict:
         "last_active_at": format_rfc3339(user.last_active_at),
         "verified": user.verified,
     }
+
+
+@contextmanager
+def atomic_write(path, newline: str | None = None) -> Iterator[IO[str]]:
+    """A UTF-8 text file that replaces `path` only when the block completes.
+
+    The text goes to a temporary file in the same directory, which
+    `os.replace` then moves over `path`. If the block raises, the
+    temporary file is removed and `path` keeps its previous bytes.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_jsonl(path, objects: Iterable[dict]) -> None:

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import timedelta
 
-from nextday.corpus import Corpus, NewsArticle
+from nextday.corpus import Corpus, NewsArticle, atomic_write
 from nextday.lexicons import (
     EMOTION_CATEGORIES,
     Lexicons,
@@ -525,7 +525,7 @@ def assemble_matrix(
 
 def write_feature_csv(matrix: FeatureMatrix, path) -> None:
     """CSV with header `article_id,<features...>,label`; floats use six decimals."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path, newline="\n") as fh:
         fh.write(",".join(("article_id", *matrix.columns, "label")) + "\n")
         for vec in matrix.vectors:
             cells = [vec.article_id]

@@ -2,9 +2,10 @@
 
 Growing the forest spends nearly all of its time scanning sorted feature
 columns for the best Gini split, so that scan ships as a Cython extension
-with a numpy fallback chosen at import time. Both implementations perform
-the identical float64 operations in the identical candidate order, so the
-selected split (and therefore every tree) is bit-for-bit the same.
+with a numpy fallback chosen at import time. Both implementations score
+every candidate with the identical float64 operations and break ties the
+same way, so the selected split (and therefore every tree) is bit-for-bit
+the same.
 
 Set NEXTDAY_PURE_SPLIT=1 to force the pure path even when the extension
 is available (used by tests and the benchmark).
@@ -53,47 +54,45 @@ def best_split(
 def best_split_py(
     x: np.ndarray, y: np.ndarray, min_leaf: int
 ) -> tuple[int, float, float] | None:
-    """Numpy implementation of `best_split` (sort + cumulative counts)."""
-    n = x.shape[0]
-    if n < 2 * min_leaf:
+    """Numpy implementation of `best_split`: one sorted pass over all columns.
+
+    Every column is sorted and swept at once, so a node costs the same
+    handful of numpy calls whatever its column count. Ties between equal
+    values may sort either way; the class counts at a boundary between
+    distinct values do not depend on that order.
+    """
+    n, m = x.shape
+    if n < 2 or m == 0 or n < 2 * min_leaf:
         return None
-    y64 = y.astype(np.int64)
-    n1 = int(y64.sum())
-    best: tuple[float, int, float] | None = None
-    positions = np.arange(1, n, dtype=np.int64)
-    for col in range(x.shape[1]):
-        values = x[:, col]
-        order = np.argsort(values)
-        sorted_values = values[order]
-        cum_ones = np.cumsum(y64[order])
-        valid = (
-            (sorted_values[1:] > sorted_values[:-1])
-            & (positions >= min_leaf)
-            & (n - positions >= min_leaf)
-        )
-        candidates = np.nonzero(valid)[0]
-        if candidates.size == 0:
-            continue
-        left = candidates + 1
-        left_ones = cum_ones[candidates]
-        left_zeros = left - left_ones
-        right = n - left
-        right_ones = n1 - left_ones
-        right_zeros = right - right_ones
-        quality = (left_zeros * left_zeros + left_ones * left_ones) / left + (
-            right_zeros * right_zeros + right_ones * right_ones
-        ) / right
-        pos = int(np.argmax(quality))
-        score = float(quality[pos])
-        if best is None or score > best[0]:
-            split_at = int(candidates[pos])
-            threshold = float(
-                (sorted_values[split_at] + sorted_values[split_at + 1]) / 2.0
-            )
-            best = (score, col, threshold)
-    if best is None:
+    columns = np.arange(m)
+    order = np.argsort(x, axis=0)
+    sorted_values = x[order, columns]
+    left_ones = np.cumsum(y[order], axis=0, dtype=np.int64)
+    n1 = int(left_ones[-1, 0])
+    left_ones = left_ones[:-1]
+    # left[k] rows go left when splitting after sorted position k
+    left = np.arange(1, n, dtype=np.int64)[:, np.newaxis]
+    right = n - left
+    edge = (left >= min_leaf) & (right >= min_leaf)
+    valid = (sorted_values[1:] > sorted_values[:-1]) & edge
+    left_zeros = left - left_ones
+    right_ones = n1 - left_ones
+    right_zeros = right - right_ones
+    quality = (left_zeros * left_zeros + left_ones * left_ones) / left + (
+        right_zeros * right_zeros + right_ones * right_ones
+    ) / right
+    quality = np.where(valid, quality, -np.inf)
+    # first maximum per column (lowest threshold), then across columns
+    # (lowest column): the order in which the per-column scan kept ties
+    split_at = quality.argmax(axis=0)
+    column_best = quality[split_at, columns]
+    col = int(column_best.argmax())
+    score = float(column_best[col])
+    if score == -np.inf:
         return None
-    return best[1], best[2], best[0]
+    k = int(split_at[col])
+    threshold = float((sorted_values[k, col] + sorted_values[k + 1, col]) / 2.0)
+    return col, threshold, score
 
 
 def parent_score(n0: int, n1: int) -> float:

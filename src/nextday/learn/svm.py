@@ -114,7 +114,10 @@ def train_svm(x, y, cfg: SvmConfig | None = None, feature_names=()) -> SvmModel:
     standardized = (matrix - mean) / scale
 
     lam = 1.0 / (cfg.c * n)
-    rows = list(standardized)
+    # a row that standardizes to all zeros (every row of an all-constant
+    # matrix) adds exactly +0.0 to the dot product, the weight sum and the
+    # folded harmonic term, so its step only reads and moves the bias
+    rows = [row if row.any() else None for row in standardized]
     row_signs = signs.tolist()
     # scaled_sum = lambda * v_step, the sum of sign * row over the violating
     # steps; harmonic_sums[i] is the sum of H_{k-1} over row i's violating steps k
@@ -133,16 +136,21 @@ def train_svm(x, y, cfg: SvmConfig | None = None, feature_names=()) -> SvmModel:
         rng.shuffle(order)
         for i in order:
             sign = row_signs[i]
-            margin = sign * (eta * float(rows[i].dot(scaled_sum)) + bias)
+            row = rows[i]
+            if row is None:
+                margin = sign * bias
+            else:
+                margin = sign * (eta * float(row.dot(scaled_sum)) + bias)
             step += 1
             eta = 1.0 / (lam * step)
             if margin < 1.0:
-                if sign > 0.0:
-                    scaled_sum += rows[i]
-                else:
-                    scaled_sum -= rows[i]
                 bias += eta * sign
-                harmonic_sums[i] += harmonic
+                if row is not None:
+                    if sign > 0.0:
+                        scaled_sum += row
+                    else:
+                        scaled_sum -= row
+                    harmonic_sums[i] += harmonic
             avg_bias += (bias - avg_bias) / step
             harmonic += 1.0 / step
         folded = (signs * np.asarray(harmonic_sums)) @ standardized

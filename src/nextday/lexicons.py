@@ -216,49 +216,38 @@ def parse_boosters(text: str, path="<string>") -> dict[str, float]:
     return boosters
 
 
-def _read(path) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+def _lexicon_text(path, bundled: str) -> tuple[str, str]:
+    """Text and display name of the file at `path`, or of the bundled file
+    `bundled` when `path` is unset."""
+    if path:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read(), str(path)
+    return resources.files("nextday.data").joinpath(bundled).read_text("utf-8"), bundled
 
 
-def _resource(name: str) -> str:
-    return resources.files("nextday.data").joinpath(name).read_text("utf-8")
-
-
-def default_sentiment_lexicon() -> SentimentLexicon:
+def _sentiment_lexicon(sentiment=None, negators=None, boosters=None) -> SentimentLexicon:
+    text, name = _lexicon_text(sentiment, "sentiment.tsv")
     return parse_sentiment_lexicon(
-        _resource("sentiment.tsv"),
-        parse_negators(_resource("negators.txt")),
-        parse_boosters(_resource("boosters.tsv")),
-        path="sentiment.tsv",
+        text,
+        parse_negators(_lexicon_text(negators, "negators.txt")[0]),
+        parse_boosters(*_lexicon_text(boosters, "boosters.tsv")),
+        path=name,
     )
 
 
-def default_emotion_lexicon() -> EmotionLexicon:
-    return parse_emotion_lexicon(_resource("emotions.tsv"), path="emotions.tsv")
+def default_sentiment_lexicon() -> SentimentLexicon:
+    return _sentiment_lexicon()
 
 
 def default_lexicons() -> Lexicons:
-    return Lexicons(default_sentiment_lexicon(), default_emotion_lexicon())
+    return lexicons_from_paths()
 
 
 def lexicons_from_paths(
     sentiment=None, emotions=None, negators=None, boosters=None
 ) -> Lexicons:
     """Load lexicons, falling back to the bundled files for unset paths."""
-    negator_set = parse_negators(_read(negators) if negators else _resource("negators.txt"))
-    booster_map = parse_boosters(_read(boosters) if boosters else _resource("boosters.tsv"))
-    if sentiment:
-        sentiment_lex = parse_sentiment_lexicon(
-            _read(sentiment), negator_set, booster_map, path=sentiment
-        )
-    else:
-        sentiment_lex = parse_sentiment_lexicon(
-            _resource("sentiment.tsv"), negator_set, booster_map, path="sentiment.tsv"
-        )
-    emotion_lex = (
-        parse_emotion_lexicon(_read(emotions), path=emotions)
-        if emotions
-        else default_emotion_lexicon()
+    return Lexicons(
+        _sentiment_lexicon(sentiment, negators, boosters),
+        parse_emotion_lexicon(*_lexicon_text(emotions, "emotions.tsv")),
     )
-    return Lexicons(sentiment_lex, emotion_lex)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import IO, Iterable, Mapping
 
-from nextday.corpus import Corpus, NewsArticle, Tweet
+from nextday.corpus import Corpus, NewsArticle, Tweet, atomic_write
 from nextday.text import content_tokens, default_stopwords
 
 log = logging.getLogger(__name__)
@@ -551,7 +551,7 @@ def association_to_dict(assoc: ArticleAssociation) -> dict:
 
 def write_associations(path, associations: list[ArticleAssociation]) -> None:
     ordered = sorted(associations, key=lambda a: a.article_id)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for assoc in ordered:
             fh.write(json.dumps(association_to_dict(assoc), ensure_ascii=False) + "\n")
 

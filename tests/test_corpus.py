@@ -6,6 +6,7 @@ import pytest
 from nextday.corpus import (
     CorpusError,
     article_to_dict,
+    atomic_write,
     emit_diagnostics,
     load_articles,
     load_corpus,
@@ -16,6 +17,8 @@ from nextday.corpus import (
     user_to_dict,
     write_jsonl,
 )
+from nextday.features import FeatureMatrix, FeatureVector, write_feature_csv
+from nextday.relevance import ArticleAssociation, write_associations
 
 from util import article, corpus_of, tweet, user, utc
 
@@ -310,3 +313,56 @@ class TestRoundTrip:
     def test_naive_timestamp_rejected(self):
         with pytest.raises(ValueError, match="lacks a UTC offset"):
             parse_rfc3339("2016-08-08T06:00:00")
+
+
+def _association(article_id, seeds):
+    return ArticleAssociation(
+        article_id=article_id,
+        seed_tweet_ids=frozenset(seeds),
+        expanded_tweet_ids=frozenset(seeds),
+        article_specific_hashtags=frozenset(),
+        generic_hashtags=frozenset(),
+        iterations_run=1,
+    )
+
+
+def _broken_associations(path):
+    # the second record cannot be sorted, so serialization fails after
+    # the first line is already written
+    write_associations(path, [_association("a1", ["t1"]), _association("a2", ["t2", 3])])
+
+
+def _broken_features(path):
+    vectors = tuple(
+        FeatureVector(article_id, "toy", {"f0": value}, 0)
+        for article_id, value in (("a1", 0.5), ("a2", None))
+    )
+    write_feature_csv(FeatureMatrix("toy", ("f0",), vectors), path)
+
+
+def _broken_block(path):
+    with atomic_write(path) as fh:
+        fh.write("half of a new artifact")
+        raise TypeError("serialization failed")
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize(
+        "write", [_broken_associations, _broken_features, _broken_block],
+        ids=["associations", "features", "block"],
+    )
+    def test_failed_write_keeps_previous_bytes(self, tmp_path, write):
+        path = tmp_path / "artifact"
+        path.write_bytes(b"previous artifact\n")
+        with pytest.raises(TypeError):
+            write(path)
+        assert path.read_bytes() == b"previous artifact\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+    def test_completed_write_replaces(self, tmp_path):
+        path = tmp_path / "report.md"
+        path.write_text("old\n", encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write("new\n")
+        assert path.read_text(encoding="utf-8") == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.md"]

@@ -45,7 +45,10 @@ EIGHT_Y = np.array([r[2] for r in EIGHT_ROWS])
 
 
 def exact_split_table(rows, feature, min_leaf=1):
-    """Exact-arithmetic Gini impurity decrease per candidate threshold."""
+    """Exact-arithmetic Gini impurity decrease per candidate threshold.
+
+    Each row holds its feature values followed by its 0/1 label.
+    """
 
     def gini(labels):
         n = len(labels)
@@ -54,13 +57,13 @@ def exact_split_table(rows, feature, min_leaf=1):
         ones = sum(labels)
         return 1 - Fraction(n - ones, n) ** 2 - Fraction(ones, n) ** 2
 
-    parent = gini([r[2] for r in rows])
+    parent = gini([r[-1] for r in rows])
     values = sorted({r[feature] for r in rows})
     table = []
     for low, high in zip(values, values[1:]):
         threshold = (low + high) / 2
-        left = [r[2] for r in rows if r[feature] <= threshold]
-        right = [r[2] for r in rows if r[feature] > threshold]
+        left = [r[-1] for r in rows if r[feature] <= threshold]
+        right = [r[-1] for r in rows if r[feature] > threshold]
         if len(left) < min_leaf or len(right) < min_leaf:
             continue
         weighted = (
@@ -69,6 +72,65 @@ def exact_split_table(rows, feature, min_leaf=1):
         )
         table.append((feature, threshold, parent - weighted))
     return table
+
+
+def reference_best_split(x, y, min_leaf):
+    """The per-column loop `best_split_py` replaced, kept as an oracle."""
+    n = x.shape[0]
+    if n < 2 * min_leaf:
+        return None
+    y64 = y.astype(np.int64)
+    n1 = int(y64.sum())
+    best = None
+    positions = np.arange(1, n, dtype=np.int64)
+    for col in range(x.shape[1]):
+        values = x[:, col]
+        order = np.argsort(values)
+        sorted_values = values[order]
+        cum_ones = np.cumsum(y64[order])
+        valid = (
+            (sorted_values[1:] > sorted_values[:-1])
+            & (positions >= min_leaf)
+            & (n - positions >= min_leaf)
+        )
+        candidates = np.nonzero(valid)[0]
+        if candidates.size == 0:
+            continue
+        left = candidates + 1
+        left_ones = cum_ones[candidates]
+        left_zeros = left - left_ones
+        right = n - left
+        right_ones = n1 - left_ones
+        right_zeros = right - right_ones
+        quality = (left_zeros * left_zeros + left_ones * left_ones) / left + (
+            right_zeros * right_zeros + right_ones * right_ones
+        ) / right
+        pos = int(np.argmax(quality))
+        score = float(quality[pos])
+        if best is None or score > best[0]:
+            split_at = int(candidates[pos])
+            threshold = float((sorted_values[split_at] + sorted_values[split_at + 1]) / 2.0)
+            best = (score, col, threshold)
+    if best is None:
+        return None
+    return best[1], best[2], best[0]
+
+
+def fuzz_split_cases(seed, count=300):
+    """Small grids with many ties, constant columns and duplicated columns."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 51))
+        m = int(rng.integers(1, 6))
+        grid = rng.choice([0.0, 1.0, 2.5, -3.0, 0.5], size=(n, m))
+        for col in range(m):
+            kind = rng.integers(0, 4)
+            if kind == 0:  # constant column: never a candidate
+                grid[:, col] = grid[0, col]
+            elif kind == 1 and col > 0:  # copy: equal scores across columns
+                grid[:, col] = grid[:, int(rng.integers(0, col))]
+        y = rng.integers(0, 2, size=n).astype(np.int8)
+        yield np.ascontiguousarray(grid), y, int(rng.integers(1, 4))
 
 
 class TestKernels:
@@ -82,10 +144,31 @@ class TestKernels:
             grid = rng.choice([0.0, 1.0, 2.5, -3.0, 0.5], size=(n, m))
             x = np.ascontiguousarray(grid)
             y = rng.integers(0, 2, size=n).astype(np.int8)
-            for min_leaf in (1, 2):
+            for min_leaf in (1, 2, 3):
                 assert kernels.best_split_py(x, y, min_leaf) == kernels._gini_fast.best_split(
                     x, y, min_leaf
                 )
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_one_pass_matches_column_loop(self, seed):
+        for x, y, min_leaf in fuzz_split_cases(seed):
+            assert kernels.best_split_py(x, y, min_leaf) == reference_best_split(x, y, min_leaf)
+
+    def test_one_pass_matches_exact_oracle(self):
+        for x, y, min_leaf in fuzz_split_cases(3, count=150):
+            rows = [(*row, label) for row, label in zip(x.tolist(), y.tolist())]
+            table = [
+                entry
+                for col in range(x.shape[1])
+                for entry in exact_split_table(rows, col, min_leaf)
+            ]
+            found = kernels.best_split_py(x, y, min_leaf)
+            if not table:
+                assert found is None
+                continue
+            best_decrease = max(d for _, _, d in table)
+            winners = [(f, t) for f, t, d in table if d == best_decrease]
+            assert found is not None and (found[0], found[1]) == min(winners)
 
     def test_pure_override_env(self, monkeypatch):
         monkeypatch.setenv("NEXTDAY_PURE_SPLIT", "1")
@@ -335,6 +418,10 @@ def reference_train_svm(x, y, cfg: SvmConfig) -> SvmModel:
     )
 
 
+# title_polarity and event_importance train on constant columns only
+SIGNAL_SCHEMES = ("proposed", "article_content_polarity", "title_polarity", "event_importance")
+
+
 @pytest.fixture(scope="module")
 def signal_features(tmp_path_factory):
     """Feature matrices of small generated signal corpora, read back from CSV."""
@@ -347,7 +434,7 @@ def signal_features(tmp_path_factory):
             root / "articles.jsonl", root / "tweets.jsonl", root / "users.jsonl"
         )
         associations = associate_all(corpus, RelevanceParams())
-        for scheme in ("proposed", "article_content_polarity"):
+        for scheme in SIGNAL_SCHEMES:
             path = root / f"features_{scheme}.csv"
             write_feature_csv(
                 assemble_matrix(corpus, associations, scheme, lexicons, FeatureParams()), path
@@ -365,6 +452,11 @@ class TestSvmMatchesReferenceLoop:
         np.testing.assert_allclose(got.weights, want.weights, rtol=1e-9)
         np.testing.assert_allclose(got.bias, want.bias, rtol=1e-9)
         np.testing.assert_allclose(got.objective_history, want.objective_history, rtol=1e-9)
+        if (np.asarray(x).std(axis=0) == 0.0).all():
+            # only the bias moves, along the same recurrence in both loops
+            assert got.bias == want.bias
+            assert (got.weights == 0.0).all()
+            assert got.objective_history == want.objective_history
 
     @pytest.mark.parametrize("seed", [0, 1, 5])
     def test_four_points(self, seed):
@@ -382,8 +474,29 @@ class TestSvmMatchesReferenceLoop:
         x = np.array([[1.0, -3.0, 2.0], [0.0, 4.0, 2.5]])
         self.assert_same_fit(x, np.array([1, 0]), SvmConfig(epochs=50, seed=7))
 
+    @pytest.mark.parametrize("labels", [[0, 1, 1, 0, 1, 1, 1], [1, 1, 0, 0, 0, 0, 0]])
+    def test_all_constant_columns(self, labels):
+        x = np.array([[0.25, -4.0, 3.0]] * len(labels))
+        self.assert_same_fit(x, np.array(labels), SvmConfig(seed=4))
+
+    def test_rows_at_column_means(self):
+        # column means are (2, 3, 0); rows 2, 4 and 6 standardize to zero
+        x = np.array(
+            [
+                [1.0, 2.0, -1.0],
+                [2.0, 3.0, 0.0],
+                [3.0, 5.0, 2.0],
+                [2.0, 3.0, 0.0],
+                [0.0, 1.0, 1.0],
+                [2.0, 3.0, 0.0],
+                [4.0, 4.0, -2.0],
+            ]
+        )
+        assert not ((x - x.mean(axis=0)) / x.std(axis=0))[[1, 3, 5]].any()
+        self.assert_same_fit(x, np.array([0, 1, 1, 0, 0, 1, 1]), SvmConfig(seed=6))
+
     @pytest.mark.parametrize("corpus_seed", [1, 2, 3])
-    @pytest.mark.parametrize("scheme", ["proposed", "article_content_polarity"])
+    @pytest.mark.parametrize("scheme", SIGNAL_SCHEMES)
     def test_signal_corpus_features(self, signal_features, corpus_seed, scheme):
         x, y = signal_features[(corpus_seed, scheme)]
         assert 0 < y.sum() < len(y)
