@@ -30,16 +30,19 @@ from nextday.corpus import (
 from nextday.features import (
     ALL_SCHEMES,
     SCHEME_PROPOSED,
+    DatasetError,
     assemble_matrix,
     write_feature_csv,
 )
-from nextday.learn.cv import Dataset, DatasetError, build_report, kfold_cv, render_report_md
 from nextday.lexicons import LexiconError, Lexicons, lexicons_from_paths
 from nextday.relevance import associate_all, load_associations, write_associations
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
+
+CLASSIFIER_ORDER = ("random_forest", "linear_svm", "cart")
+CLASSIFIER_DISPLAY = {"random_forest": "RFC", "linear_svm": "SVM", "cart": "CART"}
 
 
 def _now() -> str:
@@ -146,7 +149,20 @@ def cmd_features(config: PipelineConfig, args) -> int:
     return EXIT_OK
 
 
+def kfold_cv(data, k: int, classifier_cfgs: dict, seed: int):
+    """`nextday.learn.cv.kfold_cv`, imported on the first call.
+
+    Only `evaluate` calls it, so the other subcommands never load numpy
+    or the learn package.
+    """
+    from nextday.learn.cv import kfold_cv as run
+
+    return run(data, k, classifier_cfgs, seed)
+
+
 def cmd_evaluate(config: PipelineConfig, args) -> int:
+    from nextday.learn.cv import Dataset, build_report
+
     schemes = _resolve_schemes(args.scheme)
     out = config.output_dir()
     repeats = args.repeats if args.repeats is not None else config.learn.repeats
@@ -180,6 +196,29 @@ def cmd_evaluate(config: PipelineConfig, args) -> int:
     _write_text(out / "report.md", markdown + "\n")
     print(markdown)
     return EXIT_OK
+
+
+def render_report_md(report: dict) -> str:
+    """One metrics table per scheme: rows P/R/F, columns RFC/SVM/CART."""
+    lines = ["# Evaluation report", ""]
+    lines.append(f"Folds: {report['k']}; seeds: {', '.join(str(s) for s in report['seeds'])}")
+    lines.append("")
+    for scheme, block in report["schemes"].items():
+        names = [n for n in CLASSIFIER_ORDER if n in block["classifiers"]]
+        names += [n for n in block["classifiers"] if n not in names]
+        lines.append(f"## {scheme}")
+        lines.append("")
+        lines.append("| | " + " | ".join(CLASSIFIER_DISPLAY.get(n, n) for n in names) + " |")
+        lines.append("|---" * (len(names) + 1) + "|")
+        for metric, label in (
+            ("precision", "Precision"),
+            ("recall", "Recall"),
+            ("f_score", "F-score"),
+        ):
+            cells = [f"{block['classifiers'][n][metric]['mean']:.1f}" for n in names]
+            lines.append(f"| {label} | " + " | ".join(cells) + " |")
+        lines.append("")
+    return "\n".join(lines)
 
 
 def cmd_report(config: PipelineConfig, args) -> int:

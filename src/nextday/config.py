@@ -7,8 +7,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from nextday.features import FeatureParams
-from nextday.learn.svm import SvmConfig
-from nextday.learn.tree import CartConfig, ForestConfig
 from nextday.relevance import RelevanceParams
 
 
@@ -26,6 +24,28 @@ class PathsConfig:
     emotion_lexicon: str | None = None
     negators: str | None = None
     boosters: str | None = None
+
+
+@dataclass(frozen=True)
+class CartConfig:
+    max_depth: int = 8
+    min_samples_leaf: int = 2
+
+
+@dataclass(frozen=True)
+class ForestConfig:
+    n_trees: int = 100
+    bootstrap: bool = True
+    max_features: int | None = None  # None = ceil(sqrt(d))
+    seed: int = 0
+    tree: CartConfig = field(default_factory=CartConfig)
+
+
+@dataclass(frozen=True)
+class SvmConfig:
+    c: float = 1.0
+    epochs: int = 200
+    seed: int = 0
 
 
 @dataclass(frozen=True)

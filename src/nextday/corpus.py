@@ -344,12 +344,6 @@ def atomic_write(path, newline: str | None = None) -> Iterator[IO[str]]:
         raise
 
 
-def write_jsonl(path, objects: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for obj in objects:
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
-
-
 def load_corpus(articles_path, tweets_path, users_path) -> Corpus:
     return build_corpus(
         load_articles(articles_path),

@@ -1,5 +1,6 @@
 """Classifiers and the cross-validation evaluation harness."""
 
+from nextday.config import CartConfig, ForestConfig, SvmConfig
 from nextday.learn.cv import (
     Dataset,
     DatasetError,
@@ -9,15 +10,8 @@ from nextday.learn.cv import (
     metrics,
     stratified_folds,
 )
-from nextday.learn.svm import SvmConfig, SvmModel, train_svm
-from nextday.learn.tree import (
-    CartConfig,
-    CartModel,
-    ForestConfig,
-    ForestModel,
-    train_cart,
-    train_forest,
-)
+from nextday.learn.svm import SvmModel, train_svm
+from nextday.learn.tree import CartModel, ForestModel, train_cart, train_forest
 
 __all__ = [
     "Dataset",

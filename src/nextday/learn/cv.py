@@ -9,15 +9,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from nextday.learn.svm import SvmConfig, train_svm
-from nextday.learn.tree import CartConfig, ForestConfig, train_cart, train_forest
-
-CLASSIFIER_ORDER = ("random_forest", "linear_svm", "cart")
-CLASSIFIER_DISPLAY = {"random_forest": "RFC", "linear_svm": "SVM", "cart": "CART"}
-
-
-class DatasetError(ValueError):
-    """Dataset shape or class support makes the request impossible."""
+from nextday.config import CartConfig, ForestConfig, SvmConfig
+from nextday.features import DatasetError
+from nextday.learn.svm import train_svm
+from nextday.learn.tree import train_cart, train_forest
 
 
 @dataclass(frozen=True)
@@ -261,26 +256,3 @@ def build_report(
         "config": config_snapshot,
         "schemes": schemes,
     }
-
-
-def render_report_md(report: dict) -> str:
-    """One metrics table per scheme: rows P/R/F, columns RFC/SVM/CART."""
-    lines = ["# Evaluation report", ""]
-    lines.append(f"Folds: {report['k']}; seeds: {', '.join(str(s) for s in report['seeds'])}")
-    lines.append("")
-    for scheme, block in report["schemes"].items():
-        names = [n for n in CLASSIFIER_ORDER if n in block["classifiers"]]
-        names += [n for n in block["classifiers"] if n not in names]
-        lines.append(f"## {scheme}")
-        lines.append("")
-        lines.append("| | " + " | ".join(CLASSIFIER_DISPLAY.get(n, n) for n in names) + " |")
-        lines.append("|---" * (len(names) + 1) + "|")
-        for metric, label in (
-            ("precision", "Precision"),
-            ("recall", "Recall"),
-            ("f_score", "F-score"),
-        ):
-            cells = [f"{block['classifiers'][n][metric]['mean']:.1f}" for n in names]
-            lines.append(f"| {label} | " + " | ".join(cells) + " |")
-        lines.append("")
-    return "\n".join(lines)

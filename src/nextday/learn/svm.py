@@ -8,16 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from nextday.config import SvmConfig
+
 log = logging.getLogger(__name__)
 
 SVM_KIND = "linear_svm"
-
-
-@dataclass(frozen=True)
-class SvmConfig:
-    c: float = 1.0
-    epochs: int = 200
-    seed: int = 0
 
 
 @dataclass

@@ -4,29 +4,15 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from nextday.config import CartConfig, ForestConfig
 from nextday.learn.kernels import best_split, parent_score
 
 CART_KIND = "cart"
 FOREST_KIND = "random_forest"
-
-
-@dataclass(frozen=True)
-class CartConfig:
-    max_depth: int = 8
-    min_samples_leaf: int = 2
-
-
-@dataclass(frozen=True)
-class ForestConfig:
-    n_trees: int = 100
-    bootstrap: bool = True
-    max_features: int | None = None  # None = ceil(sqrt(d))
-    seed: int = 0
-    tree: CartConfig = field(default_factory=CartConfig)
 
 
 @dataclass

@@ -1,9 +1,12 @@
+import inspect
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import nextday.cli
 from nextday.cli import main
 
 
@@ -254,3 +257,48 @@ class TestConfigPlumbing:
         )
         assert result.returncode == 0
         assert "articles=26" in result.stdout
+
+
+# Runs one CLI stage, then reports which heavy modules the process loaded.
+LOADED_MODULES_PROBE = """
+import json, sys
+from nextday.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({
+    "numpy": "numpy" in sys.modules,
+    "learn": sorted(m for m in sys.modules if m.startswith("nextday.learn")),
+}))
+sys.exit(code)
+"""
+
+
+class TestColdStart:
+    def test_only_evaluate_loads_numpy(self, golden_config):
+        cfg = str(golden_config())
+        stages = [
+            (["ingest-check"], False),
+            (["associate"], False),
+            (["features", "--scheme", "all"], False),
+            (["evaluate", "--scheme", "proposed"], True),
+            (["report"], False),
+        ]
+        for argv, loads_learn in stages:
+            result = subprocess.run(
+                [sys.executable, "-c", LOADED_MODULES_PROBE, *argv, "--config", cfg],
+                capture_output=True,
+                text=True,
+            )
+            assert result.returncode == 0, result.stderr
+            loaded = json.loads(result.stdout.splitlines()[-1])
+            assert loaded["numpy"] is loads_learn, argv
+            assert bool(loaded["learn"]) is loads_learn, (argv, loaded["learn"])
+
+    def test_tracer_binds_every_traced_name(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        from tracing import Tracer
+
+        assert Tracer().missing == set()
+        # the tracer reads the `data` argument of every kfold_cv call
+        assert list(inspect.signature(nextday.cli.kfold_cv).parameters) == [
+            "data", "k", "classifier_cfgs", "seed",
+        ]

@@ -15,7 +15,6 @@ from nextday.corpus import (
     parse_rfc3339,
     tweet_to_dict,
     user_to_dict,
-    write_jsonl,
 )
 from nextday.features import FeatureMatrix, FeatureVector, write_feature_csv
 from nextday.relevance import ArticleAssociation, write_associations
@@ -26,6 +25,10 @@ from util import article, corpus_of, tweet, user, utc
 def write_lines(path, *lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def write_jsonl(path, objects):
+    write_lines(path, *(json.dumps(obj, ensure_ascii=False) for obj in objects))
 
 
 class TestLoadArticles:
