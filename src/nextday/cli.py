@@ -18,7 +18,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 
 from nextday import __version__
-from nextday.config import ConfigError, PipelineConfig, load_config
+from nextday.config import ConfigError, DatasetError, PipelineConfig, load_config
 from nextday.corpus import (
     CorpusError,
     atomic_write,
@@ -30,7 +30,6 @@ from nextday.corpus import (
 from nextday.features import (
     ALL_SCHEMES,
     SCHEME_PROPOSED,
-    DatasetError,
     assemble_matrix,
     write_feature_csv,
 )

@@ -14,6 +14,10 @@ class ConfigError(ValueError):
     """Unusable configuration or missing prerequisite file."""
 
 
+class DatasetError(ValueError):
+    """Dataset shape or class support makes the request impossible."""
+
+
 @dataclass(frozen=True)
 class PathsConfig:
     articles: str = "articles.jsonl"

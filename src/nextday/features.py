@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import timedelta
 
 from nextday.corpus import Corpus, NewsArticle, atomic_write
 from nextday.lexicons import (
@@ -85,15 +85,6 @@ PROPOSED_COLUMNS = (
 INFLUENTIAL_FOLLOWERS = 1000
 
 
-class DatasetError(ValueError):
-    """Dataset shape or class support makes the request impossible.
-
-    `nextday.learn.cv` raises it for feature files it cannot evaluate. It
-    lives next to the feature file format so that the CLI can map it to
-    an exit code without importing the numpy-based learn package.
-    """
-
-
 @dataclass(frozen=True)
 class FeatureParams:
     active_window_days: int = 30
@@ -158,7 +149,7 @@ def emotion_variance(counts) -> float:
     values = list(counts)
     if len(values) != len(EMOTION_CATEGORIES):
         raise ValueError(f"expected {len(EMOTION_CATEGORIES)} counts, got {len(values)}")
-    if min(values) < 0:
+    if any(c < 0 for c in values):
         raise ValueError("counts must be non-negative")
     mean = sum(values) / 8
     total = 0.0
@@ -428,23 +419,15 @@ def event_importance(
     all_articles: list[NewsArticle],
     params: FeatureParams,
     clusters: dict[str, frozenset[str]] | None = None,
-    days: dict[str, date] | None = None,
 ) -> BaselineFeatures:
-    """Size and day-span of the article's similarity cluster.
-
-    `clusters` and `days` (article id -> publication day) are computed
-    from `all_articles` when not given; `assemble_matrix` builds each
-    once for the whole corpus.
-    """
+    """Size and day-span of the article's similarity cluster."""
     if clusters is None:
         clusters = build_event_clusters(all_articles, params.similarity_threshold)
-    if days is None:
-        days = {a.id: a.published_day for a in all_articles}
     cluster = clusters[article.id]
-    cluster_days = {days[aid] for aid in cluster}
+    days = {a.published_day for a in all_articles if a.id in cluster}
     return BaselineFeatures(
         SCHEME_EVENT,
-        {"event_days": float(len(cluster_days)), "event_articles": float(len(cluster))},
+        {"event_days": float(len(days)), "event_articles": float(len(cluster))},
     )
 
 
@@ -485,7 +468,6 @@ def assemble_matrix(
     assoc_by_id: dict[str, ArticleAssociation] = {}
     corpus_max = 1
     clusters = None
-    days = None
     if scheme == SCHEME_PROPOSED:
         assoc_by_id = {a.article_id: a for a in associations or []}
         missing = [a.id for a in articles if a.id not in assoc_by_id]
@@ -497,7 +479,6 @@ def assemble_matrix(
         corpus_max = max(corpus_max, 1)
     elif scheme == SCHEME_EVENT:
         clusters = build_event_clusters(articles, params.similarity_threshold)
-        days = {a.id: a.published_day for a in articles}
 
     def compute(article: NewsArticle) -> FeatureVector:
         if scheme == SCHEME_PROPOSED:
@@ -525,7 +506,7 @@ def assemble_matrix(
         elif scheme == SCHEME_TITLE_CONTENT:
             values = title_features(article, lexicons.sentiment)[1].values
         elif scheme == SCHEME_EVENT:
-            values = event_importance(article, articles, params, clusters, days).values
+            values = event_importance(article, articles, params, clusters).values
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
         if tuple(values) != columns:

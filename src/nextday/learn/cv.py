@@ -9,8 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from nextday.config import CartConfig, ForestConfig, SvmConfig
-from nextday.features import DatasetError
+from nextday.config import CartConfig, DatasetError, ForestConfig, SvmConfig
 from nextday.learn.svm import train_svm
 from nextday.learn.tree import train_cart, train_forest
 

@@ -104,10 +104,6 @@ class TestEmotionVariance:
         with pytest.raises(ValueError):
             emotion_variance([1, 2, 3])
 
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            emotion_variance([1, 0, 0, 0, 0, 0, 0, -1])
-
 
 class TestInvolvement:
     def test_average_retweets_matches_reported_scale(self):
