@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -159,6 +160,40 @@ def kfold_cv(data, k: int, classifier_cfgs: dict, seed: int):
     return run(data, k, classifier_cfgs, seed)
 
 
+# A pool worker's copy of the parent's (data, k, cfgs, seed) jobs. The
+# parent never sets it: each forked worker gets the list from
+# `_set_worker_jobs`, so only job indices and results cross the pipe.
+_worker_jobs: list[tuple] = []
+
+
+def _set_worker_jobs(jobs: list[tuple]) -> None:
+    _worker_jobs[:] = jobs
+
+
+def _run_worker_job(index: int):
+    return kfold_cv(*_worker_jobs[index])
+
+
+def _run_jobs(jobs: list[tuple], parallel: bool) -> list:
+    """`kfold_cv` over the jobs, in job order.
+
+    With `parallel` and more than one job and CPU, the jobs run on a fork
+    pool of one worker per CPU. Fork, not spawn, lets the workers inherit
+    the loaded datasets and imports; the only other thread at that point
+    is OpenBLAS's, which its own fork handler stops. `map` keeps the job
+    order, so callers see the same reports either way, and an error
+    raised in a worker is re-raised here.
+    """
+    workers = min(len(os.sched_getaffinity(0)), len(jobs)) if parallel else 1
+    if workers < 2:
+        return [kfold_cv(*job) for job in jobs]
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    with context.Pool(workers, initializer=_set_worker_jobs, initargs=(jobs,)) as pool:
+        return pool.map(_run_worker_job, range(len(jobs)), chunksize=1)
+
+
 def cmd_evaluate(config: PipelineConfig, args) -> int:
     from nextday.learn.cv import Dataset, build_report
 
@@ -170,21 +205,23 @@ def cmd_evaluate(config: PipelineConfig, args) -> int:
     base_seed = config.learn.seed
     seeds = [base_seed + r for r in range(repeats)]
 
-    runs: dict[str, list] = {}
+    jobs = []
     for scheme in schemes:
         path = out / f"features_{scheme}.csv"
         if not path.exists():
             raise ConfigError(f"{path} not found; run 'nextday features' first")
         data = Dataset.from_csv(path, scheme=scheme)
-        reports = []
         for seed in seeds:
             cfgs = {
                 "random_forest": replace(config.learn.forest, seed=seed),
                 "linear_svm": replace(config.learn.svm, seed=seed),
                 "cart": config.learn.cart,
             }
-            reports.append(kfold_cv(data, config.learn.k, cfgs, seed))
-        runs[scheme] = reports
+            jobs.append((data, config.learn.k, cfgs, seed))
+    reports = _run_jobs(jobs, args.parallel)
+    runs = {
+        scheme: reports[i * repeats : (i + 1) * repeats] for i, scheme in enumerate(schemes)
+    }
 
     # paths are machine-specific run metadata (present in run_meta.json);
     # keeping them out makes report.json location-independent
@@ -276,8 +313,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; return its exit code.
+
+    With no `argv`, as from the `nextday` script or `python -m
+    nextday.cli`, the command line is `sys.argv` and `evaluate` may run
+    its cross-validations on a process pool. A caller that passes an
+    `argv` list gets every fit in its own process, so in-process
+    instrumentation sees them all. Both give the same artifacts.
+    """
+    parallel = argv is None
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
+    args.parallel = parallel
     started = _now()
     try:
         config = load_config(args.config, args.set)

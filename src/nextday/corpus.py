@@ -43,10 +43,6 @@ def parse_rfc3339(value: str) -> datetime:
     return parsed.astimezone(timezone.utc)
 
 
-def format_rfc3339(value: datetime) -> str:
-    return value.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
-
-
 @dataclass(frozen=True)
 class NewsArticle:
     id: str
@@ -289,40 +285,6 @@ def emit_diagnostics(corpus: Corpus, stream: IO[str] | None = None) -> None:
     stream = stream if stream is not None else sys.stderr
     for diag in corpus.diagnostics:
         stream.write(json.dumps(diag, sort_keys=False) + "\n")
-
-
-def article_to_dict(article: NewsArticle) -> dict:
-    obj = {
-        "id": article.id,
-        "title": article.title,
-        "body": article.body,
-        "published_at": format_rfc3339(article.published_at),
-        "label": article.label,
-    }
-    if article.section is not None:
-        obj["section"] = article.section
-    return obj
-
-
-def tweet_to_dict(tweet: Tweet) -> dict:
-    return {
-        "id": tweet.id,
-        "text": tweet.text,
-        "user_id": tweet.user_id,
-        "created_at": format_rfc3339(tweet.created_at),
-        "retweet_count": tweet.retweet_count,
-        "favorite_count": tweet.favorite_count,
-        "hashtags": sorted(tweet.hashtags),
-    }
-
-
-def user_to_dict(user: UserProfile) -> dict:
-    return {
-        "user_id": user.user_id,
-        "followers_count": user.followers_count,
-        "last_active_at": format_rfc3339(user.last_active_at),
-        "verified": user.verified,
-    }
 
 
 @contextmanager

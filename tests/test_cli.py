@@ -1,5 +1,7 @@
 import inspect
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -158,6 +160,17 @@ class TestFeatures:
         ]
 
 
+# Runs `main()` on this process's command line, as the `nextday` script
+# does, then reports whether it made a process pool.
+POOL_PROBE = """
+import json, sys
+from nextday.cli import main
+code = main()
+print(json.dumps({"pool": "multiprocessing.pool" in sys.modules}))
+sys.exit(code)
+"""
+
+
 class TestEvaluate:
     @pytest.fixture()
     def prepared(self, capsys, golden_config):
@@ -208,6 +221,74 @@ class TestEvaluate:
         code, _, err = run(capsys, "evaluate", "--config", str(cfg), "--scheme", "proposed")
         assert code == 2
         assert "features" in err
+
+    def test_pool_gives_the_same_bytes(self, capsys, prepared, tmp_path):
+        argv = ["evaluate", "--config", str(prepared), "--scheme", "all", "--repeats", "2"]
+        assert run(capsys, *argv)[0] == 0
+        out = tmp_path / "out"
+        serial = {name: (out / name).read_bytes() for name in ("report.json", "report.md")}
+        result = subprocess.run(
+            [sys.executable, "-c", POOL_PROBE, *argv], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        pooled = json.loads(result.stdout.splitlines()[-1])["pool"]
+        assert pooled is (len(os.sched_getaffinity(0)) > 1)
+        for name, expected in serial.items():
+            assert (out / name).read_bytes() == expected, name
+
+    def test_worker_error_keeps_exit_code(self, prepared):
+        result = subprocess.run(
+            [
+                sys.executable, "-c", POOL_PROBE, "evaluate", "--config", str(prepared),
+                "--scheme", "all", "--set", "learn.k=20",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 3
+        assert "insufficient class support" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert json.loads(result.stdout.splitlines()[-1])["pool"] is (
+            len(os.sched_getaffinity(0)) > 1
+        )
+
+    @pytest.mark.parametrize(
+        "scheme, cpus, pooled",
+        [("proposed", {0, 1}, False), ("all", {0}, False), ("all", {0, 1}, True)],
+        ids=["one-job", "one-cpu", "pooled"],
+    )
+    def test_pool_only_for_several_jobs_and_cpus(self, monkeypatch, prepared, scheme, cpus, pooled):
+        class PoolMade(Exception):
+            pass
+
+        def no_pool(method):
+            raise PoolMade(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(
+            sys, "argv", ["nextday", "evaluate", "--config", str(prepared), "--scheme", scheme]
+        )
+        if pooled:
+            with pytest.raises(PoolMade, match="fork"):
+                main()
+        else:
+            assert main() == 0
+
+    def test_in_process_caller_runs_every_fit(self, capsys, monkeypatch, prepared):
+        import nextday.learn.cv
+
+        fits = []
+        original = nextday.learn.cv.train_svm
+
+        def counted(*args, **kwargs):
+            fits.append(os.getpid())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(nextday.learn.cv, "train_svm", counted)
+        assert run(capsys, "evaluate", "--config", str(prepared), "--scheme", "all")[0] == 0
+        # 6 schemes x 5 folds, all in this process
+        assert fits == [os.getpid()] * 30
 
     def test_report_command_rerenders(self, capsys, prepared, tmp_path):
         assert run(capsys, "evaluate", "--config", str(prepared), "--scheme", "proposed")[0] == 0

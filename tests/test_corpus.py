@@ -1,11 +1,11 @@
 import io
 import json
+from datetime import timezone
 
 import pytest
 
 from nextday.corpus import (
     CorpusError,
-    article_to_dict,
     atomic_write,
     emit_diagnostics,
     load_articles,
@@ -13,8 +13,6 @@ from nextday.corpus import (
     load_tweets,
     load_users,
     parse_rfc3339,
-    tweet_to_dict,
-    user_to_dict,
 )
 from nextday.features import FeatureMatrix, FeatureVector, write_feature_csv
 from nextday.relevance import ArticleAssociation, write_associations
@@ -25,6 +23,47 @@ from util import article, corpus_of, tweet, user, utc
 def write_lines(path, *lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def rfc3339(value):
+    return value.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+
+
+def article_record(article):
+    """An article as an articles.jsonl object."""
+    obj = {
+        "id": article.id,
+        "title": article.title,
+        "body": article.body,
+        "published_at": rfc3339(article.published_at),
+        "label": article.label,
+    }
+    if article.section is not None:
+        obj["section"] = article.section
+    return obj
+
+
+def tweet_record(tweet):
+    """A tweet as a tweets.jsonl object, hashtags in the explicit field."""
+    return {
+        "id": tweet.id,
+        "text": tweet.text,
+        "user_id": tweet.user_id,
+        "created_at": rfc3339(tweet.created_at),
+        "retweet_count": tweet.retweet_count,
+        "favorite_count": tweet.favorite_count,
+        "hashtags": sorted(tweet.hashtags),
+    }
+
+
+def user_record(user):
+    """A user profile as a users.jsonl object."""
+    return {
+        "user_id": user.user_id,
+        "followers_count": user.followers_count,
+        "last_active_at": rfc3339(user.last_active_at),
+        "verified": user.verified,
+    }
 
 
 def write_jsonl(path, objects):
@@ -290,9 +329,9 @@ class TestBuildCorpus:
 
 class TestRoundTrip:
     def test_golden_corpus_round_trips(self, tmp_path, golden_corpus):
-        write_jsonl(tmp_path / "a.jsonl", (article_to_dict(a) for a in golden_corpus.articles))
-        write_jsonl(tmp_path / "t.jsonl", (tweet_to_dict(t) for t in golden_corpus.tweets))
-        write_jsonl(tmp_path / "u.jsonl", (user_to_dict(u) for u in golden_corpus.users))
+        write_jsonl(tmp_path / "a.jsonl", (article_record(a) for a in golden_corpus.articles))
+        write_jsonl(tmp_path / "t.jsonl", (tweet_record(t) for t in golden_corpus.tweets))
+        write_jsonl(tmp_path / "u.jsonl", (user_record(u) for u in golden_corpus.users))
         again = load_corpus(tmp_path / "a.jsonl", tmp_path / "t.jsonl", tmp_path / "u.jsonl")
         assert again.articles == golden_corpus.articles
         assert again.tweets == golden_corpus.tweets
@@ -304,7 +343,7 @@ class TestRoundTrip:
         # re-serializing puts hashtags in the explicit field; text extraction
         # must add nothing new
         for tw in golden_corpus.tweets:
-            again = tweet_to_dict(tw)
+            again = tweet_record(tw)
             assert set(again["hashtags"]) == tw.hashtags
 
     def test_timestamp_round_trip(self):
