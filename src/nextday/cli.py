@@ -19,9 +19,10 @@ from dataclasses import replace
 from datetime import datetime, timezone
 
 from nextday import __version__
-from nextday.config import ConfigError, DatasetError, PipelineConfig, load_config
+from nextday.config import ConfigError, PipelineConfig, load_config
 from nextday.corpus import (
     CorpusError,
+    DatasetError,
     atomic_write,
     build_corpus,
     emit_diagnostics,
@@ -31,6 +32,7 @@ from nextday.corpus import (
 from nextday.features import (
     ALL_SCHEMES,
     SCHEME_PROPOSED,
+    TextMemo,
     assemble_matrix,
     write_feature_csv,
 )
@@ -141,8 +143,9 @@ def cmd_features(config: PipelineConfig, args) -> int:
         corpus = build_corpus(load_articles(config.paths.articles), [], [])
         associations = []
 
+    memo = TextMemo(lexicons)
     for scheme in schemes:
-        matrix = assemble_matrix(corpus, associations, scheme, lexicons, config.features)
+        matrix = assemble_matrix(corpus, associations, scheme, lexicons, config.features, memo)
         path = out / f"features_{scheme}.csv"
         write_feature_csv(matrix, path)
         print(f"wrote {path} ({len(matrix.vectors)} rows)")

@@ -27,6 +27,11 @@ class CorpusError(ValueError):
     """Invalid corpus input (malformed line, bad field, duplicate id)."""
 
 
+class DatasetError(ValueError):
+    """A stage artifact is malformed or incomplete, or its shape or class
+    support makes the request impossible."""
+
+
 def parse_rfc3339(value: str) -> datetime:
     """Parse an RFC 3339 timestamp into an aware UTC datetime."""
     if not isinstance(value, str):

@@ -8,12 +8,13 @@ and publication calendar, mirroring content/polarity/event approaches.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
 from datetime import timedelta
 
-from nextday.corpus import Corpus, NewsArticle, atomic_write
+from nextday.corpus import Corpus, DatasetError, NewsArticle, Tweet, atomic_write
 from nextday.lexicons import (
     EMOTION_CATEGORIES,
     Lexicons,
@@ -210,24 +211,28 @@ def involvement_indices(
 
 
 def reaction_indices(
-    assoc: ArticleAssociation, corpus: Corpus, lexicons: Lexicons
+    assoc: ArticleAssociation,
+    corpus: Corpus,
+    lexicons: Lexicons,
+    memo: TextMemo | None = None,
 ) -> ReactionIndices:
     """Sentiment and emotion variance over the article's tweet set.
 
     Neutral tweets count toward neither PC nor NC; tweets without a
     dominant emotion are excluded from the emotion counts entirely.
+    A `memo` built on the same lexicons scores each tweet once across
+    the articles it serves.
     """
+    memo = memo if memo is not None else TextMemo(lexicons)
     pc = 0
     nc = 0
     counts = dict.fromkeys(EMOTION_CATEGORIES, 0)
     for tweet_id in sorted(assoc.expanded_tweet_ids):
-        tweet = corpus.tweet_by_id[tweet_id]
-        label = classify_sentiment(score_sentiment(tweet.text, lexicons.sentiment))
-        if label.sentiment is Sentiment.POSITIVE:
+        sentiment, dominant = memo.tweet_reaction(corpus.tweet_by_id[tweet_id])
+        if sentiment is Sentiment.POSITIVE:
             pc += 1
-        elif label.sentiment is Sentiment.NEGATIVE:
+        elif sentiment is Sentiment.NEGATIVE:
             nc += 1
-        dominant = dominant_emotion(tag_emotions(tweet.text, lexicons.emotions))
         if dominant is not None:
             counts[dominant] += 1
     ordered = tuple(counts[c] for c in EMOTION_CATEGORIES)
@@ -342,9 +347,15 @@ def article_content_features(
 ) -> BaselineFeatures:
     """Content statistics of the body plus the polarity block."""
     stopwords = stopwords if stopwords is not None else default_stopwords()
+    values = _article_content_values(article, stopwords)
+    values.update(_polarity_values(article.body, lex))
+    return BaselineFeatures(SCHEME_ARTICLE_CONTENT, values)
+
+
+def _article_content_values(article: NewsArticle, stopwords) -> dict[str, float]:
     content = _content_values(article.body, stopwords)
     weekday = article.published_at.weekday()
-    values = {
+    return {
         "word_count": content["word_count"],
         "non_stop_rate": content["non_stop_rate"],
         "day_of_week": float(weekday),
@@ -352,8 +363,6 @@ def article_content_features(
         "entity_count": content["entity_count"],
         "mean_word_length": content["mean_word_length"],
     }
-    values.update(_polarity_values(article.body, lex))
-    return BaselineFeatures(SCHEME_ARTICLE_CONTENT, values)
 
 
 def title_features(
@@ -371,16 +380,82 @@ def title_features(
     )
 
 
+class TextMemo:
+    """Text-derived values that the schemes of one `features` run share.
+
+    The body polarity block and the two title blocks of each article,
+    and the sentiment label and dominant emotion of each tweet, are
+    computed on first use and kept for the life of the memo. Build one
+    per run, with that run's lexicons; entries are keyed by article and
+    tweet id, which are unique within a corpus.
+    """
+
+    def __init__(self, lexicons: Lexicons):
+        self.lexicons = lexicons
+        self._body_polarity: dict[str, dict[str, float]] = {}
+        self._titles: dict[str, tuple[BaselineFeatures, BaselineFeatures]] = {}
+        self._reactions: dict[str, tuple[Sentiment, str | None]] = {}
+
+    def body_polarity(self, article: NewsArticle) -> dict[str, float]:
+        """`article_polarity_features(article, ...).values`."""
+        block = self._body_polarity.get(article.id)
+        if block is None:
+            block = article_polarity_features(article, self.lexicons.sentiment).values
+            self._body_polarity[article.id] = block
+        return block
+
+    def titles(self, article: NewsArticle) -> tuple[BaselineFeatures, BaselineFeatures]:
+        """`title_features(article, ...)`."""
+        blocks = self._titles.get(article.id)
+        if blocks is None:
+            blocks = title_features(article, self.lexicons.sentiment)
+            self._titles[article.id] = blocks
+        return blocks
+
+    def tweet_reaction(self, tweet: Tweet) -> tuple[Sentiment, str | None]:
+        """The tweet's sentiment label and dominant emotion."""
+        reaction = self._reactions.get(tweet.id)
+        if reaction is None:
+            label = classify_sentiment(score_sentiment(tweet.text, self.lexicons.sentiment))
+            emotions = tag_emotions(tweet.text, self.lexicons.emotions)
+            reaction = (label.sentiment, dominant_emotion(emotions))
+            self._reactions[tweet.id] = reaction
+        return reaction
+
+
 def _jaccard(a: set, b: set) -> float:
     if not a and not b:
         return 0.0
-    return len(a & b) / len(a | b)
+    shared = len(a & b)
+    return shared / (len(a) + len(b) - shared)
 
 
 def _similarity_sets(article: NewsArticle) -> tuple[set[str], set[tuple[str, str]]]:
     entities = {e.lower() for e in extract_entities(article.title + "\n" + article.body)}
     tokens = tokenize(article.title + "\n" + article.body)
     return entities, set(zip(tokens, tokens[1:]))
+
+
+def _prefixes(sets: list[set], threshold: float) -> list[list[int]]:
+    """Each set's join prefix, as element ranks, for a threshold t > 0.
+
+    Elements are ranked once by (global frequency, element), rarest
+    first. A pair with Jaccard >= t shares at least o = ceil(t * |s|)
+    elements, so its rarest shared element lies within the first
+    |s| - o + 1 ranks of each set. o is taken one lower, but at least 1,
+    because t * |s| in floats can land just above an exact integer
+    (0.28 * 25 is 7.000000000000001) and the plain ceiling would then
+    cut a pair whose Jaccard is exactly t (7/25).
+    """
+    counts = Counter(e for s in sets for e in s)
+    ordered = sorted(counts)
+    ordered.sort(key=counts.__getitem__)  # stable: ties stay in element order
+    rank = {e: r for r, e in enumerate(ordered)}
+    prefixes = []
+    for s in sets:
+        overlap = max(1, math.ceil(threshold * len(s)) - 1)
+        prefixes.append(sorted([rank[e] for e in s])[: len(s) - overlap + 1])
+    return prefixes
 
 
 def build_event_clusters(
@@ -390,28 +465,45 @@ def build_event_clusters(
 
     Two articles are similar when the Jaccard overlap of their entity
     sets or of their title+body bigram sets reaches the threshold.
+
+    The similar pairs come from a prefix-filtered similarity join
+    (Bayardo, Ma and Srikant, WWW 2007): only pairs that share an
+    element of their entity prefixes or of their bigram prefixes (see
+    `_prefixes`) are tested, with the same `_jaccard` comparison an
+    all-pairs scan makes, so the clusters are the same. At a threshold
+    of 0 every pair qualifies, empty sets included: one cluster.
     """
     articles = sorted(all_articles, key=lambda a: a.id)
-    sets = {a.id: _similarity_sets(a) for a in articles}
-    parent = {a.id: a.id for a in articles}
+    ids = [a.id for a in articles]
+    if threshold <= 0.0:
+        return dict.fromkeys(ids, frozenset(ids))
+    sets = [_similarity_sets(a) for a in articles]
+    parent = list(range(len(articles)))
 
-    def find(x: str) -> str:
+    def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    for i, a in enumerate(articles):
-        ents_a, bi_a = sets[a.id]
-        for b in articles[i + 1 :]:
-            ents_b, bi_b = sets[b.id]
-            if _jaccard(ents_a, ents_b) >= threshold or _jaccard(bi_a, bi_b) >= threshold:
-                parent[find(a.id)] = find(b.id)
+    joins = [(_prefixes([s[kind] for s in sets], threshold), {}) for kind in (0, 1)]
+    for i, (ents_i, bi_i) in enumerate(sets):
+        candidates: set[int] = set()
+        for prefixes, index in joins:
+            for rank in prefixes[i]:
+                earlier = index.setdefault(rank, [])
+                candidates.update(earlier)
+                earlier.append(i)
+        for j in candidates:
+            ents_j, bi_j = sets[j]
+            if _jaccard(ents_i, ents_j) >= threshold or _jaccard(bi_i, bi_j) >= threshold:
+                parent[find(i)] = find(j)
 
-    members: dict[str, set[str]] = {}
-    for a in articles:
-        members.setdefault(find(a.id), set()).add(a.id)
-    return {aid: frozenset(members[find(aid)]) for aid in parent}
+    members: dict[int, set[str]] = {}
+    for i, aid in enumerate(ids):
+        members.setdefault(find(i), set()).add(aid)
+    clusters = {root: frozenset(group) for root, group in members.items()}
+    return {aid: clusters[find(i)] for i, aid in enumerate(ids)}
 
 
 def event_importance(
@@ -456,13 +548,19 @@ def assemble_matrix(
     scheme: str,
     lexicons: Lexicons,
     params: FeatureParams,
+    memo: TextMemo | None = None,
 ) -> FeatureMatrix:
     """One FeatureVector per article, ordered by article id.
 
     The proposed scheme requires an association for every article; the
-    baselines ignore `associations` entirely.
+    baselines ignore `associations` entirely. Passing one `memo` to
+    every scheme of a run computes the text blocks they share once.
     """
     columns = scheme_columns(scheme, params)
+    if memo is None:
+        memo = TextMemo(lexicons)
+    elif memo.lexicons is not lexicons:
+        raise ValueError("memo was built on other lexicons")
     articles = sorted(corpus.articles, key=lambda a: a.id)
 
     assoc_by_id: dict[str, ArticleAssociation] = {}
@@ -472,7 +570,7 @@ def assemble_matrix(
         assoc_by_id = {a.article_id: a for a in associations or []}
         missing = [a.id for a in articles if a.id not in assoc_by_id]
         if missing:
-            raise ValueError(f"missing association for article '{missing[0]}'")
+            raise DatasetError(f"missing association for article '{missing[0]}'")
         corpus_max = max(
             [len(a.expanded_tweet_ids) for a in assoc_by_id.values()] or [0]
         )
@@ -484,7 +582,7 @@ def assemble_matrix(
         if scheme == SCHEME_PROPOSED:
             assoc = assoc_by_id[article.id]
             inv = involvement_indices(assoc, corpus, corpus_max, params)
-            rea = reaction_indices(assoc, corpus, lexicons)
+            rea = reaction_indices(assoc, corpus, lexicons, memo)
             values = {
                 "tweet_count_norm": inv.tweet_count_norm,
                 "avg_retweets": inv.avg_retweets,
@@ -498,13 +596,14 @@ def assemble_matrix(
             if params.authoritative:
                 values["authoritative_user_fraction"] = inv.authoritative_user_fraction
         elif scheme == SCHEME_ARTICLE_POLARITY:
-            values = article_polarity_features(article, lexicons.sentiment).values
+            values = memo.body_polarity(article)
         elif scheme == SCHEME_ARTICLE_CONTENT:
-            values = article_content_features(article, lexicons.sentiment).values
+            values = _article_content_values(article, default_stopwords())
+            values.update(memo.body_polarity(article))
         elif scheme == SCHEME_TITLE_POLARITY:
-            values = title_features(article, lexicons.sentiment)[0].values
+            values = memo.titles(article)[0].values
         elif scheme == SCHEME_TITLE_CONTENT:
-            values = title_features(article, lexicons.sentiment)[1].values
+            values = memo.titles(article)[1].values
         elif scheme == SCHEME_EVENT:
             values = event_importance(article, articles, params, clusters).values
         else:

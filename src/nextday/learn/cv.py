@@ -9,7 +9,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from nextday.config import CartConfig, DatasetError, ForestConfig, SvmConfig
+from nextday.config import CartConfig, ForestConfig, SvmConfig
+from nextday.corpus import DatasetError
 from nextday.learn.svm import train_svm
 from nextday.learn.tree import train_cart, train_forest
 
@@ -58,10 +59,6 @@ class Dataset:
         x = np.asarray(rows, dtype=np.float64).reshape(len(ids), len(names))
         y = np.asarray(labels, dtype=np.int8)
         return cls(scheme=scheme, feature_names=names, x=x, y=y, article_ids=tuple(ids))
-
-    def class_counts(self) -> tuple[int, int]:
-        ones = int((self.y == 1).sum())
-        return len(self.y) - ones, ones
 
 
 def f_score(precision: float, recall: float) -> float:

@@ -8,7 +8,9 @@ same way, so the selected split (and therefore every tree) is bit-for-bit
 the same.
 
 Set NEXTDAY_PURE_SPLIT=1 to force the pure path even when the extension
-is available (used by tests and the benchmark).
+is available. `benchmarks/bench_split.py` sets it to time the two
+backends against each other and a test checks the override; `perfbench`
+never sets it, so it times whichever backend is built.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import IO, Iterable, Mapping
 
-from nextday.corpus import Corpus, NewsArticle, Tweet, atomic_write
+from nextday.corpus import Corpus, DatasetError, NewsArticle, Tweet, atomic_write
 from nextday.text import content_tokens, default_stopwords
 
 log = logging.getLogger(__name__)
@@ -557,20 +557,33 @@ def write_associations(path, associations: list[ArticleAssociation]) -> None:
 
 
 def load_associations(path) -> list[ArticleAssociation]:
+    """Read `write_associations` output.
+
+    A line that is not a JSON association record (for example one cut
+    short by an interrupted copy) raises DatasetError naming path:line.
+    """
     associations = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            associations.append(
-                ArticleAssociation(
-                    article_id=obj["article_id"],
-                    seed_tweet_ids=frozenset(obj["seed_tweet_ids"]),
-                    expanded_tweet_ids=frozenset(obj["expanded_tweet_ids"]),
-                    article_specific_hashtags=frozenset(obj["article_specific_hashtags"]),
-                    generic_hashtags=frozenset(obj["generic_hashtags"]),
-                    iterations_run=obj["iterations_run"],
+            try:
+                obj = json.loads(line)
+            except ValueError:  # invalid JSON or invalid UTF-8
+                raise DatasetError(f"{path}:{line_no}: truncated or invalid JSON line") from None
+            try:
+                associations.append(
+                    ArticleAssociation(
+                        article_id=obj["article_id"],
+                        seed_tweet_ids=frozenset(obj["seed_tweet_ids"]),
+                        expanded_tweet_ids=frozenset(obj["expanded_tweet_ids"]),
+                        article_specific_hashtags=frozenset(obj["article_specific_hashtags"]),
+                        generic_hashtags=frozenset(obj["generic_hashtags"]),
+                        iterations_run=obj["iterations_run"],
+                    )
                 )
-            )
+            except KeyError as exc:
+                raise DatasetError(f"{path}:{line_no}: missing field {exc.args[0]!r}") from None
+            except TypeError:
+                raise DatasetError(f"{path}:{line_no}: not an association record") from None
     return associations

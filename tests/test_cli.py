@@ -144,6 +144,29 @@ class TestFeatures:
         assert code == 2
         assert "associate" in err
 
+    @pytest.mark.parametrize(
+        "cut, message",
+        [
+            ("mid-line", "associations.jsonl:2: truncated or invalid JSON line"),
+            ("three-lines", "missing association for article 'a004'"),
+        ],
+        ids=["mid-line", "three-lines"],
+    )
+    def test_bad_associations_exit_three(self, capsys, golden_config, tmp_path, cut, message):
+        cfg = golden_config()
+        assert run(capsys, "associate", "--config", str(cfg))[0] == 0
+        path = tmp_path / "out" / "associations.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        if cut == "mid-line":
+            path.write_bytes(lines[0] + lines[1][: len(lines[1]) // 2])
+        else:
+            path.write_bytes(b"".join(lines[:3]))
+        code, _, err = run(capsys, "features", "--config", str(cfg), "--scheme", "proposed")
+        assert code == 3
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
     def test_scheme_all_emits_six(self, capsys, golden_config, tmp_path):
         cfg = golden_config()
         assert run(capsys, "associate", "--config", str(cfg))[0] == 0

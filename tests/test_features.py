@@ -1,13 +1,19 @@
+import dataclasses
 import itertools
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nextday import features
+from nextday.corpus import load_articles
 from nextday.features import (
     ALL_SCHEMES,
     BaselineFeatures,
     FeatureParams,
+    TextMemo,
     article_content_features,
     article_polarity_features,
     assemble_matrix,
@@ -31,6 +37,7 @@ from nextday.lexicons import (
 )
 from nextday.relevance import ArticleAssociation
 
+from signal_corpus import write_signal_corpus
 from util import article, corpus_of, tweet, user, utc
 
 
@@ -335,6 +342,105 @@ class TestEventImportance:
                 assert (y.id in clusters[x.id]) == (x.id in clusters[y.id])
 
 
+def reference_event_clusters(all_articles, threshold):
+    """The all-pairs scan that `build_event_clusters` replaced; its oracle."""
+
+    def jaccard(a, b):
+        if not a and not b:
+            return 0.0
+        return len(a & b) / len(a | b)
+
+    articles = sorted(all_articles, key=lambda a: a.id)
+    sets = {a.id: features._similarity_sets(a) for a in articles}
+    parent = {a.id: a.id for a in articles}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, a in enumerate(articles):
+        ents_a, bi_a = sets[a.id]
+        for b in articles[i + 1 :]:
+            ents_b, bi_b = sets[b.id]
+            if jaccard(ents_a, ents_b) >= threshold or jaccard(bi_a, bi_b) >= threshold:
+                parent[find(a.id)] = find(b.id)
+
+    members = {}
+    for a in articles:
+        members.setdefault(find(a.id), set()).add(a.id)
+    return {aid: frozenset(members[find(aid)]) for aid in parent}
+
+
+ENTITIES = [f"entity {i}" for i in range(8)]
+BIGRAMS = [(f"w{i:02d}", f"w{i + 1:02d}") for i in range(25)]
+THRESHOLDS = st.sampled_from(
+    [0.0, 5e-324, 1e-9, 0.05, 0.1, 0.2, 0.25, 0.3, 1 / 3, 0.4, 0.5, 0.6, 2 / 3, 0.7, 0.75, 1.0]
+) | st.floats(0.0, 1.0)
+SIMILARITY_SETS = st.tuples(
+    st.sets(st.sampled_from(ENTITIES)), st.sets(st.sampled_from(BIGRAMS[:12]))
+)
+TEMPLATE = "Officials said the report would follow later in the day, as it does every day."
+EXTRA_WORDS = ["Senate", "Budget", "Obama", "storm", "vote", "coast", "rain", "the", "tax"]
+
+
+def joined(sets, threshold):
+    """(join, all-pairs) clusters of articles whose similarity sets are `sets`."""
+    arts = [article(id=f"a{i:02d}") for i in range(len(sets))]
+    by_id = {a.id: s for a, s in zip(arts, sets)}
+    with mock.patch.object(features, "_similarity_sets", lambda a: by_id[a.id]):
+        return build_event_clusters(arts, threshold), reference_event_clusters(arts, threshold)
+
+
+class TestEventJoin:
+    """`build_event_clusters` gives exactly the all-pairs scan's clusters."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(SIMILARITY_SETS, max_size=9), THRESHOLDS)
+    # Jaccard exactly 0.28 = 7/25, where 0.28 * 25 is 7.000000000000001 in
+    # floats and the seven shared bigrams are the larger set's commonest.
+    @example([(set(), set(BIGRAMS[:25])), (set(), set(BIGRAMS[18:25]))], 0.28)
+    # Jaccard exactly 0.3 = 3/10.
+    @example([(set(), set(BIGRAMS[:10])), (set(), set(BIGRAMS[7:10]))], 0.3)
+    # Jaccard exactly 0.5 at even sizes: 2/4 and 4/8.
+    @example([(set(), set(BIGRAMS[:4])), (set(), set(BIGRAMS[2:4]))], 0.5)
+    @example([(set(), set(BIGRAMS[:6])), (set(), set(BIGRAMS[2:8]))], 0.5)
+    @example([({ENTITIES[0]}, set()), ({ENTITIES[0]}, set())], 1.0)
+    # At 0 every pair qualifies, even two articles with only empty sets.
+    @example([(set(), set()), (set(), set()), ({ENTITIES[0]}, set())], 0.0)
+    def test_generated_sets(self, sets, threshold):
+        join, reference = joined(sets, threshold)
+        assert join == reference
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from(EXTRA_WORDS), max_size=6), min_size=2, max_size=8),
+        THRESHOLDS,
+    )
+    def test_template_text(self, extras, threshold):
+        # Every pair shares the template's bigrams, so every pair is a candidate.
+        arts = [
+            article(id=f"a{i:02d}", title="Daily Report", body=f"{TEMPLATE} {' '.join(words)}")
+            for i, words in enumerate(extras)
+        ]
+        assert build_event_clusters(arts, threshold) == reference_event_clusters(arts, threshold)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.01, 0.05, 0.3, 0.5, 1.0])
+    def test_golden_corpus(self, golden_corpus, threshold):
+        arts = list(golden_corpus.articles)
+        assert build_event_clusters(arts, threshold) == reference_event_clusters(arts, threshold)
+
+    @pytest.mark.parametrize("seed", [20160803, 7])
+    def test_signal_corpus(self, tmp_path, seed):
+        write_signal_corpus(tmp_path, n_articles=60, seed=seed)
+        arts = load_articles(tmp_path / "articles.jsonl")
+        for threshold in (0.0, 0.01, 0.05, 0.3, 0.5, 1.0):
+            assert build_event_clusters(arts, threshold) == reference_event_clusters(
+                arts, threshold
+            )
+
+
 class TestMatrix:
     def test_scheme_column_counts(self):
         params = FeatureParams()
@@ -409,6 +515,44 @@ class TestMatrix:
         monkeypatch.setattr(features, "event_importance", one_column_short)
         with pytest.raises(ValueError, match="scheme 'event_importance' emitted columns"):
             assemble_matrix(golden_corpus, None, "event_importance", lexicons, FeatureParams())
+
+    def test_one_memo_scores_each_text_once(
+        self, monkeypatch, golden_corpus, golden_associations, lexicons
+    ):
+        calls = {"score_sentiment": 0, "tag_emotions": 0}
+        for name in calls:
+            real = getattr(features, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(features, name, counted)
+        memo = TextMemo(lexicons)
+        shared = [
+            assemble_matrix(
+                golden_corpus, list(golden_associations), s, lexicons, FeatureParams(), memo
+            )
+            for s in ALL_SCHEMES
+        ]
+        tweets = set().union(*(a.expanded_tweet_ids for a in golden_associations))
+        bodies_and_titles = 2 * len(golden_corpus.articles)
+        assert calls == {
+            "score_sentiment": len(tweets) + bodies_and_titles,
+            "tag_emotions": len(tweets),
+        }
+        fresh = [
+            assemble_matrix(golden_corpus, list(golden_associations), s, lexicons, FeatureParams())
+            for s in ALL_SCHEMES
+        ]
+        assert shared == fresh
+
+    def test_memo_of_other_lexicons_rejected(self, golden_corpus, lexicons):
+        memo = TextMemo(dataclasses.replace(lexicons))
+        with pytest.raises(ValueError, match="other lexicons"):
+            assemble_matrix(
+                golden_corpus, None, "title_polarity", lexicons, FeatureParams(), memo
+            )
 
     def test_authoritative_column_appended(self, golden_corpus, golden_associations, lexicons):
         params = FeatureParams(authoritative=True)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nextday import relevance
-from nextday.corpus import load_corpus
+from nextday.corpus import DatasetError, load_corpus
 from nextday.relevance import (
     HashtagKind,
     HistoryWindow,
@@ -272,6 +272,26 @@ class TestAssociationProperties:
             "generic_hashtags",
             "iterations_run",
         ]
+
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            (b'{"article_id": "a2", "seed_tw', "truncated or invalid JSON line"),
+            (b'{"article_id": "\xff"}', "truncated or invalid JSON line"),
+            (b'{"article_id": "a2"}', "missing field 'seed_tweet_ids'"),
+            (b'["a2"]', "not an association record"),
+            (b'{"article_id": "a2", "seed_tweet_ids": 7, "expanded_tweet_ids": [],'
+             b' "article_specific_hashtags": [], "generic_hashtags": [], "iterations_run": 0}',
+             "not an association record"),
+        ],
+        ids=["cut-json", "bad-utf8", "missing-field", "not-an-object", "wrong-type"],
+    )
+    def test_bad_line_names_path_and_line(self, tmp_path, golden_associations, bad_line, message):
+        path = tmp_path / "associations.jsonl"
+        write_associations(path, list(golden_associations)[:1])
+        path.write_bytes(path.read_bytes() + b"\n" + bad_line + b"\n")
+        with pytest.raises(DatasetError, match=f"associations.jsonl:3: {message}"):
+            load_associations(path)
 
 
 class TestGoldenAgreement:
