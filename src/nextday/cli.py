@@ -43,6 +43,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 
+# `paths` entries that replace a bundled lexicon when set
+LEXICON_KEYS = ("sentiment_lexicon", "emotion_lexicon", "negators", "boosters")
+
 CLASSIFIER_ORDER = ("random_forest", "linear_svm", "cart")
 CLASSIFIER_DISPLAY = {"random_forest": "RFC", "linear_svm": "SVM", "cart": "CART"}
 
@@ -72,6 +75,7 @@ def _write_run_meta(config: PipelineConfig, command: str, argv: list[str], start
 
 def _load_lexicons(config: PipelineConfig) -> Lexicons:
     paths = config.paths
+    config.require_files(*(key for key in LEXICON_KEYS if getattr(paths, key)))
     return lexicons_from_paths(
         sentiment=paths.sentiment_lexicon,
         emotions=paths.emotion_lexicon,
@@ -264,8 +268,13 @@ def cmd_report(config: PipelineConfig, args) -> int:
     path = config.output_dir() / "report.json"
     if not path.exists():
         raise ConfigError(f"{path} not found; run 'nextday evaluate' first")
-    report = json.loads(path.read_text(encoding="utf-8"))
-    markdown = render_report_md(report)
+    try:
+        report = json.loads(path.read_bytes())
+        markdown = render_report_md(report)
+    except KeyError as exc:
+        raise DatasetError(f"{path}: incomplete report, missing field {exc.args[0]!r}") from None
+    except (ValueError, TypeError, AttributeError):  # cut JSON, bad UTF-8, wrong shape
+        raise DatasetError(f"{path}: truncated or invalid report") from None
     _write_text(config.output_dir() / "report.md", markdown + "\n")
     print(markdown)
     return EXIT_OK

@@ -8,6 +8,7 @@ from pathlib import Path
 
 from nextday.features import FeatureParams
 from nextday.relevance import RelevanceParams
+from nextday.text import decode_utf8
 
 
 class ConfigError(ValueError):
@@ -69,10 +70,17 @@ class PipelineConfig:
         return Path(self.paths.output_dir)
 
     def require_files(self, *names: str) -> None:
+        """Check that each named `paths` entry is a file this process can open."""
         for name in names:
             value = getattr(self.paths, name)
             if value is None or not Path(value).exists():
-                raise ConfigError(f"required input '{name}' not found at {value!r}")
+                raise ConfigError(f"required input 'paths.{name}' not found at {value!r}")
+            try:
+                open(value, "rb").close()
+            except OSError as exc:  # a directory, or no read permission
+                raise ConfigError(
+                    f"cannot read required input 'paths.{name}' at {value!r}: {exc.strerror}"
+                ) from None
 
     def effective_dict(self) -> dict:
         return {
@@ -239,8 +247,8 @@ def _validate(config: PipelineConfig) -> None:
 
 def load_config(path, overrides: list[str] | None = None) -> PipelineConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
-            tree = json.load(fh)
+        with open(path, "rb") as fh:
+            tree = json.loads(decode_utf8(fh.read(), path, ConfigError))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:

@@ -87,11 +87,15 @@ class UserProfile:
 
 def _read_jsonl(path) -> Iterable[tuple[int, dict]]:
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise CorpusError(f"cannot open {path}: {exc.strerror}") from None
     with fh:
-        for line_no, line in enumerate(fh, start=1):
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise CorpusError(f"invalid UTF-8 at line {line_no} of {path}") from None
             if not line.strip():
                 continue
             try:

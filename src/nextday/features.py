@@ -12,7 +12,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from datetime import timedelta
+from datetime import date, timedelta
 
 from nextday.corpus import Corpus, DatasetError, NewsArticle, Tweet, atomic_write
 from nextday.lexicons import (
@@ -506,20 +506,36 @@ def build_event_clusters(
     return {aid: clusters[find(i)] for i, aid in enumerate(ids)}
 
 
+def cluster_day_counts(
+    all_articles: list[NewsArticle], clusters: dict[str, frozenset[str]]
+) -> dict[frozenset[str], int]:
+    """Distinct publication days of each cluster, in one pass over the articles."""
+    days: dict[frozenset[str], set[date]] = {}
+    for a in all_articles:
+        days.setdefault(clusters[a.id], set()).add(a.published_day)
+    return {cluster: len(group) for cluster, group in days.items()}
+
+
 def event_importance(
     article: NewsArticle,
     all_articles: list[NewsArticle],
     params: FeatureParams,
     clusters: dict[str, frozenset[str]] | None = None,
+    day_counts: dict[frozenset[str], int] | None = None,
 ) -> BaselineFeatures:
-    """Size and day-span of the article's similarity cluster."""
+    """Size and day-span of the article's similarity cluster.
+
+    `assemble_matrix` passes the clusters and their `cluster_day_counts`
+    once for all articles; without them each call computes both.
+    """
     if clusters is None:
         clusters = build_event_clusters(all_articles, params.similarity_threshold)
+    if day_counts is None:
+        day_counts = cluster_day_counts(all_articles, clusters)
     cluster = clusters[article.id]
-    days = {a.published_day for a in all_articles if a.id in cluster}
     return BaselineFeatures(
         SCHEME_EVENT,
-        {"event_days": float(len(days)), "event_articles": float(len(cluster))},
+        {"event_days": float(day_counts[cluster]), "event_articles": float(len(cluster))},
     )
 
 
@@ -565,7 +581,7 @@ def assemble_matrix(
 
     assoc_by_id: dict[str, ArticleAssociation] = {}
     corpus_max = 1
-    clusters = None
+    clusters = day_counts = None
     if scheme == SCHEME_PROPOSED:
         assoc_by_id = {a.article_id: a for a in associations or []}
         missing = [a.id for a in articles if a.id not in assoc_by_id]
@@ -577,6 +593,7 @@ def assemble_matrix(
         corpus_max = max(corpus_max, 1)
     elif scheme == SCHEME_EVENT:
         clusters = build_event_clusters(articles, params.similarity_threshold)
+        day_counts = cluster_day_counts(articles, clusters)
 
     def compute(article: NewsArticle) -> FeatureVector:
         if scheme == SCHEME_PROPOSED:
@@ -605,7 +622,7 @@ def assemble_matrix(
         elif scheme == SCHEME_TITLE_CONTENT:
             values = memo.titles(article)[1].values
         elif scheme == SCHEME_EVENT:
-            values = event_importance(article, articles, params, clusters).values
+            values = event_importance(article, articles, params, clusters, day_counts).values
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
         if tuple(values) != columns:

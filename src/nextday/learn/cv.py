@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 import random
 from dataclasses import dataclass, replace
@@ -13,6 +14,7 @@ from nextday.config import CartConfig, ForestConfig, SvmConfig
 from nextday.corpus import DatasetError
 from nextday.learn.svm import train_svm
 from nextday.learn.tree import train_cart, train_forest
+from nextday.text import decode_utf8
 
 
 @dataclass(frozen=True)
@@ -35,27 +37,28 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path, scheme: str = "") -> "Dataset":
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
+        with open(path, "rb") as fh:
+            text = decode_utf8(fh.read(), path, DatasetError)
+        reader = csv.reader(io.StringIO(text, newline=""))
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DatasetError(f"{path}: empty feature file") from None
+        if len(header) < 3 or header[0] != "article_id" or header[-1] != "label":
+            raise DatasetError(f"{path}: expected header article_id,<features...>,label")
+        names = tuple(header[1:-1])
+        ids = []
+        rows = []
+        labels = []
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise DatasetError(f"{path}:{line_no}: wrong column count")
+            ids.append(row[0])
             try:
-                header = next(reader)
-            except StopIteration:
-                raise DatasetError(f"{path}: empty feature file") from None
-            if len(header) < 3 or header[0] != "article_id" or header[-1] != "label":
-                raise DatasetError(f"{path}: expected header article_id,<features...>,label")
-            names = tuple(header[1:-1])
-            ids = []
-            rows = []
-            labels = []
-            for line_no, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise DatasetError(f"{path}:{line_no}: wrong column count")
-                ids.append(row[0])
-                try:
-                    rows.append([float(v) for v in row[1:-1]])
-                    labels.append(int(row[-1]))
-                except ValueError:
-                    raise DatasetError(f"{path}:{line_no}: non-numeric cell") from None
+                rows.append([float(v) for v in row[1:-1]])
+                labels.append(int(row[-1]))
+            except ValueError:
+                raise DatasetError(f"{path}:{line_no}: non-numeric cell") from None
         x = np.asarray(rows, dtype=np.float64).reshape(len(ids), len(names))
         y = np.asarray(labels, dtype=np.int8)
         return cls(scheme=scheme, feature_names=names, x=x, y=y, article_ids=tuple(ids))

@@ -1,4 +1,10 @@
-"""CART decision tree and the bagged random forest built on top of it."""
+"""CART decision tree and the bagged random forest built on top of it.
+
+Growing a tree spends most of its time in `best_split`, the Gini split
+search. `_grow` looks that name up in this module on every call, so
+instrumentation that wraps `nextday.learn.tree.best_split` sees every
+split search.
+"""
 
 from __future__ import annotations
 
@@ -9,10 +15,67 @@ from dataclasses import dataclass
 import numpy as np
 
 from nextday.config import CartConfig, ForestConfig
-from nextday.learn.kernels import best_split, parent_score
 
 CART_KIND = "cart"
 FOREST_KIND = "random_forest"
+
+
+def best_split(
+    x: np.ndarray, y: np.ndarray, min_leaf: int
+) -> tuple[int, float, float] | None:
+    """Best (column, threshold, score) over all columns of `x`, or None.
+
+    Candidate thresholds are midpoints between consecutive distinct
+    sorted values leaving at least `min_leaf` samples on each side. The
+    score is the split quality sum((l0^2+l1^2)/l, (r0^2+r1^2)/r), which
+    orders splits exactly like Gini impurity decrease; exact ties keep
+    the earliest candidate (lower column, then lower threshold).
+
+    Every column is sorted and swept at once, so a node costs the same
+    handful of numpy calls whatever its column count. Ties between equal
+    values may sort either way; the class counts at a boundary between
+    distinct values do not depend on that order.
+    """
+    n, m = x.shape
+    if n < 2 or m == 0 or n < 2 * min_leaf:
+        return None
+    columns = np.arange(m)
+    order = np.argsort(x, axis=0)
+    sorted_values = x[order, columns]
+    left_ones = np.cumsum(y[order], axis=0, dtype=np.int64)
+    n1 = int(left_ones[-1, 0])
+    left_ones = left_ones[:-1]
+    # left[k] rows go left when splitting after sorted position k
+    left = np.arange(1, n, dtype=np.int64)[:, np.newaxis]
+    right = n - left
+    edge = (left >= min_leaf) & (right >= min_leaf)
+    valid = (sorted_values[1:] > sorted_values[:-1]) & edge
+    left_zeros = left - left_ones
+    right_ones = n1 - left_ones
+    right_zeros = right - right_ones
+    quality = (left_zeros * left_zeros + left_ones * left_ones) / left + (
+        right_zeros * right_zeros + right_ones * right_ones
+    ) / right
+    quality = np.where(valid, quality, -np.inf)
+    # first maximum per column (lowest threshold), then across columns
+    # (lowest column): the order in which the per-column scan kept ties
+    split_at = quality.argmax(axis=0)
+    column_best = quality[split_at, columns]
+    col = int(column_best.argmax())
+    score = float(column_best[col])
+    if score == -np.inf:
+        return None
+    k = int(split_at[col])
+    threshold = float((sorted_values[k, col] + sorted_values[k + 1, col]) / 2.0)
+    return col, threshold, score
+
+
+def parent_score(n0: int, n1: int) -> float:
+    """No-split quality on the same scale as `best_split` scores."""
+    n = n0 + n1
+    if n == 0:
+        return 0.0
+    return (n0 * n0 + n1 * n1) / n
 
 
 @dataclass

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from nextday.text import tokenize, tokenize_cased
+from nextday.text import decode_utf8, tokenize, tokenize_cased
 
 NEGATION_SCALAR = -0.74
 CAPS_INCREMENT = 0.733
@@ -220,8 +220,8 @@ def _lexicon_text(path, bundled: str) -> tuple[str, str]:
     """Text and display name of the file at `path`, or of the bundled file
     `bundled` when `path` is unset."""
     if path:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read(), str(path)
+        with open(path, "rb") as fh:
+            return decode_utf8(fh.read(), path, LexiconError), str(path)
     return resources.files("nextday.data").joinpath(bundled).read_text("utf-8"), bundled
 
 

@@ -11,6 +11,16 @@ _CASED_TOKEN_RE = re.compile(r"[A-Za-z0-9_']+")
 _HASHTAG_RE = re.compile(r"#([A-Za-z0-9_]+)")
 
 
+def decode_utf8(data: bytes, path, error: type[Exception]) -> str:
+    """`data` decoded as UTF-8; invalid bytes raise `error` naming
+    path:line of the first one."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: invalid UTF-8") from None
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase alphanumeric tokens; punctuation acts as a separator."""
     return _TOKEN_RE.findall(text.lower())

@@ -18,6 +18,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_one_error_line(err, message):
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 class TestIngestCheck:
     def test_summary_and_diagnostics(self, capsys, golden_config):
         cfg = golden_config()
@@ -163,9 +169,7 @@ class TestFeatures:
             path.write_bytes(b"".join(lines[:3]))
         code, _, err = run(capsys, "features", "--config", str(cfg), "--scheme", "proposed")
         assert code == 3
-        assert err.splitlines() == [err.strip()]
-        assert err.startswith("error: ") and message in err
-        assert "Traceback" not in err
+        assert_one_error_line(err, message)
 
     def test_scheme_all_emits_six(self, capsys, golden_config, tmp_path):
         cfg = golden_config()
@@ -361,6 +365,94 @@ class TestConfigPlumbing:
         )
         assert result.returncode == 0
         assert "articles=26" in result.stdout
+
+
+def with_bad_byte(source: Path, target: Path, line: int) -> Path:
+    """Copy of `source` with a 0xff byte, never valid UTF-8, in line `line`."""
+    lines = source.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1][:3] + b"\xff" + lines[line - 1][3:]
+    target.write_bytes(b"".join(lines))
+    return target
+
+
+BUNDLED_DATA = Path(nextday.cli.__file__).parent / "data"
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize(
+        "key", ["sentiment_lexicon", "emotion_lexicon", "negators", "boosters"]
+    )
+    def test_lexicon_path_exit_two(self, capsys, golden_config, tmp_path, key, kind):
+        cfg = golden_config()
+        path = tmp_path / "absent.tsv" if kind == "missing" else tmp_path
+        code, _, err = run(
+            capsys, "features", "--config", str(cfg), "--scheme", "title_polarity",
+            "--set", f"paths.{key}={path}",
+        )
+        assert code == 2
+        assert_one_error_line(err, f"'paths.{key}'")
+        assert repr(str(path)) in err
+
+    @pytest.mark.parametrize(
+        "target, line, code",
+        [
+            ("articles", 3, 3),
+            ("tweets", 7, 3),
+            ("users", 2, 3),
+            ("sentiment_lexicon", 4, 3),
+            ("feature_csv", 5, 3),
+            ("config", 3, 2),
+        ],
+        ids=["articles", "tweets", "users", "lexicon", "feature-csv", "config"],
+    )
+    def test_invalid_utf8(self, capsys, golden_config, golden_dir, tmp_path, target, line, code):
+        cfg = golden_config()
+        argv = ["ingest-check", "--config", str(cfg)]
+        if target in ("articles", "tweets", "users"):
+            bad = with_bad_byte(golden_dir / f"{target}.jsonl", tmp_path / "bad.jsonl", line)
+            argv += ["--set", f"paths.{target}={bad}"]
+            message = f"invalid UTF-8 at line {line} of {bad}"
+        elif target == "sentiment_lexicon":
+            bad = with_bad_byte(BUNDLED_DATA / "sentiment.tsv", tmp_path / "bad.tsv", line)
+            argv = ["features", "--config", str(cfg), "--scheme", "title_polarity",
+                    "--set", f"paths.sentiment_lexicon={bad}"]
+            message = f"{bad}:{line}: invalid UTF-8"
+        elif target == "feature_csv":
+            features = ["features", "--config", str(cfg), "--scheme", "title_polarity"]
+            assert run(capsys, *features)[0] == 0
+            bad = tmp_path / "out" / "features_title_polarity.csv"
+            with_bad_byte(bad, bad, line)
+            argv = ["evaluate", "--config", str(cfg), "--scheme", "title_polarity"]
+            message = f"{bad}:{line}: invalid UTF-8"
+        else:
+            bad = with_bad_byte(cfg, cfg, line)
+            message = f"{bad}:{line}: invalid UTF-8"
+        status, _, err = run(capsys, *argv)
+        assert status == code
+        assert_one_error_line(err, message)
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"k": 5, "sch', "truncated or invalid report"),
+            (b'{"k": 5}', "missing field 'seeds'"),
+            (b'{"k": 5, "seeds": [1], "schemes": {"proposed": {}}}', "missing field 'classifiers'"),
+            (b'{"k": 5, "seeds": [1], "schemes": []}', "truncated or invalid report"),
+            (b'{"k": 5, "seeds": ["\xff"]}', "truncated or invalid report"),
+        ],
+        ids=["cut", "no-seeds", "no-classifiers", "schemes-not-object", "bad-utf8"],
+    )
+    def test_bad_report_exit_three(self, capsys, golden_config, tmp_path, content, message):
+        cfg = golden_config()
+        path = tmp_path / "out" / "report.json"
+        path.parent.mkdir()
+        path.write_bytes(content)
+        code, _, err = run(capsys, "report", "--config", str(cfg))
+        assert code == 3
+        assert_one_error_line(err, f"{path}: ")
+        assert message in err
+        assert not (tmp_path / "out" / "report.md").exists()
 
 
 # Runs one CLI stage, then reports which heavy modules the process loaded.

@@ -330,6 +330,29 @@ class TestEventImportance:
         feats = event_importance(arts[0], arts, FeatureParams())
         assert feats.values == {"event_days": 2.0, "event_articles": 3.0}
 
+    def test_matrix_days_match_member_scan(self, lexicons):
+        budget = "President Obama signed the Budget Accord with Senator Reid in Washington."
+        storm = "Hurricane Hermine reached the Florida coast near Tallahassee on Thursday."
+        arts = [
+            article(id="a1", title="Budget Accord signed", body=budget, when=utc(2016, 8, 1)),
+            article(id="a2", title="Budget Accord holds", body=budget, when=utc(2016, 8, 2)),
+            article(id="a3", title="Budget Accord debated", body=budget, when=utc(2016, 8, 2)),
+            article(id="a4", title="Budget Accord passes", body=budget, when=utc(2016, 8, 3)),
+            article(id="b1", title="Hermine lands", body=storm, when=utc(2016, 8, 4)),
+            article(id="b2", title="Hermine moves", body=storm, when=utc(2016, 8, 6)),
+            article(id="c1", title="Rain Coming", body="A storm is over the coast tonight."),
+        ]
+        matrix = assemble_matrix(
+            corpus_of(arts), None, "event_importance", lexicons, FeatureParams()
+        )
+        clusters = build_event_clusters(arts, FeatureParams().similarity_threshold)
+        for vec in matrix.vectors:
+            cluster = clusters[vec.article_id]
+            days = {a.published_day for a in arts if a.id in cluster}
+            assert vec.values["event_days"] == float(len(days))
+        assert [vec.values["event_days"] for vec in matrix.vectors] == [3, 3, 3, 3, 2, 2, 1]
+        assert [vec.values["event_articles"] for vec in matrix.vectors] == [4, 4, 4, 4, 2, 2, 1]
+
     def test_similarity_symmetric(self):
         arts = [
             article(id="a1", title="Alpha Pact", body="Alpha Pact with Beta Group holds firm."),

@@ -21,10 +21,9 @@ from nextday.learn import (
     train_forest,
     train_svm,
 )
-from nextday.learn import kernels
 from nextday.learn.cv import default_classifier_configs
 from nextday.learn.svm import SvmModel, hinge_objective
-from nextday.learn.tree import Node
+from nextday.learn.tree import Node, best_split
 from nextday.lexicons import default_lexicons
 from nextday.relevance import RelevanceParams, associate_all
 from signal_corpus import write_signal_corpus
@@ -75,7 +74,7 @@ def exact_split_table(rows, feature, min_leaf=1):
 
 
 def reference_best_split(x, y, min_leaf):
-    """The per-column loop `best_split_py` replaced, kept as an oracle."""
+    """The per-column loop the one-pass `best_split` replaced, kept as an oracle."""
     n = x.shape[0]
     if n < 2 * min_leaf:
         return None
@@ -134,25 +133,10 @@ def fuzz_split_cases(seed, count=300):
 
 
 class TestKernels:
-    def test_backends_agree_on_fuzz(self):
-        if not kernels.compiled_available():
-            pytest.skip("compiled kernel not built")
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            n = int(rng.integers(2, 50))
-            m = int(rng.integers(1, 5))
-            grid = rng.choice([0.0, 1.0, 2.5, -3.0, 0.5], size=(n, m))
-            x = np.ascontiguousarray(grid)
-            y = rng.integers(0, 2, size=n).astype(np.int8)
-            for min_leaf in (1, 2, 3):
-                assert kernels.best_split_py(x, y, min_leaf) == kernels._gini_fast.best_split(
-                    x, y, min_leaf
-                )
-
     @pytest.mark.parametrize("seed", [1, 2])
     def test_one_pass_matches_column_loop(self, seed):
         for x, y, min_leaf in fuzz_split_cases(seed):
-            assert kernels.best_split_py(x, y, min_leaf) == reference_best_split(x, y, min_leaf)
+            assert best_split(x, y, min_leaf) == reference_best_split(x, y, min_leaf)
 
     def test_one_pass_matches_exact_oracle(self):
         for x, y, min_leaf in fuzz_split_cases(3, count=150):
@@ -162,7 +146,7 @@ class TestKernels:
                 for col in range(x.shape[1])
                 for entry in exact_split_table(rows, col, min_leaf)
             ]
-            found = kernels.best_split_py(x, y, min_leaf)
+            found = best_split(x, y, min_leaf)
             if not table:
                 assert found is None
                 continue
@@ -170,19 +154,15 @@ class TestKernels:
             winners = [(f, t) for f, t, d in table if d == best_decrease]
             assert found is not None and (found[0], found[1]) == min(winners)
 
-    def test_pure_override_env(self, monkeypatch):
-        monkeypatch.setenv("NEXTDAY_PURE_SPLIT", "1")
-        assert kernels.active_backend() == "pure"
-
     def test_no_split_when_node_too_small(self):
         x = np.ascontiguousarray([[0.0], [1.0]])
         y = np.array([0, 1], dtype=np.int8)
-        assert kernels.best_split_py(x, y, 2) is None
+        assert best_split(x, y, 2) is None
 
     def test_constant_feature_yields_none(self):
         x = np.ascontiguousarray([[1.0], [1.0], [1.0], [1.0]])
         y = np.array([0, 1, 0, 1], dtype=np.int8)
-        assert kernels.best_split(x, y, 1) is None
+        assert best_split(x, y, 1) is None
 
 
 class TestCart:
