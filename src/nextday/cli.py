@@ -7,6 +7,10 @@ re-runnable: identical inputs give byte-identical artifacts. Run metadata
 artifacts themselves.
 
 Exit codes: 0 success, 2 usage/config error, 3 data/statistical error.
+
+Each command imports its stage modules (`relevance`, `features` and
+`lexicons`, or numpy and `nextday.learn`) on its first call, so a stage
+process loads only what it runs.
 """
 
 from __future__ import annotations
@@ -17,27 +21,29 @@ import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
 from nextday import __version__
-from nextday.config import ConfigError, PipelineConfig, load_config
+from nextday.config import (
+    ALL_SCHEMES,
+    SCHEME_PROPOSED,
+    ConfigError,
+    PipelineConfig,
+    load_config,
+)
 from nextday.corpus import (
     CorpusError,
     DatasetError,
+    LexiconError,
     atomic_write,
     build_corpus,
     emit_diagnostics,
     load_articles,
     load_corpus,
 )
-from nextday.features import (
-    ALL_SCHEMES,
-    SCHEME_PROPOSED,
-    TextMemo,
-    assemble_matrix,
-    write_feature_csv,
-)
-from nextday.lexicons import LexiconError, Lexicons, lexicons_from_paths
-from nextday.relevance import associate_all, load_associations, write_associations
+
+if TYPE_CHECKING:
+    from nextday.lexicons import Lexicons
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -74,6 +80,8 @@ def _write_run_meta(config: PipelineConfig, command: str, argv: list[str], start
 
 
 def _load_lexicons(config: PipelineConfig) -> Lexicons:
+    from nextday.lexicons import lexicons_from_paths
+
     paths = config.paths
     config.require_files(*(key for key in LEXICON_KEYS if getattr(paths, key)))
     return lexicons_from_paths(
@@ -105,7 +113,23 @@ def cmd_ingest_check(config: PipelineConfig, args) -> int:
     return EXIT_OK
 
 
+def associate_all(corpus, params, stream=None):
+    """`nextday.relevance.associate_all`, imported on the first call."""
+    from nextday.relevance import associate_all as run
+
+    return run(corpus, params, stream)
+
+
+def assemble_matrix(corpus, associations, scheme, lexicons, params, memo=None):
+    """`nextday.features.assemble_matrix`, imported on the first call."""
+    from nextday.features import assemble_matrix as run
+
+    return run(corpus, associations, scheme, lexicons, params, memo)
+
+
 def cmd_associate(config: PipelineConfig, args) -> int:
+    from nextday.relevance import write_associations
+
     config.require_files("articles", "tweets", "users")
     corpus = load_corpus(config.paths.articles, config.paths.tweets, config.paths.users)
     emit_diagnostics(corpus)
@@ -127,6 +151,8 @@ def cmd_associate(config: PipelineConfig, args) -> int:
 
 
 def cmd_features(config: PipelineConfig, args) -> int:
+    from nextday.features import TextMemo, write_feature_csv
+
     schemes = _resolve_schemes(args.scheme)
     lexicons = _load_lexicons(config)
     out = config.output_dir()
@@ -134,6 +160,8 @@ def cmd_features(config: PipelineConfig, args) -> int:
 
     needs_tweets = any(s == SCHEME_PROPOSED for s in schemes)
     if needs_tweets:
+        from nextday.relevance import load_associations
+
         config.require_files("articles", "tweets", "users")
         corpus = load_corpus(config.paths.articles, config.paths.tweets, config.paths.users)
         assoc_path = out / "associations.jsonl"
@@ -213,11 +241,16 @@ def cmd_evaluate(config: PipelineConfig, args) -> int:
     seeds = [base_seed + r for r in range(repeats)]
 
     jobs = []
+    first = None  # (path, article ids) of the first feature file read
     for scheme in schemes:
         path = out / f"features_{scheme}.csv"
         if not path.exists():
             raise ConfigError(f"{path} not found; run 'nextday features' first")
         data = Dataset.from_csv(path, scheme=scheme)
+        if first is None:
+            first = (path, data.article_ids)
+        elif data.article_ids != first[1]:
+            raise DatasetError(f"{path}: article ids differ from those of {first[0]}")
         for seed in seeds:
             cfgs = {
                 "random_forest": replace(config.learn.forest, seed=seed),

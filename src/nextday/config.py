@@ -3,12 +3,26 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from nextday.features import FeatureParams
-from nextday.relevance import RelevanceParams
 from nextday.text import decode_utf8
+
+SCHEME_PROPOSED = "proposed"
+SCHEME_ARTICLE_POLARITY = "article_polarity"
+SCHEME_ARTICLE_CONTENT = "article_content_polarity"
+SCHEME_TITLE_POLARITY = "title_polarity"
+SCHEME_TITLE_CONTENT = "title_content_polarity"
+SCHEME_EVENT = "event_importance"
+
+ALL_SCHEMES = (
+    SCHEME_PROPOSED,
+    SCHEME_ARTICLE_POLARITY,
+    SCHEME_ARTICLE_CONTENT,
+    SCHEME_TITLE_POLARITY,
+    SCHEME_TITLE_CONTENT,
+    SCHEME_EVENT,
+)
 
 
 class ConfigError(ValueError):
@@ -25,6 +39,24 @@ class PathsConfig:
     emotion_lexicon: str | None = None
     negators: str | None = None
     boosters: str | None = None
+
+
+@dataclass(frozen=True)
+class RelevanceParams:
+    min_overlap: int = 3
+    generic_article_threshold: int = 5
+    generic_frequency_quantile: float = 0.90
+    max_iterations: int = 3
+    history_days: int = 30
+    keywords_source: str = "title_body"  # or "title"
+    keyword_count: int = 10
+
+
+@dataclass(frozen=True)
+class FeatureParams:
+    active_window_days: int = 30
+    similarity_threshold: float = 0.3
+    authoritative: bool = False
 
 
 @dataclass(frozen=True)
@@ -163,41 +195,66 @@ def _merge(base: dict, extra: dict) -> dict:
     return merged
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Field annotation -> (accepts the JSON value, what the message asks for).
+# Values are checked, never converted, so the effective config keeps the
+# exact values the file gave.
+_TYPE_RULES = {
+    "int": (_is_int, "an integer"),
+    "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+}
+
+
+def _section(value, context: str) -> dict:
+    """A copy of the config object `value`."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{context}' must be an object, got {json.dumps(value)}")
+    return dict(value)
+
+
 def _build(section: dict, cls, context: str, **extra):
-    known = {f for f in cls.__dataclass_fields__}
-    for key in section:
-        if key not in known:
+    fields = cls.__dataclass_fields__
+    for key, value in section.items():
+        # nested sections (learn.cart, learn.forest.tree, ...) come in `extra`
+        if key not in fields or fields[key].type not in _TYPE_RULES:
             raise ConfigError(f"unknown config key '{context}.{key}'")
-    try:
-        return cls(**{**section, **extra})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad '{context}' section: {exc}") from None
+        accepts, wanted = _TYPE_RULES[fields[key].type]
+        if not accepts(value):
+            raise ConfigError(f"'{context}.{key}' must be {wanted}, got {json.dumps(value)}")
+    return cls(**{**section, **extra})
 
 
 def config_from_dict(tree: dict) -> PipelineConfig:
     unknown = set(tree) - {"paths", "relevance", "features", "learn"}
     if unknown:
         raise ConfigError(f"unknown config section(s): {', '.join(sorted(unknown))}")
-    learn_section = dict(tree.get("learn", {}))
-    base_seed = learn_section.get("seed", LearnParams.seed)
-    cart_section = dict(learn_section.pop("cart", {}))
-    forest_section = dict(learn_section.pop("forest", {}))
-    svm_section = dict(learn_section.pop("svm", {}))
+    learn_section = _section(tree.get("learn", {}), "learn")
+    cart_section = _section(learn_section.pop("cart", {}), "learn.cart")
+    forest_section = _section(learn_section.pop("forest", {}), "learn.forest")
+    svm_section = _section(learn_section.pop("svm", {}), "learn.svm")
     forest_depth = {
         key: forest_section.pop(key)
         for key in ("max_depth", "min_samples_leaf")
         if key in forest_section
     }
-    forest_section.setdefault("seed", base_seed)
-    svm_section.setdefault("seed", base_seed)
+    learn = _build(learn_section, LearnParams, "learn")
+    forest_section.setdefault("seed", learn.seed)
+    svm_section.setdefault("seed", learn.seed)
     config = PipelineConfig(
-        paths=_build(tree.get("paths", {}), PathsConfig, "paths"),
-        relevance=_build(tree.get("relevance", {}), RelevanceParams, "relevance"),
-        features=_build(tree.get("features", {}), FeatureParams, "features"),
-        learn=_build(
-            learn_section,
-            LearnParams,
-            "learn",
+        paths=_build(_section(tree.get("paths", {}), "paths"), PathsConfig, "paths"),
+        relevance=_build(
+            _section(tree.get("relevance", {}), "relevance"), RelevanceParams, "relevance"
+        ),
+        features=_build(_section(tree.get("features", {}), "features"), FeatureParams, "features"),
+        learn=replace(
+            learn,
             cart=_build(cart_section, CartConfig, "learn.cart"),
             forest=_build(
                 forest_section,

@@ -15,12 +15,13 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 from nextday.text import extract_hashtags
 
-_HASHTAG_OK_RE = re.compile(r"^\w+$", re.UNICODE)
+_HASHTAG_OK_RE = re.compile(r"\w+", re.UNICODE)
 
 
 class CorpusError(ValueError):
@@ -30,6 +31,10 @@ class CorpusError(ValueError):
 class DatasetError(ValueError):
     """A stage artifact is malformed or incomplete, or its shape or class
     support makes the request impossible."""
+
+
+class LexiconError(ValueError):
+    """Malformed lexicon file."""
 
 
 def parse_rfc3339(value: str) -> datetime:
@@ -192,7 +197,7 @@ def load_tweets(path) -> list[Tweet]:
         hashtags = set(extract_hashtags(text))
         for tag in supplied:
             normalized = normalize_hashtag(tag)
-            if not _HASHTAG_OK_RE.match(normalized):
+            if not _HASHTAG_OK_RE.fullmatch(normalized):
                 raise CorpusError(f"invalid hashtag {tag!r} at line {line_no}")
             hashtags.add(normalized)
         tweets.append(
@@ -238,6 +243,9 @@ class Corpus:
 
     Index iteration order is sorted by key; id lists inside the indexes
     are sorted too, so identical inputs always produce identical output.
+    `hashtag_index` and `tweet_date_index` are built on first read. Only
+    `nextday.relevance` reads them, so `ingest-check` and `features`
+    never build them.
     """
 
     articles: tuple[NewsArticle, ...]
@@ -246,9 +254,15 @@ class Corpus:
     article_by_id: dict[str, NewsArticle] = field(repr=False)
     tweet_by_id: dict[str, Tweet] = field(repr=False)
     user_by_id: dict[str, UserProfile] = field(repr=False)
-    hashtag_index: dict[str, tuple[str, ...]] = field(repr=False)
-    tweet_date_index: dict[date, tuple[str, ...]] = field(repr=False)
     diagnostics: tuple[dict, ...] = ()
+
+    @cached_property
+    def hashtag_index(self) -> dict[str, tuple[str, ...]]:
+        return _sorted_index((h, t.id) for t in self.tweets for h in t.hashtags)
+
+    @cached_property
+    def tweet_date_index(self) -> dict[date, tuple[str, ...]]:
+        return _sorted_index((t.created_day, t.id) for t in self.tweets)
 
     def tweets_on(self, day: date) -> list[Tweet]:
         return [self.tweet_by_id[t] for t in self.tweet_date_index.get(day, ())]
@@ -266,7 +280,7 @@ def build_corpus(
     tweets: list[Tweet],
     users: list[UserProfile],
 ) -> Corpus:
-    """Assemble a Corpus with all indexes built.
+    """Assemble a Corpus and its id lookups.
 
     Tweets whose user_id has no profile are kept; each unknown user_id
     produces one 'unresolved_user' diagnostic (never an error).
@@ -283,8 +297,6 @@ def build_corpus(
         article_by_id={a.id: a for a in articles},
         tweet_by_id={t.id: t for t in tweets},
         user_by_id=user_by_id,
-        hashtag_index=_sorted_index((h, t.id) for t in tweets for h in t.hashtags),
-        tweet_date_index=_sorted_index((t.created_day, t.id) for t in tweets),
         diagnostics=tuple(diagnostics),
     )
 

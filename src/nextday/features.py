@@ -13,7 +13,18 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date, timedelta
+from typing import TYPE_CHECKING
 
+from nextday.config import (  # ALL_SCHEMES only for callers that import it from here
+    ALL_SCHEMES,
+    SCHEME_ARTICLE_CONTENT,
+    SCHEME_ARTICLE_POLARITY,
+    SCHEME_EVENT,
+    SCHEME_PROPOSED,
+    SCHEME_TITLE_CONTENT,
+    SCHEME_TITLE_POLARITY,
+    FeatureParams,
+)
 from nextday.corpus import Corpus, DatasetError, NewsArticle, Tweet, atomic_write
 from nextday.lexicons import (
     EMOTION_CATEGORIES,
@@ -25,24 +36,10 @@ from nextday.lexicons import (
     score_sentiment,
     tag_emotions,
 )
-from nextday.relevance import ArticleAssociation
 from nextday.text import default_stopwords, tokenize
 
-SCHEME_PROPOSED = "proposed"
-SCHEME_ARTICLE_POLARITY = "article_polarity"
-SCHEME_ARTICLE_CONTENT = "article_content_polarity"
-SCHEME_TITLE_POLARITY = "title_polarity"
-SCHEME_TITLE_CONTENT = "title_content_polarity"
-SCHEME_EVENT = "event_importance"
-
-ALL_SCHEMES = (
-    SCHEME_PROPOSED,
-    SCHEME_ARTICLE_POLARITY,
-    SCHEME_ARTICLE_CONTENT,
-    SCHEME_TITLE_POLARITY,
-    SCHEME_TITLE_CONTENT,
-    SCHEME_EVENT,
-)
+if TYPE_CHECKING:
+    from nextday.relevance import ArticleAssociation
 
 POLARITY_COLUMNS = (
     "polarity_score",
@@ -84,13 +81,6 @@ PROPOSED_COLUMNS = (
 )
 
 INFLUENTIAL_FOLLOWERS = 1000
-
-
-@dataclass(frozen=True)
-class FeatureParams:
-    active_window_days: int = 30
-    similarity_threshold: float = 0.3
-    authoritative: bool = False
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
+from nextday.corpus import LexiconError
 from nextday.text import decode_utf8, tokenize, tokenize_cased
 
 NEGATION_SCALAR = -0.74
@@ -32,10 +33,6 @@ EMOTION_CATEGORIES = (
     "surprise",
     "trust",
 )
-
-
-class LexiconError(ValueError):
-    """Malformed lexicon file."""
 
 
 class Sentiment(enum.Enum):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import IO, Iterable, Mapping
 
+from nextday.config import RelevanceParams
 from nextday.corpus import Corpus, DatasetError, NewsArticle, Tweet, atomic_write
 from nextday.text import content_tokens, default_stopwords
 
@@ -66,17 +67,6 @@ class ArticleAssociation:
     article_specific_hashtags: frozenset[str]
     generic_hashtags: frozenset[str]
     iterations_run: int
-
-
-@dataclass(frozen=True)
-class RelevanceParams:
-    min_overlap: int = 3
-    generic_article_threshold: int = 5
-    generic_frequency_quantile: float = 0.90
-    max_iterations: int = 3
-    history_days: int = 30
-    keywords_source: str = "title_body"  # or "title"
-    keyword_count: int = 10
 
 
 def article_text(article: NewsArticle, source: str) -> str:

@@ -1,9 +1,8 @@
-import json
 from pathlib import Path
 
 import pytest
 
-GOLDEN = Path(__file__).parent / "data" / "golden"
+from util import GOLDEN, write_golden_config
 
 
 @pytest.fixture(scope="session")
@@ -39,19 +38,6 @@ def golden_config(tmp_path):
     """Config file pointing at the golden corpus, output under tmp_path."""
 
     def make(**overrides) -> Path:
-        tree = {
-            "paths": {
-                "articles": str(GOLDEN / "articles.jsonl"),
-                "tweets": str(GOLDEN / "tweets.jsonl"),
-                "users": str(GOLDEN / "users.jsonl"),
-                "output_dir": str(tmp_path / "out"),
-            },
-            "learn": {"k": 5, "seed": 2016, "forest": {"n_trees": 25}},
-        }
-        for key, value in overrides.items():
-            tree.setdefault(key, {}).update(value)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(tree, indent=2))
-        return path
+        return write_golden_config(tmp_path, **overrides)
 
     return make

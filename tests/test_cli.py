@@ -9,7 +9,10 @@ from pathlib import Path
 import pytest
 
 import nextday.cli
+import nextday.corpus
 from nextday.cli import main
+
+from util import child_env, write_golden_config
 
 
 def run(capsys, *argv):
@@ -42,6 +45,21 @@ class TestIngestCheck:
         )
         assert code == 2
         assert "absent.jsonl" in err
+
+
+    def test_supplied_hashtag_with_newline_exit_three(self, capsys, golden_config, golden_dir, tmp_path):
+        lines = (golden_dir / "tweets.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[6])
+        record["hashtags"] = ["#tag\n"]
+        lines[6] = json.dumps(record)
+        bad = tmp_path / "tweets.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = run(
+            capsys, "ingest-check", "--config", str(golden_config()),
+            "--set", f"paths.tweets={bad}",
+        )
+        assert code == 3
+        assert_one_error_line(err, "invalid hashtag '#tag\\n' at line 7")
 
 
 class TestAssociate:
@@ -255,7 +273,10 @@ class TestEvaluate:
         out = tmp_path / "out"
         serial = {name: (out / name).read_bytes() for name in ("report.json", "report.md")}
         result = subprocess.run(
-            [sys.executable, "-c", POOL_PROBE, *argv], capture_output=True, text=True
+            [sys.executable, "-c", POOL_PROBE, *argv],
+            capture_output=True,
+            text=True,
+            env=child_env(),
         )
         assert result.returncode == 0, result.stderr
         pooled = json.loads(result.stdout.splitlines()[-1])["pool"]
@@ -271,6 +292,7 @@ class TestEvaluate:
             ],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert result.returncode == 3
         assert "insufficient class support" in result.stderr
@@ -317,6 +339,23 @@ class TestEvaluate:
         # 6 schemes x 5 folds, all in this process
         assert fits == [os.getpid()] * 30
 
+    @pytest.mark.parametrize(
+        "scheme, edit",
+        [
+            ("proposed", lambda rows: rows[:21]),  # header and 20 of 26 articles
+            ("event_importance", lambda rows: [rows[0], "renamed" + rows[1], *rows[2:]]),
+        ],
+        ids=["first-file-cut", "later-file-renamed"],
+    )
+    def test_feature_files_disagree_exit_three(self, capsys, prepared, tmp_path, scheme, edit):
+        path = tmp_path / "out" / f"features_{scheme}.csv"
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        code, _, err = run(capsys, "evaluate", "--config", str(prepared), "--scheme", "all")
+        assert code == 3
+        assert_one_error_line(err, "article ids differ from those of")
+        assert str(path) in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_report_command_rerenders(self, capsys, prepared, tmp_path):
         assert run(capsys, "evaluate", "--config", str(prepared), "--scheme", "proposed")[0] == 0
         md = tmp_path / "out" / "report.md"
@@ -348,6 +387,37 @@ class TestConfigPlumbing:
         assert code == 2
         assert "min_overlap" in err
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("learn.svm.epochs=1.5", "'learn.svm.epochs' must be an integer, got 1.5"),
+            ("learn.k=2.5", "'learn.k' must be an integer, got 2.5"),
+            (
+                'features.similarity_threshold="0.3"',
+                "'features.similarity_threshold' must be a number, got \"0.3\"",
+            ),
+            ("relevance.history_days=1.5", "'relevance.history_days' must be an integer, got 1.5"),
+            ("learn.forest.n_trees=true", "'learn.forest.n_trees' must be an integer, got true"),
+            ("learn.cart=5", "'learn.cart' must be an object, got 5"),
+        ],
+        ids=[
+            "float-epochs", "float-k", "string-threshold", "float-history", "bool-trees",
+            "number-section",
+        ],
+    )
+    def test_wrong_value_type_rejected(self, capsys, golden_config, setting, message):
+        cfg = golden_config()
+        code, _, err = run(capsys, "ingest-check", "--config", str(cfg), "--set", setting)
+        assert code == 2
+        assert_one_error_line(err, message)
+
+    def test_int_for_float_kept_as_given(self, capsys, golden_config, tmp_path):
+        cfg = golden_config()
+        code, _, _ = run(capsys, "ingest-check", "--config", str(cfg), "--set", "learn.svm.c=2")
+        assert code == 0
+        meta = (tmp_path / "out" / "run_meta.json").read_text()
+        assert '"c": 2,' in meta
+
     def test_unknown_config_key_rejected(self, capsys, golden_config):
         cfg = golden_config()
         code, _, err = run(
@@ -362,6 +432,7 @@ class TestConfigPlumbing:
             [sys.executable, "-m", "nextday.cli", "ingest-check", "--config", str(cfg)],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert result.returncode == 0
         assert "articles=26" in result.stdout
@@ -455,39 +526,81 @@ class TestBadInputs:
         assert not (tmp_path / "out" / "report.md").exists()
 
 
-# Runs one CLI stage, then reports which heavy modules the process loaded.
+# Runs one CLI stage, then reports whether the process loaded numpy and
+# which `nextday` modules it loaded.
 LOADED_MODULES_PROBE = """
 import json, sys
 from nextday.cli import main
 code = main(sys.argv[1:])
 print(json.dumps({
     "numpy": "numpy" in sys.modules,
-    "learn": sorted(m for m in sys.modules if m.startswith("nextday.learn")),
+    "nextday": sorted(m for m in sys.modules if m.startswith("nextday")),
 }))
 sys.exit(code)
 """
 
+# Stage runs, in order, and the stage packages each loads; a run loads
+# none of the others.
+STAGE_RUNS = {
+    "ingest-check": (["ingest-check"], set()),
+    "associate": (["associate"], {"nextday.relevance"}),
+    "features": (
+        ["features", "--scheme", "all"],
+        {"nextday.features", "nextday.lexicons", "nextday.relevance"},
+    ),
+    "features-baseline": (
+        ["features", "--scheme", "title_polarity"], {"nextday.features", "nextday.lexicons"}
+    ),
+    "evaluate": (["evaluate", "--scheme", "proposed"], {"nextday.learn"}),
+    "report": (["report"], set()),
+}
+
 
 class TestColdStart:
-    def test_only_evaluate_loads_numpy(self, golden_config):
-        cfg = str(golden_config())
-        stages = [
-            (["ingest-check"], False),
-            (["associate"], False),
-            (["features", "--scheme", "all"], False),
-            (["evaluate", "--scheme", "proposed"], True),
-            (["report"], False),
-        ]
-        for argv, loads_learn in stages:
+    @pytest.fixture(scope="class")
+    def loaded(self, tmp_path_factory):
+        """The probe's report for each stage, run in order on the golden corpus."""
+        cfg = str(write_golden_config(tmp_path_factory.mktemp("stages")))
+        reports = {}
+        for run_name, (argv, _) in STAGE_RUNS.items():
             result = subprocess.run(
                 [sys.executable, "-c", LOADED_MODULES_PROBE, *argv, "--config", cfg],
                 capture_output=True,
                 text=True,
+                env=child_env(),
             )
             assert result.returncode == 0, result.stderr
-            loaded = json.loads(result.stdout.splitlines()[-1])
-            assert loaded["numpy"] is loads_learn, argv
-            assert bool(loaded["learn"]) is loads_learn, (argv, loaded["learn"])
+            reports[run_name] = json.loads(result.stdout.splitlines()[-1])
+        return reports
+
+    def test_only_evaluate_loads_numpy(self, loaded):
+        for run_name, report in loaded.items():
+            loads_learn = run_name == "evaluate"
+            learn = [m for m in report["nextday"] if m.startswith("nextday.learn")]
+            assert report["numpy"] is loads_learn, run_name
+            assert bool(learn) is loads_learn, (run_name, learn)
+
+    def test_each_stage_loads_only_its_packages(self, loaded):
+        stage_packages = set().union(*(wanted for _, wanted in STAGE_RUNS.values()))
+        for run_name, (_, wanted) in STAGE_RUNS.items():
+            packages = {".".join(m.split(".")[:2]) for m in loaded[run_name]["nextday"]}
+            assert packages & stage_packages == wanted, run_name
+
+    def test_corpus_indexes_built_only_by_associate(self, capsys, golden_config, monkeypatch):
+        corpora = []
+
+        def load_corpus(*paths):
+            corpora.append(nextday.corpus.load_corpus(*paths))
+            return corpora[-1]
+
+        monkeypatch.setattr(nextday.cli, "load_corpus", load_corpus)
+        cfg = str(golden_config())
+        assert run(capsys, "ingest-check", "--config", cfg)[0] == 0
+        assert run(capsys, "associate", "--config", cfg)[0] == 0
+        indexes = {"hashtag_index", "tweet_date_index"}
+        checked, associated = corpora
+        assert indexes.isdisjoint(vars(checked))
+        assert indexes <= set(vars(associated))
 
     def test_tracer_binds_every_traced_name(self, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
