@@ -219,11 +219,20 @@ def _section(value, context: str) -> dict:
     return dict(value)
 
 
+# Fields no file may set: `evaluate` derives both seeds from learn.seed and
+# the repeat.
+_DERIVED = {"learn.forest.seed", "learn.svm.seed"}
+
+
 def _build(section: dict, cls, context: str, **extra):
     fields = cls.__dataclass_fields__
     for key, value in section.items():
         # nested sections (learn.cart, learn.forest.tree, ...) come in `extra`
-        if key not in fields or fields[key].type not in _TYPE_RULES:
+        if (
+            key not in fields
+            or fields[key].type not in _TYPE_RULES
+            or f"{context}.{key}" in _DERIVED
+        ):
             raise ConfigError(f"unknown config key '{context}.{key}'")
         accepts, wanted = _TYPE_RULES[fields[key].type]
         if not accepts(value):
@@ -245,8 +254,6 @@ def config_from_dict(tree: dict) -> PipelineConfig:
         if key in forest_section
     }
     learn = _build(learn_section, LearnParams, "learn")
-    forest_section.setdefault("seed", learn.seed)
-    svm_section.setdefault("seed", learn.seed)
     config = PipelineConfig(
         paths=_build(_section(tree.get("paths", {}), "paths"), PathsConfig, "paths"),
         relevance=_build(

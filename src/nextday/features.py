@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import TYPE_CHECKING
 
-from nextday.config import (  # ALL_SCHEMES only for callers that import it from here
-    ALL_SCHEMES,
+from nextday.config import (
     SCHEME_ARTICLE_CONTENT,
     SCHEME_ARTICLE_POLARITY,
     SCHEME_EVENT,

@@ -47,21 +47,25 @@ class Dataset:
         if len(header) < 3 or header[0] != "article_id" or header[-1] != "label":
             raise DatasetError(f"{path}: expected header article_id,<features...>,label")
         names = tuple(header[1:-1])
-        ids = []
+        first_line: dict[str, int] = {}
         rows = []
         labels = []
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise DatasetError(f"{path}:{line_no}: wrong column count")
-            ids.append(row[0])
+            if row[0] in first_line:
+                raise DatasetError(
+                    f"{path}:{line_no}: article id {row[0]!r} repeats line {first_line[row[0]]}"
+                )
+            first_line[row[0]] = line_no
             try:
                 rows.append([float(v) for v in row[1:-1]])
                 labels.append(int(row[-1]))
             except ValueError:
                 raise DatasetError(f"{path}:{line_no}: non-numeric cell") from None
-        x = np.asarray(rows, dtype=np.float64).reshape(len(ids), len(names))
+        x = np.asarray(rows, dtype=np.float64).reshape(len(first_line), len(names))
         y = np.asarray(labels, dtype=np.int8)
-        return cls(scheme=scheme, feature_names=names, x=x, y=y, article_ids=tuple(ids))
+        return cls(scheme=scheme, feature_names=names, x=x, y=y, article_ids=tuple(first_line))
 
 
 def f_score(precision: float, recall: float) -> float:

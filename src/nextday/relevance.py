@@ -5,12 +5,12 @@ keywords. Hashtags harvested from the matched tweets are split into
 generic tags (frequent across the prior 30 days) and article-specific
 tags; the latter pull in further same-day tweets until a fixpoint.
 
-`associate_all` makes one pass over the corpus in day order: each article
-and each tweet is tokenized at most once, document frequencies are counted once,
-and the history window is a running sum of per-day buckets. The
-single-article functions (`tfidf_keywords`, `seed_tweets`,
-`build_history`, `classify_hashtags`, `expand_association`) are wrappers
-over the same helpers.
+`associate_all` makes one pass over the corpus in day order through five
+steps: `tfidf_keywords` once for the corpus, then per day `seed_tweets`,
+`build_history` (a running sum of per-day buckets) and, per article,
+`expand_association`, which labels hashtags with `classify_hashtags`.
+Each article and each tweet is tokenized at most once and document
+frequencies are counted once.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ from nextday.text import content_tokens, default_stopwords
 log = logging.getLogger(__name__)
 
 MIN_TOKEN_LENGTH = 3
-
-
-class RelevanceError(ValueError):
-    """Article cannot be profiled (e.g. no indexable tokens)."""
 
 
 class HashtagKind(enum.Enum):
@@ -69,6 +65,18 @@ class ArticleAssociation:
     iterations_run: int
 
 
+@dataclass(frozen=True)
+class HistoryWindow:
+    """What hashtag labelling reads from the days before an article's day."""
+
+    empty: bool  # no tweet in the window
+    hashtag_counts: Mapping[str, int]
+    # distinct prior articles whose seed tweets carry the hashtag
+    article_counts: Mapping[str, int]
+    # nearest-rank generic_frequency_quantile of hashtag_counts
+    threshold: int
+
+
 def article_text(article: NewsArticle, source: str) -> str:
     if source == "title":
         return article.title
@@ -79,13 +87,6 @@ def article_text(article: NewsArticle, source: str) -> str:
 
 def _index_tokens(text: str, stopwords) -> list[str]:
     return [t for t in content_tokens(text, stopwords) if len(t) >= MIN_TOKEN_LENGTH]
-
-
-def _document_frequencies(token_lists: Iterable[list[str]]) -> Counter[str]:
-    df: Counter[str] = Counter()
-    for tokens in token_lists:
-        df.update(set(tokens))
-    return df
 
 
 def _keyword_scores(
@@ -109,15 +110,21 @@ def _keyword_scores(
     return tuple(scored[:k])
 
 
-def _profile_all(
+def tfidf_keywords(
     articles: Iterable[NewsArticle], params: RelevanceParams, stopwords
 ) -> dict[str, KeywordProfile]:
-    """Profiles against `articles` of each of them that has indexable tokens."""
+    """Top `params.keyword_count` TF-IDF keywords of each article, by id.
+
+    Document frequencies and D count every article in `articles`; an
+    article with no indexable tokens counts in D and gets no profile.
+    """
     articles = list(articles)
     token_lists = [
         _index_tokens(article_text(a, params.keywords_source), stopwords) for a in articles
     ]
-    df = _document_frequencies(token_lists)
+    df: Counter[str] = Counter()
+    for tokens in token_lists:
+        df.update(set(tokens))
     return {
         a.id: KeywordProfile(
             article_id=a.id,
@@ -128,35 +135,7 @@ def _profile_all(
     }
 
 
-def tfidf_keywords(
-    article: NewsArticle,
-    background: list[NewsArticle],
-    k: int = 10,
-    stopwords: frozenset[str] | None = None,
-    source: str = "title_body",
-) -> KeywordProfile:
-    """Top-k tokens of the article by TF-IDF against the background set.
-
-    TF is the token's count over the article's kept-token count; IDF is
-    ln(1 + D/df) with D the background size (the article itself counts
-    if the background lacks it). Score ties rank the lexicographically
-    smaller token first.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    stopwords = stopwords if stopwords is not None else default_stopwords()
-    tokens = _index_tokens(article_text(article, source), stopwords)
-    if not tokens:
-        raise RelevanceError(f"no indexable tokens in article '{article.id}'")
-
-    docs = list(background)
-    if all(doc.id != article.id for doc in docs):
-        docs.append(article)
-    df = _document_frequencies(_index_tokens(article_text(d, source), stopwords) for d in docs)
-    return KeywordProfile(article_id=article.id, keywords=_keyword_scores(tokens, df, len(docs), k))
-
-
-def _seed_sets(
+def seed_tweets(
     keywords: Mapping[str, set[str]],
     tweets: Iterable[Tweet],
     min_overlap: int,
@@ -190,18 +169,6 @@ def _seed_sets(
     return seeds
 
 
-def seed_tweets(
-    profile: KeywordProfile,
-    tweets: list[Tweet],
-    min_overlap: int,
-    stopwords: frozenset[str] | None = None,
-) -> set[str]:
-    """Ids of tweets sharing at least `min_overlap` profile keywords."""
-    stopwords = stopwords if stopwords is not None else default_stopwords()
-    seeds = _seed_sets({profile.article_id: profile.tokens()}, tweets, min_overlap, stopwords)
-    return seeds[profile.article_id]
-
-
 def _seed_hashtag_articles(
     seeds: Mapping[str, Iterable[str]], corpus: Corpus
 ) -> dict[str, set[str]]:
@@ -223,44 +190,6 @@ def _nearest_rank(values: Iterable[int], q: float) -> int:
     return counts[min(rank, len(counts)) - 1]
 
 
-@dataclass(frozen=True)
-class HistoryWindow:
-    """Prior-window tweet slice plus the stats hashtag labelling needs."""
-
-    tweet_ids: frozenset[str]
-    hashtag_counts: dict[str, int]
-    hashtag_articles: dict[str, frozenset[str]]
-
-    @property
-    def empty(self) -> bool:
-        return not self.tweet_ids
-
-    def count_quantile(self, q: float) -> int:
-        """Nearest-rank q-quantile of the usage counts (0 when empty)."""
-        return _nearest_rank(self.hashtag_counts.values(), q)
-
-
-@dataclass(frozen=True)
-class _WindowStats:
-    """What hashtag labelling reads from a history window."""
-
-    empty: bool
-    hashtag_counts: Mapping[str, int]
-    # distinct prior articles whose seed tweets carry the hashtag
-    article_counts: Mapping[str, int]
-    # nearest-rank generic_frequency_quantile of hashtag_counts
-    threshold: int
-
-
-def _stats_of(history: HistoryWindow, params: RelevanceParams) -> _WindowStats:
-    return _WindowStats(
-        empty=history.empty,
-        hashtag_counts=history.hashtag_counts,
-        article_counts={tag: len(ids) for tag, ids in history.hashtag_articles.items()},
-        threshold=history.count_quantile(params.generic_frequency_quantile),
-    )
-
-
 def _subtract(total: Counter[str], part: Mapping[str, int]) -> None:
     """total -= part, dropping keys that reach zero."""
     for key, n in part.items():
@@ -272,7 +201,7 @@ def _subtract(total: Counter[str], part: Mapping[str, int]) -> None:
 
 
 class _SlidingHistory:
-    """Per-day buckets summed over the `days` days before a given day.
+    """Per-day buckets and their running sums.
 
     Each bucket holds one day's tweet count, hashtag usage counts and,
     per hashtag, how many of that day's articles carry it in their seed
@@ -281,97 +210,55 @@ class _SlidingHistory:
     each after its own window was read.
     """
 
-    def __init__(self, days: int):
-        self.days = days
-        self._buckets: deque[tuple[date, int, Counter[str], dict[str, int]]] = deque()
-        self._tweets = 0
-        self._hashtag_counts: Counter[str] = Counter()
-        self._article_counts: Counter[str] = Counter()
+    def __init__(self):
+        self.buckets: deque[tuple[date, int, Counter[str], dict[str, int]]] = deque()
+        self.tweets = 0
+        self.hashtag_counts: Counter[str] = Counter()
+        self.article_counts: Counter[str] = Counter()
 
     def add(
         self, day: date, tweets: int, hashtag_counts: Counter[str], article_counts: dict[str, int]
     ) -> None:
-        self._buckets.append((day, tweets, hashtag_counts, article_counts))
-        self._tweets += tweets
-        self._hashtag_counts.update(hashtag_counts)
-        self._article_counts.update(article_counts)
-
-    def window(self, day: date, quantile: float) -> _WindowStats:
-        """Stats over the buckets of days in [day - days, day)."""
-        start = day - timedelta(days=self.days)
-        while self._buckets and self._buckets[0][0] < start:
-            _, tweets, hashtag_counts, article_counts = self._buckets.popleft()
-            self._tweets -= tweets
-            _subtract(self._hashtag_counts, hashtag_counts)
-            _subtract(self._article_counts, article_counts)
-        return _WindowStats(
-            empty=self._tweets == 0,
-            hashtag_counts=dict(self._hashtag_counts),
-            article_counts=dict(self._article_counts),
-            threshold=_nearest_rank(self._hashtag_counts.values(), quantile),
-        )
+        self.buckets.append((day, tweets, hashtag_counts, article_counts))
+        self.tweets += tweets
+        self.hashtag_counts.update(hashtag_counts)
+        self.article_counts.update(article_counts)
 
 
 def build_history(
-    corpus: Corpus,
-    article: NewsArticle,
-    params: RelevanceParams,
-    profiles: dict[str, KeywordProfile] | None = None,
-    seeds: dict[str, frozenset[str]] | None = None,
+    history: _SlidingHistory, day: date, params: RelevanceParams
 ) -> HistoryWindow:
-    """Collect the prior-window tweets and per-hashtag statistics.
+    """The window over the `params.history_days` days before `day`.
 
-    A hashtag is attached to a prior article when it appears in that
-    article's seed tweets (seed-level only, so the definition is not
-    recursive). Articles that cannot be profiled are skipped. `profiles`
-    and `seeds` may supply precomputed values by article id; missing
-    ones are computed.
+    Buckets of days before the window are dropped from `history`, so
+    successive calls must come in increasing `day` order.
     """
-    day = article.published_day
     start = day - timedelta(days=params.history_days)
-    window_ids = frozenset(
-        tweet_id
-        for tweet_day, ids in corpus.tweet_date_index.items()
-        if start <= tweet_day < day
-        for tweet_id in ids
-    )
-    hashtag_counts = Counter(
-        tag for tweet_id in window_ids for tag in corpus.tweet_by_id[tweet_id].hashtags
-    )
-
-    stopwords = default_stopwords()
-    prior_seeds: dict[str, Iterable[str]] = {}
-    unseeded: dict[date, list[NewsArticle]] = {}
-    for prior in corpus.articles:
-        if not start <= prior.published_day < day:
-            continue
-        if seeds is not None and prior.id in seeds:
-            prior_seeds[prior.id] = seeds[prior.id]
-        else:
-            unseeded.setdefault(prior.published_day, []).append(prior)
-    if unseeded:
-        known = {**_profile_all(corpus.articles, params, stopwords), **(profiles or {})}
-        for prior_day, group in unseeded.items():
-            keywords = {p.id: known[p.id].tokens() for p in group if p.id in known}
-            prior_seeds.update(
-                _seed_sets(keywords, corpus.tweets_on(prior_day), params.min_overlap, stopwords)
-            )
-
+    while history.buckets and history.buckets[0][0] < start:
+        _, tweets, hashtag_counts, article_counts = history.buckets.popleft()
+        history.tweets -= tweets
+        _subtract(history.hashtag_counts, hashtag_counts)
+        _subtract(history.article_counts, article_counts)
     return HistoryWindow(
-        tweet_ids=window_ids,
-        hashtag_counts=dict(hashtag_counts),
-        hashtag_articles={
-            tag: frozenset(ids) for tag, ids in _seed_hashtag_articles(prior_seeds, corpus).items()
-        },
+        empty=history.tweets == 0,
+        hashtag_counts=dict(history.hashtag_counts),
+        article_counts=dict(history.article_counts),
+        threshold=_nearest_rank(history.hashtag_counts.values(), params.generic_frequency_quantile),
     )
 
 
-def _label(
+def classify_hashtags(
     candidate_hashtags: set[str],
-    window: _WindowStats,
+    window: HistoryWindow,
     params: RelevanceParams,
     article_id: str | None,
 ) -> list[HashtagLabel]:
+    """Label candidates generic or article-specific, sorted by hashtag.
+
+    Generic requires attachment to enough distinct prior articles or a
+    usage count above the window's frequency quantile. With an empty
+    window everything is article-specific (a warning is logged).
+    """
     if window.empty and candidate_hashtags:
         log.warning(
             "empty hashtag history window; labelling all %d candidates article-specific",
@@ -392,36 +279,23 @@ def _label(
     return labels
 
 
-def classify_hashtags(
-    candidate_hashtags: set[str],
-    history: HistoryWindow,
-    params: RelevanceParams,
-    article_id: str | None = None,
-) -> list[HashtagLabel]:
-    """Label candidates generic or article-specific from history usage.
-
-    Generic requires attachment to enough distinct prior articles or a
-    usage count above the history's frequency quantile. With an empty
-    history everything is article-specific (a warning is logged).
-    """
-    return _label(candidate_hashtags, _stats_of(history, params), params, article_id)
-
-
-def _expand(
+def expand_association(
     article_id: str,
     seed_ids: Iterable[str],
-    window: _WindowStats,
+    window: HistoryWindow,
     day_ids: set[str],
     corpus: Corpus,
     params: RelevanceParams,
 ) -> ArticleAssociation:
     """Grow `seed_ids` through article-specific hashtags.
 
-    Tweets carrying a hashtag come from `corpus.hashtag_index`, kept to
-    `day_ids` (the article's day). A tweet's hashtags are harvested once,
-    in the iteration after it joins: every tag of earlier tweets is
-    already labelled, and every day tweet with an earlier specific tag
-    has already joined.
+    Each iteration labels the newly harvested hashtags and admits every
+    tweet of `day_ids` (the article's day) carrying a new specific tag,
+    found through `corpus.hashtag_index`; it stops at a fixpoint or
+    after `params.max_iterations` growth steps. A tweet's hashtags are
+    harvested once, in the iteration after it joins: every tag of
+    earlier tweets is already labelled, and every day tweet with an
+    earlier specific tag has already joined.
     """
     current = set(seed_ids)
     fresh = set(current)
@@ -433,7 +307,7 @@ def _expand(
         for tweet_id in fresh:
             harvested.update(corpus.tweet_by_id[tweet_id].hashtags)
         new_specific = []
-        for label in _label(harvested - specific - generic, window, params, article_id):
+        for label in classify_hashtags(harvested - specific - generic, window, params, article_id):
             if label.kind is HashtagKind.GENERIC:
                 generic.add(label.hashtag)
             else:
@@ -460,29 +334,6 @@ def _expand(
     )
 
 
-def expand_association(
-    article: NewsArticle,
-    profile: KeywordProfile,
-    corpus: Corpus,
-    params: RelevanceParams,
-    history: HistoryWindow | None = None,
-    seed_ids: set[str] | None = None,
-) -> ArticleAssociation:
-    """Grow the article's tweet set from seeds via specific hashtags.
-
-    Each iteration classifies newly harvested hashtags and admits every
-    same-day tweet carrying any article-specific hashtag; iteration
-    stops at a fixpoint or after `params.max_iterations` growth steps.
-    """
-    day = article.published_day
-    if seed_ids is None:
-        seed_ids = seed_tweets(profile, corpus.tweets_on(day), params.min_overlap)
-    if history is None:
-        history = build_history(corpus, article, params)
-    day_ids = set(corpus.tweet_date_index.get(day, ()))
-    return _expand(article.id, seed_ids, _stats_of(history, params), day_ids, corpus, params)
-
-
 def associate_all(
     corpus: Corpus, params: RelevanceParams, stream: IO[str] | None = None
 ) -> list[ArticleAssociation]:
@@ -496,26 +347,28 @@ def associate_all(
     """
     stream = stream if stream is not None else sys.stderr
     stopwords = default_stopwords()
-    profiles = _profile_all(corpus.articles, params, stopwords)
+    profiles = tfidf_keywords(corpus.articles, params, stopwords)
     for article_id in sorted(a.id for a in corpus.articles if a.id not in profiles):
         stream.write(json.dumps({"kind": "unindexable_article", "article_id": article_id}) + "\n")
 
     articles_on: dict[date, list[NewsArticle]] = {}
     for a in corpus.articles:
         articles_on.setdefault(a.published_day, []).append(a)
-    history = _SlidingHistory(params.history_days)
+    history = _SlidingHistory()
     associations = []
     for day in sorted(corpus.tweet_date_index.keys() | articles_on.keys()):
         day_articles = articles_on.get(day, [])
         day_tweets = corpus.tweets_on(day)
         keywords = {a.id: profiles[a.id].tokens() for a in day_articles if a.id in profiles}
-        seeds = _seed_sets(keywords, day_tweets, params.min_overlap, stopwords)
+        seeds = seed_tweets(keywords, day_tweets, params.min_overlap, stopwords)
         if day_articles:
-            window = history.window(day, params.generic_frequency_quantile)
+            window = build_history(history, day, params)
             day_ids = set(corpus.tweet_date_index.get(day, ()))
             for a in day_articles:
                 if a.id in seeds:
-                    associations.append(_expand(a.id, seeds[a.id], window, day_ids, corpus, params))
+                    associations.append(
+                        expand_association(a.id, seeds[a.id], window, day_ids, corpus, params)
+                    )
                 else:
                     empty = frozenset()
                     associations.append(ArticleAssociation(a.id, empty, empty, empty, empty, 0))

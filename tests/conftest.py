@@ -21,7 +21,8 @@ def golden_corpus():
 
 @pytest.fixture(scope="session")
 def golden_associations(golden_corpus):
-    from nextday.relevance import RelevanceParams, associate_all
+    from nextday.config import RelevanceParams
+    from nextday.relevance import associate_all
 
     return associate_all(golden_corpus, RelevanceParams())
 

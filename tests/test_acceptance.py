@@ -17,21 +17,14 @@ import numpy as np
 import pytest
 
 from nextday.cli import main
+from nextday.config import CartConfig, ForestConfig, RelevanceParams, SvmConfig
 from nextday.features import emotion_variance, sentiment_variance
-from nextday.learn import (
-    CartConfig,
-    ForestConfig,
-    f_score,
-    stratified_folds,
-    train_cart,
-    train_forest,
-    train_svm,
-)
-from nextday.learn.svm import SvmConfig
+from nextday.learn import f_score, stratified_folds, train_cart, train_forest, train_svm
 from nextday.lexicons import SentimentLexicon, default_sentiment_lexicon, score_sentiment
-from nextday.relevance import RelevanceParams, association_to_dict, classify_hashtags, build_history
+from nextday.relevance import association_to_dict, classify_hashtags
 
 from signal_corpus import write_signal_corpus
+from util import history_windows
 
 
 @contextmanager
@@ -91,7 +84,7 @@ def test_criterion_3_association_fixpoint(golden_dir, golden_corpus, golden_asso
     with criterion(3, "hashtag labels and expansion on the golden corpus", 5.0):
         params = RelevanceParams()
         art = golden_corpus.article_by_id["a001"]
-        history = build_history(golden_corpus, art, params)
+        history = history_windows(golden_corpus, params)[art.published_day]
         labels = {
             l.hashtag: l.kind.value
             for l in classify_hashtags(

@@ -356,6 +356,17 @@ class TestEvaluate:
         assert str(path) in err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_repeated_article_id_exit_three(self, capsys, prepared, tmp_path):
+        path = tmp_path / "out" / "features_title_polarity.csv"
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join(rows + rows[1:2]) + "\n")  # header, 26 rows, row 1 again
+        code, _, err = run(
+            capsys, "evaluate", "--config", str(prepared), "--scheme", "title_polarity"
+        )
+        assert code == 3
+        assert_one_error_line(err, f"{path}:28: article id 'a001' repeats line 2")
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_report_command_rerenders(self, capsys, prepared, tmp_path):
         assert run(capsys, "evaluate", "--config", str(prepared), "--scheme", "proposed")[0] == 0
         md = tmp_path / "out" / "report.md"
@@ -399,10 +410,12 @@ class TestConfigPlumbing:
             ("relevance.history_days=1.5", "'relevance.history_days' must be an integer, got 1.5"),
             ("learn.forest.n_trees=true", "'learn.forest.n_trees' must be an integer, got true"),
             ("learn.cart=5", "'learn.cart' must be an object, got 5"),
+            ("learn.forest.seed=7", "unknown config key 'learn.forest.seed'"),
+            ("learn.svm.seed=99", "unknown config key 'learn.svm.seed'"),
         ],
         ids=[
             "float-epochs", "float-k", "string-threshold", "float-history", "bool-trees",
-            "number-section",
+            "number-section", "forest-seed", "svm-seed",
         ],
     )
     def test_wrong_value_type_rejected(self, capsys, golden_config, setting, message):
@@ -611,3 +624,28 @@ class TestColdStart:
         assert list(inspect.signature(nextday.cli.kfold_cv).parameters) == [
             "data", "k", "classifier_cfgs", "seed",
         ]
+
+    def test_traced_golden_run_fills_every_layer_metric(self, monkeypatch, golden_config, tmp_path):
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        from tracing import Tracer, association_counts, layer_metrics
+        from workloads import STAGES, WORKLOADS, stage_argv
+
+        common = ["--config", str(golden_config())]
+        tracer = Tracer()
+        tracer.install()
+        try:
+            for stage in STAGES:
+                argv = stage_argv(WORKLOADS["golden-26"], stage, common)
+                assert tracer.run_stage(stage, lambda: main(argv)) == 0
+        finally:
+            tracer.uninstall()
+        assoc = association_counts(tmp_path / "out" / "associations.jsonl")
+        metrics = {name: value for name, (value, _) in layer_metrics(tracer, assoc, 0.0).items()}
+        assert [name for name, value in metrics.items() if value is None] == []
+        relevance_calls = {
+            name: n
+            for name, n in metrics.items()
+            if name.startswith("relevance.") and name.endswith(".calls")
+        }
+        assert len(relevance_calls) == 5
+        assert min(relevance_calls.values()) >= 1

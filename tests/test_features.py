@@ -8,11 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nextday import features
+from nextday.config import ALL_SCHEMES, FeatureParams
 from nextday.corpus import load_articles
 from nextday.features import (
-    ALL_SCHEMES,
     BaselineFeatures,
-    FeatureParams,
     TextMemo,
     article_content_features,
     article_polarity_features,

@@ -5,14 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nextday.corpus import load_corpus
-from nextday.features import FeatureParams, assemble_matrix, write_feature_csv
+from nextday.config import CartConfig, FeatureParams, ForestConfig, RelevanceParams, SvmConfig
+from nextday.corpus import DatasetError, load_corpus
+from nextday.features import assemble_matrix, write_feature_csv
 from nextday.learn import (
-    CartConfig,
     Dataset,
-    DatasetError,
-    ForestConfig,
-    SvmConfig,
     f_score,
     kfold_cv,
     metrics,
@@ -25,7 +22,7 @@ from nextday.learn.cv import default_classifier_configs
 from nextday.learn.svm import SvmModel, hinge_objective
 from nextday.learn.tree import Node, best_split
 from nextday.lexicons import default_lexicons
-from nextday.relevance import RelevanceParams, associate_all
+from nextday.relevance import associate_all
 from signal_corpus import write_signal_corpus
 
 # two features, eight rows; the second feature separates cleanly at 3.5

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nextday.corpus import LexiconError
 from nextday.lexicons import (
     EMOTION_CATEGORIES,
     EmotionLexicon,
-    LexiconError,
     Sentiment,
     SentimentLexicon,
     classify_sentiment,

@@ -9,13 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nextday import relevance
+from nextday.config import RelevanceParams
 from nextday.corpus import DatasetError, load_corpus
 from nextday.relevance import (
     HashtagKind,
-    HistoryWindow,
-    KeywordProfile,
-    RelevanceError,
-    RelevanceParams,
     article_text,
     associate_all,
     association_to_dict,
@@ -30,27 +27,30 @@ from nextday.relevance import (
 from nextday.text import content_tokens, default_stopwords
 
 from signal_corpus import write_signal_corpus
-from util import article, corpus_of, tweet, utc
+from util import article, corpus_of, history_windows, tweet, utc
+
+
+def profiles(*articles, **params):
+    return tfidf_keywords(articles, RelevanceParams(**params), default_stopwords())
 
 
 class TestTfidfKeywords:
     def test_repeated_unique_token_ranks_first(self):
         target = article(id="a1", title="city hall", body="scandal scandal scandal erupts")
         other = article(id="a2", title="weather desk", body="sunny skies expected again")
-        profile = tfidf_keywords(target, [target, other])
-        assert profile.keywords[0][0] == "scandal"
+        assert profiles(target, other)["a1"].keywords[0][0] == "scandal"
 
     def test_tie_breaks_lexicographically(self):
         target = article(id="a1", title="zebra apple", body="zebra apple")
         other = article(id="a2", title="plain filler", body="plain filler words")
-        profile = tfidf_keywords(target, [target, other])
+        profile = profiles(target, other)["a1"]
         assert [t for t, _ in profile.keywords[:2]] == ["apple", "zebra"]
 
     def test_three_document_hand_table(self):
         d1 = article(id="d1", title="iran ransom", body="ransom cash cash deal")
         d2 = article(id="d2", title="trade deal", body="trade trade tariffs deal")
         d3 = article(id="d3", title="storm watch", body="storm rain rain coast")
-        profile = tfidf_keywords(d1, [d1, d2, d3])
+        profile = profiles(d1, d2, d3)["d1"]
         # six tokens in d1; df(ransom)=df(cash)=df(iran)=1, df(deal)=2, D=3
         expected = [
             ("cash", (2 / 6) * math.log(1.0 + 3 / 1)),
@@ -61,82 +61,77 @@ class TestTfidfKeywords:
         assert list(profile.keywords) == expected
         assert round(expected[0][1], 4) == 0.4621
 
-    def test_article_added_to_background_for_idf(self):
-        d1 = article(id="d1", title="iran ransom", body="ransom cash cash deal")
-        d2 = article(id="d2", title="trade deal", body="trade trade tariffs deal")
-        d3 = article(id="d3", title="storm watch", body="storm rain rain coast")
-        with_self = tfidf_keywords(d1, [d1, d2, d3])
-        without_self = tfidf_keywords(d1, [d2, d3])
-        assert with_self == without_self
-
     def test_k_limits_keywords(self):
         target = article(id="a1", title="one two", body="alpha beta gamma delta")
-        profile = tfidf_keywords(target, [target], k=2)
-        assert len(profile.keywords) == 2
+        assert len(profiles(target, keyword_count=2)["a1"].keywords) == 2
 
     def test_stopword_only_article_rejected(self):
         empty = article(id="a1", title="the of", body="and the of to")
-        with pytest.raises(RelevanceError, match="no indexable tokens"):
-            tfidf_keywords(empty, [empty])
+        other = article(id="a2", title="ransom payment", body="ransom")
+        assert list(profiles(empty, other)) == ["a2"]
 
     def test_short_tokens_filtered(self):
         target = article(id="a1", title="ab cd", body="ab cd ransom ransom")
-        profile = tfidf_keywords(target, [target])
-        assert [t for t, _ in profile.keywords] == ["ransom"]
+        assert [t for t, _ in profiles(target)["a1"].keywords] == ["ransom"]
 
     def test_title_only_source(self):
         target = article(id="a1", title="ransom payment", body="weather weather weather")
-        profile = tfidf_keywords(target, [target], source="title")
+        profile = profiles(target, keywords_source="title")["a1"]
         assert {t for t, _ in profile.keywords} == {"ransom", "payment"}
 
 
-def profile_of(*tokens, article_id="a1"):
-    return KeywordProfile(article_id=article_id, keywords=tuple((t, 1.0) for t in tokens))
+def seeds_of(keywords, tweets, min_overlap):
+    """Seed ids of one article with these keywords."""
+    return seed_tweets({"a1": set(keywords)}, tweets, min_overlap, default_stopwords())["a1"]
 
 
 class TestSeedTweets:
     def test_tweet_with_all_keywords_selected(self):
-        profile = profile_of("iran", "ransom", "cash")
         tw = tweet(text="iran ransom cash")
         for overlap in (1, 2, 3):
-            assert seed_tweets(profile, [tw], overlap) == {"t1"}
+            assert seeds_of(["iran", "ransom", "cash"], [tw], overlap) == {"t1"}
 
     def test_zero_overlap_never_selected(self):
-        profile = profile_of("iran", "ransom", "cash")
-        assert seed_tweets(profile, [tweet(text="sunny weather today")], 1) == set()
+        assert seeds_of(["iran", "ransom", "cash"], [tweet(text="sunny weather today")], 1) == set()
 
     def test_partial_overlap_thresholds(self):
-        profile = profile_of("iran", "ransom", "obama", "cash", "secret")
+        keywords = ["iran", "ransom", "obama", "cash", "secret"]
         tw = tweet(text="he gave $400 million in cash to Iran")
-        assert seed_tweets(profile, [tw], 2) == {"t1"}
-        assert seed_tweets(profile, [tw], 3) == set()
+        assert seeds_of(keywords, [tw], 2) == {"t1"}
+        assert seeds_of(keywords, [tw], 3) == set()
 
     def test_min_overlap_validated(self):
         with pytest.raises(ValueError):
-            seed_tweets(profile_of("iran"), [], 0)
+            seeds_of(["iran"], [], 0)
+
+    def test_overlap_counted_per_article(self):
+        keywords = {"a1": {"iran", "cash"}, "a2": {"iran", "storm"}, "a3": {"coast"}}
+        tweets = [tweet(id="t1", text="iran cash storm"), tweet(id="t2", text="iran coast")]
+        seeds = seed_tweets(keywords, tweets, 2, default_stopwords())
+        assert seeds == {"a1": {"t1"}, "a2": {"t1"}, "a3": set()}
 
 
-def window(counts=None, articles=None, tweet_ids=("w1",)) -> HistoryWindow:
-    return HistoryWindow(
-        tweet_ids=frozenset(tweet_ids),
-        hashtag_counts=dict(counts or {}),
-        hashtag_articles={k: frozenset(v) for k, v in (articles or {}).items()},
-    )
+DAY = utc(hour=9).date()
+
+
+def window(counts=None, articles=None, tweets=1):
+    """The window `build_history` gives over one prior day holding `tweets`
+    tweets, these hashtag usage counts and these attached-article counts."""
+    history = relevance._SlidingHistory()
+    history.add(DAY - timedelta(days=1), tweets, Counter(counts or {}), dict(articles or {}))
+    return build_history(history, DAY, RelevanceParams())
 
 
 class TestClassifyHashtags:
     def test_rare_single_article_tag_is_specific(self):
-        history = window(counts={"odd": 1, "busy": 30}, articles={"odd": {"p1"}})
-        (label,) = [l for l in classify_hashtags({"odd"}, history, RelevanceParams(), "a1")]
+        history = window(counts={"odd": 1, "busy": 30}, articles={"odd": 1})
+        (label,) = classify_hashtags({"odd"}, history, RelevanceParams(), "a1")
         assert label.kind is HashtagKind.ARTICLE_SPECIFIC
         assert label.article_id == "a1"
 
     def test_tag_on_many_articles_is_generic(self):
-        history = window(
-            counts={"maga": 12},
-            articles={"maga": {"p1", "p2", "p3", "p4", "p5"}},
-        )
-        (label,) = classify_hashtags({"maga"}, history, RelevanceParams())
+        history = window(counts={"maga": 12}, articles={"maga": 5})
+        (label,) = classify_hashtags({"maga"}, history, RelevanceParams(), "a1")
         assert label.kind is HashtagKind.GENERIC
         assert label.article_id is None
 
@@ -144,12 +139,16 @@ class TestClassifyHashtags:
         counts = {"viral": 90}
         counts.update({f"tail{i}": 1 for i in range(20)})
         history = window(counts=counts)
-        labels = {l.hashtag: l.kind for l in classify_hashtags({"viral", "tail0"}, history, RelevanceParams())}
+        labels = {
+            l.hashtag: l.kind
+            for l in classify_hashtags({"viral", "tail0"}, history, RelevanceParams(), "a1")
+        }
         assert labels["viral"] is HashtagKind.GENERIC
         assert labels["tail0"] is HashtagKind.ARTICLE_SPECIFIC
 
     def test_empty_history_all_specific_with_warning(self, caplog):
-        history = window(tweet_ids=())
+        history = window(tweets=0)
+        assert history.empty
         with caplog.at_level("WARNING"):
             labels = classify_hashtags({"a", "b"}, history, RelevanceParams(), "a9")
         assert all(l.kind is HashtagKind.ARTICLE_SPECIFIC for l in labels)
@@ -157,7 +156,7 @@ class TestClassifyHashtags:
 
     def test_output_sorted_by_hashtag(self):
         history = window(counts={"z": 1, "a": 1})
-        labels = classify_hashtags({"z", "a", "m"}, history, RelevanceParams())
+        labels = classify_hashtags({"z", "a", "m"}, history, RelevanceParams(), "a1")
         assert [l.hashtag for l in labels] == ["a", "m", "z"]
 
 
@@ -177,36 +176,37 @@ def six_tweet_corpus():
     return corpus_of(articles=[art], tweets=tweets), art
 
 
+def associate_one(corpus):
+    (assoc,) = associate_all(corpus, RelevanceParams(), stream=io.StringIO())
+    return assoc
+
+
 class TestExpandAssociation:
     def test_zero_seed_article(self):
         art = article(id="ax", title="quiet piece", body="entirely calm reporting today")
-        corpus = corpus_of(articles=[art], tweets=[tweet(text="unrelated chatter")])
-        profile = tfidf_keywords(art, [art])
-        assoc = expand_association(art, profile, corpus, RelevanceParams())
+        assoc = associate_one(corpus_of(articles=[art], tweets=[tweet(text="unrelated chatter")]))
         assert assoc.seed_tweet_ids == frozenset()
         assert assoc.expanded_tweet_ids == frozenset()
         assert assoc.iterations_run == 0
 
     def test_specific_hashtag_pulls_five_more(self):
-        corpus, art = six_tweet_corpus()
-        profile = tfidf_keywords(art, list(corpus.articles))
-        assoc = expand_association(art, profile, corpus, RelevanceParams())
+        corpus, _ = six_tweet_corpus()
+        assoc = associate_one(corpus)
         assert assoc.seed_tweet_ids == {"t1"}
         assert assoc.expanded_tweet_ids == {"t1", "t2", "t3", "t4", "t5", "t6"}
         assert assoc.iterations_run == 1
         assert assoc.article_specific_hashtags == {"rigged"}
 
-    def test_all_generic_hashtags_block_expansion(self):
+    def test_all_generic_hashtags_block_expansion(self, monkeypatch):
         day = utc(hour=9)
         art = article(id="ax", title="vote fraud ballots", body="vote fraud ballots again", when=day)
         tweets = [
             tweet(id="t1", text="vote fraud ballots everywhere #maga", when=day),
             tweet(id="t2", text="unrelated cheering #maga", when=day),
         ]
-        corpus = corpus_of(articles=[art], tweets=tweets)
-        history = window(counts={"maga": 40}, articles={"maga": {f"p{i}" for i in range(5)}})
-        profile = tfidf_keywords(art, list(corpus.articles))
-        assoc = expand_association(art, profile, corpus, RelevanceParams(), history=history)
+        history = window(counts={"maga": 40}, articles={"maga": 5})
+        monkeypatch.setattr(relevance, "build_history", lambda *args: history)
+        assoc = associate_one(corpus_of(articles=[art], tweets=tweets))
         assert assoc.expanded_tweet_ids == assoc.seed_tweet_ids == {"t1"}
         assert assoc.generic_hashtags == {"maga"}
         assert assoc.iterations_run == 0
@@ -214,25 +214,29 @@ class TestExpandAssociation:
 
 class TestAssociationProperties:
     def test_expansion_monotone_in_iterations(self, golden_corpus):
-        art = golden_corpus.article_by_id["a002"]
-        profile = tfidf_keywords(art, list(golden_corpus.articles))
-        previous = frozenset()
+        previous = {}
         for limit in (1, 2, 3):
-            assoc = expand_association(
-                art, profile, golden_corpus, RelevanceParams(max_iterations=limit)
-            )
-            assert previous <= assoc.expanded_tweet_ids
-            previous = assoc.expanded_tweet_ids
+            expanded = {
+                a.article_id: a.expanded_tweet_ids
+                for a in associate_all(golden_corpus, RelevanceParams(max_iterations=limit))
+            }
+            assert all(previous[i] <= expanded[i] for i in previous)
+            previous = expanded
 
     def test_fixpoint(self, golden_corpus, golden_associations):
         params = RelevanceParams()
+        windows = history_windows(golden_corpus, params)
         for assoc in golden_associations:
             if assoc.iterations_run >= params.max_iterations:
                 continue
-            art = golden_corpus.article_by_id[assoc.article_id]
-            profile = tfidf_keywords(art, list(golden_corpus.articles))
+            day = golden_corpus.article_by_id[assoc.article_id].published_day
             again = expand_association(
-                art, profile, golden_corpus, params, seed_ids=set(assoc.expanded_tweet_ids)
+                assoc.article_id,
+                assoc.expanded_tweet_ids,
+                windows[day],
+                set(golden_corpus.tweet_date_index.get(day, ())),
+                golden_corpus,
+                params,
             )
             assert again.expanded_tweet_ids == assoc.expanded_tweet_ids
 
@@ -303,10 +307,10 @@ class TestGoldenAgreement:
                 assert by_id[expected["article_id"]] == expected
 
     def test_history_attachment_counts(self, golden_corpus):
-        art = golden_corpus.article_by_id["a001"]
-        history = build_history(golden_corpus, art, RelevanceParams())
+        day = golden_corpus.article_by_id["a001"].published_day
+        history = history_windows(golden_corpus, RelevanceParams())[day]
         for tag in ("whitehouse", "trump2016", "chicago"):
-            assert len(history.hashtag_articles[tag]) >= 5
+            assert history.article_counts[tag] >= 5
         assert "irandeal" not in history.hashtag_counts
 
 

@@ -1,9 +1,12 @@
 """Small builders shared across test modules."""
 
+import io
 import json
 import os
 from datetime import datetime, timezone
 from pathlib import Path
+
+import pytest
 
 from nextday.corpus import NewsArticle, Tweet, UserProfile, build_corpus
 from nextday.text import extract_hashtags
@@ -70,3 +73,20 @@ def user(user_id="u1", followers=10, last_active=None, verified=False):
 
 def corpus_of(articles=(), tweets=(), users=()):
     return build_corpus(list(articles), list(tweets), list(users))
+
+
+def history_windows(corpus, params) -> dict:
+    """Per article day, the history window `associate_all` builds for it."""
+    from nextday import relevance
+
+    windows = {}
+    build_history = relevance.build_history
+
+    def capture(history, day, params):
+        windows[day] = build_history(history, day, params)
+        return windows[day]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relevance, "build_history", capture)
+        relevance.associate_all(corpus, params, stream=io.StringIO())
+    return windows
