@@ -19,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING
 
@@ -74,7 +74,7 @@ def _write_run_meta(config: PipelineConfig, command: str, argv: list[str], start
         "started_at": started,
         "finished_at": _now(),
         "version": __version__,
-        "effective_config": config.effective_dict(),
+        "effective_config": asdict(config),
     }
     _write_text(out / "run_meta.json", json.dumps(meta, indent=2) + "\n")
 
@@ -240,6 +240,11 @@ def cmd_evaluate(config: PipelineConfig, args) -> int:
     base_seed = config.learn.seed
     seeds = [base_seed + r for r in range(repeats)]
 
+    cfgs = {
+        "random_forest": config.learn.forest,
+        "linear_svm": config.learn.svm,
+        "cart": config.learn.cart,
+    }
     jobs = []
     first = None  # (path, article ids) of the first feature file read
     for scheme in schemes:
@@ -251,13 +256,7 @@ def cmd_evaluate(config: PipelineConfig, args) -> int:
             first = (path, data.article_ids)
         elif data.article_ids != first[1]:
             raise DatasetError(f"{path}: article ids differ from those of {first[0]}")
-        for seed in seeds:
-            cfgs = {
-                "random_forest": replace(config.learn.forest, seed=seed),
-                "linear_svm": replace(config.learn.svm, seed=seed),
-                "cart": config.learn.cart,
-            }
-            jobs.append((data, config.learn.k, cfgs, seed))
+        jobs += [(data, config.learn.k, cfgs, seed) for seed in seeds]
     reports = _run_jobs(jobs, args.parallel)
     runs = {
         scheme: reports[i * repeats : (i + 1) * repeats] for i, scheme in enumerate(schemes)
@@ -265,7 +264,7 @@ def cmd_evaluate(config: PipelineConfig, args) -> int:
 
     # paths are machine-specific run metadata (present in run_meta.json);
     # keeping them out makes report.json location-independent
-    snapshot = {k: v for k, v in config.effective_dict().items() if k != "paths"}
+    snapshot = {k: v for k, v in asdict(config).items() if k != "paths"}
     report = build_report(runs, config.learn.k, seeds, snapshot)
     _write_text(out / "report.json", json.dumps(report, indent=2) + "\n")
     markdown = render_report_md(report)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 
 from nextday.text import decode_utf8
@@ -70,15 +70,14 @@ class ForestConfig:
     n_trees: int = 100
     bootstrap: bool = True
     max_features: int | None = None  # None = ceil(sqrt(d))
-    seed: int = 0
-    tree: CartConfig = field(default_factory=CartConfig)
+    max_depth: int = 8
+    min_samples_leaf: int = 2
 
 
 @dataclass(frozen=True)
 class SvmConfig:
     c: float = 1.0
     epochs: int = 200
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -113,51 +112,6 @@ class PipelineConfig:
                 raise ConfigError(
                     f"cannot read required input 'paths.{name}' at {value!r}: {exc.strerror}"
                 ) from None
-
-    def effective_dict(self) -> dict:
-        return {
-            "paths": {
-                "articles": self.paths.articles,
-                "tweets": self.paths.tweets,
-                "users": self.paths.users,
-                "output_dir": self.paths.output_dir,
-                "sentiment_lexicon": self.paths.sentiment_lexicon,
-                "emotion_lexicon": self.paths.emotion_lexicon,
-                "negators": self.paths.negators,
-                "boosters": self.paths.boosters,
-            },
-            "relevance": {
-                "min_overlap": self.relevance.min_overlap,
-                "generic_article_threshold": self.relevance.generic_article_threshold,
-                "generic_frequency_quantile": self.relevance.generic_frequency_quantile,
-                "max_iterations": self.relevance.max_iterations,
-                "history_days": self.relevance.history_days,
-                "keywords_source": self.relevance.keywords_source,
-                "keyword_count": self.relevance.keyword_count,
-            },
-            "features": {
-                "active_window_days": self.features.active_window_days,
-                "similarity_threshold": self.features.similarity_threshold,
-                "authoritative": self.features.authoritative,
-            },
-            "learn": {
-                "k": self.learn.k,
-                "seed": self.learn.seed,
-                "repeats": self.learn.repeats,
-                "cart": {
-                    "max_depth": self.learn.cart.max_depth,
-                    "min_samples_leaf": self.learn.cart.min_samples_leaf,
-                },
-                "forest": {
-                    "n_trees": self.learn.forest.n_trees,
-                    "bootstrap": self.learn.forest.bootstrap,
-                    "max_features": self.learn.forest.max_features,
-                    "max_depth": self.learn.forest.tree.max_depth,
-                    "min_samples_leaf": self.learn.forest.tree.min_samples_leaf,
-                },
-                "svm": {"c": self.learn.svm.c, "epochs": self.learn.svm.epochs},
-            },
-        }
 
 
 def _set_path(tree: dict, dotted: str, value) -> None:
@@ -212,66 +166,36 @@ _TYPE_RULES = {
 }
 
 
-def _section(value, context: str) -> dict:
-    """A copy of the config object `value`."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"'{context}' must be an object, got {json.dumps(value)}")
-    return dict(value)
+def _build(section, cls, context: str):
+    """`cls` from the config object `section`, checking each value's type.
 
-
-# Fields no file may set: `evaluate` derives both seeds from learn.seed and
-# the repeat.
-_DERIVED = {"learn.forest.seed", "learn.svm.seed"}
-
-
-def _build(section: dict, cls, context: str, **extra):
+    A field whose default is a config dataclass is a nested section and is
+    built the same way.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{context}' must be an object, got {json.dumps(section)}")
     fields = cls.__dataclass_fields__
+    values = {}
     for key, value in section.items():
-        # nested sections (learn.cart, learn.forest.tree, ...) come in `extra`
-        if (
-            key not in fields
-            or fields[key].type not in _TYPE_RULES
-            or f"{context}.{key}" in _DERIVED
-        ):
-            raise ConfigError(f"unknown config key '{context}.{key}'")
-        accepts, wanted = _TYPE_RULES[fields[key].type]
+        name = f"{context}.{key}" if context else key
+        if key not in fields:
+            raise ConfigError(f"unknown config key '{name}'")
+        spec = fields[key]
+        if is_dataclass(spec.default_factory):
+            values[key] = _build(value, spec.default_factory, name)
+            continue
+        accepts, wanted = _TYPE_RULES[spec.type]
         if not accepts(value):
-            raise ConfigError(f"'{context}.{key}' must be {wanted}, got {json.dumps(value)}")
-    return cls(**{**section, **extra})
+            raise ConfigError(f"'{name}' must be {wanted}, got {json.dumps(value)}")
+        values[key] = value
+    return cls(**values)
 
 
 def config_from_dict(tree: dict) -> PipelineConfig:
-    unknown = set(tree) - {"paths", "relevance", "features", "learn"}
+    unknown = set(tree) - set(PipelineConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown config section(s): {', '.join(sorted(unknown))}")
-    learn_section = _section(tree.get("learn", {}), "learn")
-    cart_section = _section(learn_section.pop("cart", {}), "learn.cart")
-    forest_section = _section(learn_section.pop("forest", {}), "learn.forest")
-    svm_section = _section(learn_section.pop("svm", {}), "learn.svm")
-    forest_depth = {
-        key: forest_section.pop(key)
-        for key in ("max_depth", "min_samples_leaf")
-        if key in forest_section
-    }
-    learn = _build(learn_section, LearnParams, "learn")
-    config = PipelineConfig(
-        paths=_build(_section(tree.get("paths", {}), "paths"), PathsConfig, "paths"),
-        relevance=_build(
-            _section(tree.get("relevance", {}), "relevance"), RelevanceParams, "relevance"
-        ),
-        features=_build(_section(tree.get("features", {}), "features"), FeatureParams, "features"),
-        learn=replace(
-            learn,
-            cart=_build(cart_section, CartConfig, "learn.cart"),
-            forest=_build(
-                forest_section,
-                ForestConfig,
-                "learn.forest",
-                tree=_build(forest_depth, CartConfig, "learn.forest"),
-            ),
-            svm=_build(svm_section, SvmConfig, "learn.svm"),
-        ),
-    )
+    config = _build(tree, PipelineConfig, "")
     _validate(config)
     return config
 
@@ -301,6 +225,12 @@ def _validate(config: PipelineConfig) -> None:
         (config.learn.cart.max_depth >= 0, "learn.cart.max_depth must be >= 0"),
         (config.learn.cart.min_samples_leaf >= 1, "learn.cart.min_samples_leaf must be >= 1"),
         (config.learn.forest.n_trees >= 1, "learn.forest.n_trees must be >= 1"),
+        (
+            config.learn.forest.max_features is None or config.learn.forest.max_features >= 1,
+            "learn.forest.max_features must be null or >= 1",
+        ),
+        (config.learn.forest.max_depth >= 0, "learn.forest.max_depth must be >= 0"),
+        (config.learn.forest.min_samples_leaf >= 1, "learn.forest.min_samples_leaf must be >= 1"),
         (config.learn.svm.c > 0, "learn.svm.c must be > 0"),
         (config.learn.svm.epochs >= 1, "learn.svm.epochs must be >= 1"),
     ]

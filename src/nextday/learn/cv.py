@@ -6,11 +6,10 @@ import csv
 import io
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from nextday.config import CartConfig, ForestConfig, SvmConfig
 from nextday.corpus import DatasetError
 from nextday.learn.svm import train_svm
 from nextday.learn.tree import train_cart, train_forest
@@ -106,22 +105,14 @@ def stratified_folds(y, k: int, seed: int) -> list[list[int]]:
     return [sorted(fold) for fold in folds]
 
 
-def _train(name: str, cfg, x, y, feature_names, fold: int):
+def _train(name: str, cfg, x, y, feature_names, seed: int):
     if name == "cart":
         return train_cart(x, y, cfg, feature_names)
     if name == "random_forest":
-        return train_forest(x, y, replace(cfg, seed=cfg.seed * 1000 + fold), feature_names)
+        return train_forest(x, y, cfg, feature_names, seed)
     if name == "linear_svm":
-        return train_svm(x, y, replace(cfg, seed=cfg.seed * 1000 + fold), feature_names)
+        return train_svm(x, y, cfg, feature_names, seed)
     raise ValueError(f"unknown classifier {name!r}")
-
-
-def default_classifier_configs(seed: int = 0) -> dict:
-    return {
-        "random_forest": ForestConfig(seed=seed),
-        "linear_svm": SvmConfig(seed=seed),
-        "cart": CartConfig(),
-    }
 
 
 def _confusion(y_true: np.ndarray, y_pred: np.ndarray) -> dict[str, int]:
@@ -175,7 +166,8 @@ def _round_tree(value):
 def kfold_cv(data: Dataset, k: int, classifier_cfgs: dict, seed: int) -> EvalReport:
     """Stratified k-fold evaluation of every configured classifier.
 
-    All classifiers see the same fold assignment. Headline metrics come
+    All classifiers see the same fold assignment; the forest and the SVM
+    on fold f are seeded `seed * 1000 + f`. Headline metrics come
     from the confusion matrix pooled over folds; per-fold numbers and
     their mean are reported alongside.
     """
@@ -190,7 +182,8 @@ def kfold_cv(data: Dataset, k: int, classifier_cfgs: dict, seed: int) -> EvalRep
             x_train, y_train = data.x[~test_mask], data.y[~test_mask]
             x_test, y_test = data.x[test_mask], data.y[test_mask]
             model = _train(
-                name, classifier_cfgs[name], x_train, y_train, data.feature_names, fold_index
+                name, classifier_cfgs[name], x_train, y_train, data.feature_names,
+                seed * 1000 + fold_index,
             )
             counts = _confusion(y_test, model.predict(x_test))
             for key in pooled:

@@ -12,12 +12,9 @@ from nextday.config import SvmConfig
 
 log = logging.getLogger(__name__)
 
-SVM_KIND = "linear_svm"
-
 
 @dataclass
 class SvmModel:
-    kind = SVM_KIND
     config: SvmConfig
     weights: np.ndarray
     bias: float
@@ -35,27 +32,8 @@ class SvmModel:
             matrix = matrix[np.newaxis, :]
         return self._standardize(matrix) @ self.weights + self.bias
 
-    def predict_row(self, row) -> int:
-        return 1 if self.decision(row)[0] > 0.0 else 0
-
     def predict(self, x) -> np.ndarray:
         return (self.decision(x) > 0.0).astype(np.int8)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "config": {
-                "c": self.config.c,
-                "epochs": self.config.epochs,
-                "seed": self.config.seed,
-            },
-            "feature_names": list(self.feature_names),
-            "weights": self.weights.tolist(),
-            "bias": self.bias,
-            "mean": self.mean.tolist(),
-            "scale": self.scale.tolist(),
-            "objective_history": list(self.objective_history),
-        }
 
 
 def hinge_objective(weights: np.ndarray, bias: float, x: np.ndarray, signs: np.ndarray, c: float) -> float:
@@ -65,7 +43,7 @@ def hinge_objective(weights: np.ndarray, bias: float, x: np.ndarray, signs: np.n
     return 0.5 * float(weights @ weights) + c * float(hinge.sum())
 
 
-def train_svm(x, y, cfg: SvmConfig | None = None, feature_names=()) -> SvmModel:
+def train_svm(x, y, cfg: SvmConfig | None = None, feature_names=(), seed: int = 0) -> SvmModel:
     """Hinge-loss sub-gradient descent with a 1/(lambda*t) step schedule.
 
     Features are standardized from the training data itself (zero
@@ -123,7 +101,7 @@ def train_svm(x, y, cfg: SvmConfig | None = None, feature_names=()) -> SvmModel:
     bias = 0.0
     avg_weights = np.zeros(d)
     avg_bias = 0.0
-    rng = random.Random(f"svm:{cfg.seed}")
+    rng = random.Random(f"svm:{seed}")
     history = []
     step = 0
     for _ in range(cfg.epochs):

@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from nextday.config import CartConfig, ForestConfig
-
-CART_KIND = "cart"
-FOREST_KIND = "random_forest"
 
 
 def best_split(
@@ -112,7 +109,7 @@ def _grow(
     x: np.ndarray,
     y: np.ndarray,
     depth: int,
-    cfg: CartConfig,
+    cfg: CartConfig | ForestConfig,
     rng: random.Random | None,
     max_features: int | None,
 ) -> Node:
@@ -166,33 +163,17 @@ def _as_labels(y) -> np.ndarray:
 
 @dataclass
 class CartModel:
-    kind = CART_KIND
     config: CartConfig
     root: Node
     feature_names: tuple[str, ...] = ()
-
-    def predict_row(self, row) -> int:
-        return _predict_node(self.root, np.asarray(row, dtype=np.float64))
 
     def predict(self, x) -> np.ndarray:
         matrix = _as_matrix(x)
         return np.array([_predict_node(self.root, row) for row in matrix], dtype=np.int8)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "config": {
-                "max_depth": self.config.max_depth,
-                "min_samples_leaf": self.config.min_samples_leaf,
-            },
-            "feature_names": list(self.feature_names),
-            "tree": self.root.to_dict(),
-        }
-
 
 @dataclass
 class ForestModel:
-    kind = FOREST_KIND
     config: ForestConfig
     roots: list[Node]
     feature_names: tuple[str, ...] = ()
@@ -208,17 +189,7 @@ class ForestModel:
 
     def to_dict(self) -> dict:
         return {
-            "kind": self.kind,
-            "config": {
-                "n_trees": self.config.n_trees,
-                "bootstrap": self.config.bootstrap,
-                "max_features": self.config.max_features,
-                "seed": self.config.seed,
-                "tree": {
-                    "max_depth": self.config.tree.max_depth,
-                    "min_samples_leaf": self.config.tree.min_samples_leaf,
-                },
-            },
+            "config": asdict(self.config),
             "feature_names": list(self.feature_names),
             "trees": [root.to_dict() for root in self.roots],
         }
@@ -239,15 +210,15 @@ def train_cart(x, y, cfg: CartConfig | None = None, feature_names=()) -> CartMod
     return CartModel(config=cfg, root=root, feature_names=tuple(feature_names))
 
 
-def tree_seed(seed: int, index: int) -> str:
-    return f"tree:{seed}:{index}"
-
-
-def train_forest(x, y, cfg: ForestConfig | None = None, feature_names=()) -> ForestModel:
+def train_forest(
+    x, y, cfg: ForestConfig | None = None, feature_names=(), seed: int = 0
+) -> ForestModel:
     """Bagged CART ensemble with per-node feature subsampling.
 
-    Each tree's RNG is derived from (seed, tree index) only, so training
-    is reproducible and trees could be grown in any order.
+    Each node searches `cfg.max_features` columns drawn at random (capped
+    at d), or ceil(sqrt(d)) when it is None. Each tree's RNG is derived
+    from (seed, tree index) only, so training is reproducible and trees
+    could be grown in any order.
     """
     cfg = cfg or ForestConfig()
     matrix = _as_matrix(x)
@@ -255,14 +226,16 @@ def train_forest(x, y, cfg: ForestConfig | None = None, feature_names=()) -> For
     n, d = matrix.shape
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
-    max_features = cfg.max_features if cfg.max_features is not None else math.isqrt(d)
-    if max_features * max_features < d:  # ceil(sqrt(d))
-        max_features += 1
+    max_features = cfg.max_features
+    if max_features is None:
+        max_features = math.isqrt(d)
+        if max_features * max_features < d:  # ceil(sqrt(d))
+            max_features += 1
     max_features = min(max_features, d)
 
     roots = []
     for index in range(cfg.n_trees):
-        rng = random.Random(tree_seed(cfg.seed, index))
+        rng = random.Random(f"tree:{seed}:{index}")
         if cfg.bootstrap:
             chosen = [rng.randrange(n) for _ in range(n)]
             sample_x = np.ascontiguousarray(matrix[chosen])
@@ -270,6 +243,6 @@ def train_forest(x, y, cfg: ForestConfig | None = None, feature_names=()) -> For
         else:
             sample_x, sample_y = matrix, labels
         roots.append(
-            _grow(sample_x, sample_y, 0, cfg.tree, rng=rng, max_features=max_features)
+            _grow(sample_x, sample_y, 0, cfg, rng=rng, max_features=max_features)
         )
     return ForestModel(config=cfg, roots=roots, feature_names=tuple(feature_names))

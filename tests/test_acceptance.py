@@ -166,7 +166,7 @@ def test_criterion_5_classifier_unit_properties():
         y = (x[:, 2] > 0).astype(int)
         cart = train_cart(x, y, CartConfig())
         degenerate = train_forest(
-            x, y, ForestConfig(n_trees=1, bootstrap=False, max_features=6, seed=0)
+            x, y, ForestConfig(n_trees=1, bootstrap=False, max_features=6)
         )
         probe = rng.normal(size=(1000, 6))
         assert np.array_equal(cart.predict(probe), degenerate.predict(probe))

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import multiprocessing
@@ -13,6 +14,8 @@ import nextday.corpus
 from nextday.cli import main
 
 from util import child_env, write_golden_config
+
+REPO = Path(__file__).parents[1]
 
 
 def run(capsys, *argv):
@@ -377,6 +380,24 @@ class TestEvaluate:
         assert "RFC" in out
 
 
+def test_golden_artifacts_match_benchmark_reference(capsys, monkeypatch, tmp_path):
+    """All five stages on the golden corpus with `config.example.json` write
+    the bytes whose sha256 digests the benchmark's reference records."""
+    expected = json.loads((REPO / "perfbench" / "reference.json").read_text())["golden-26"]
+    monkeypatch.chdir(REPO)  # the example config names the corpus relative to the root
+    out = tmp_path / "out"
+    common = ["--config", "config.example.json", "--set", f"paths.output_dir={json.dumps(str(out))}"]
+    for stage in ("ingest-check", "associate", "features", "evaluate", "report"):
+        schemes = ["--scheme", "all"] if stage in ("features", "evaluate") else []
+        assert main([stage, *common, *schemes]) == 0, stage
+    capsys.readouterr()
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in expected["artifacts"]
+    }
+    assert digests == expected["artifacts"]
+
+
 class TestConfigPlumbing:
     def test_run_meta_echoes_effective_config(self, capsys, golden_config, tmp_path):
         cfg = golden_config()
@@ -412,10 +433,17 @@ class TestConfigPlumbing:
             ("learn.cart=5", "'learn.cart' must be an object, got 5"),
             ("learn.forest.seed=7", "unknown config key 'learn.forest.seed'"),
             ("learn.svm.seed=99", "unknown config key 'learn.svm.seed'"),
+            ("learn.forest.max_features=-3", "learn.forest.max_features must be null or >= 1"),
+            ("learn.forest.max_features=0", "learn.forest.max_features must be null or >= 1"),
+            ("learn.forest.max_depth=-1", "learn.forest.max_depth must be >= 0"),
+            ("learn.forest.min_samples_leaf=0", "learn.forest.min_samples_leaf must be >= 1"),
+            ("bogus.key=1", "unknown config section(s): bogus"),
         ],
         ids=[
             "float-epochs", "float-k", "string-threshold", "float-history", "bool-trees",
             "number-section", "forest-seed", "svm-seed",
+            "negative-max-features", "zero-max-features", "negative-forest-depth",
+            "zero-forest-leaf", "unknown-section",
         ],
     )
     def test_wrong_value_type_rejected(self, capsys, golden_config, setting, message):
@@ -616,7 +644,7 @@ class TestColdStart:
         assert indexes <= set(vars(associated))
 
     def test_tracer_binds_every_traced_name(self, monkeypatch):
-        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        monkeypatch.syspath_prepend(str(REPO / "perfbench"))
         from tracing import Tracer
 
         assert Tracer().missing == set()
@@ -626,7 +654,7 @@ class TestColdStart:
         ]
 
     def test_traced_golden_run_fills_every_layer_metric(self, monkeypatch, golden_config, tmp_path):
-        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        monkeypatch.syspath_prepend(str(REPO / "perfbench"))
         from tracing import Tracer, association_counts, layer_metrics
         from workloads import STAGES, WORKLOADS, stage_argv
 

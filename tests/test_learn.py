@@ -18,7 +18,6 @@ from nextday.learn import (
     train_forest,
     train_svm,
 )
-from nextday.learn.cv import default_classifier_configs
 from nextday.learn.svm import SvmModel, hinge_objective
 from nextday.learn.tree import Node, best_split
 from nextday.lexicons import default_lexicons
@@ -274,7 +273,7 @@ class TestForest:
         y = (x[:, 1] > 0.2).astype(int)
         cart = train_cart(x, y, CartConfig())
         forest = train_forest(
-            x, y, ForestConfig(n_trees=1, bootstrap=False, max_features=5, seed=3)
+            x, y, ForestConfig(n_trees=1, bootstrap=False, max_features=5), seed=3
         )
         probe = rng.normal(size=(1000, 5))
         assert np.array_equal(cart.predict(probe), forest.predict(probe))
@@ -284,11 +283,26 @@ class TestForest:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(40, 3))
         y = rng.integers(0, 2, size=40)
-        a = train_forest(x, y, ForestConfig(n_trees=5, seed=42))
-        b = train_forest(x, y, ForestConfig(n_trees=5, seed=42))
+        a = train_forest(x, y, ForestConfig(n_trees=5), seed=42)
+        b = train_forest(x, y, ForestConfig(n_trees=5), seed=42)
         assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
-        c = train_forest(x, y, ForestConfig(n_trees=5, seed=43))
+        c = train_forest(x, y, ForestConfig(n_trees=5), seed=43)
         assert json.dumps(a.to_dict()) != json.dumps(c.to_dict())
+
+    @pytest.mark.parametrize("max_features", range(1, 9))
+    def test_each_node_searches_max_features_columns(self, monkeypatch, max_features):
+        widths = []
+
+        def counting(x, y, min_leaf):
+            widths.append(x.shape[1])
+            return best_split(x, y, min_leaf)
+
+        monkeypatch.setattr("nextday.learn.tree.best_split", counting)
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(60, 8))
+        y = (x[:, 0] + x[:, 3] > 0).astype(int)
+        train_forest(x, y, ForestConfig(n_trees=3, max_features=max_features))
+        assert widths and set(widths) == {max_features}
 
     def test_majority_vote(self):
         leaves = [Node(counts=(0, 5)), Node(counts=(0, 5)), Node(counts=(5, 0))]
@@ -327,7 +341,7 @@ class TestSvm:
 
     def test_objective_non_increasing_last_half(self):
         for seed, (x, y) in enumerate([(FOUR_X, FOUR_Y)]):
-            model = train_svm(x, y, SvmConfig(seed=seed))
+            model = train_svm(x, y, SvmConfig(), seed=seed)
             history = model.objective_history
             tail = history[len(history) // 2 :]
             assert all(b <= a for a, b in zip(tail, tail[1:]))
@@ -341,8 +355,8 @@ class TestSvm:
         assert np.array_equal(model.predict(x), y)
 
     def test_determinism(self):
-        a = train_svm(FOUR_X, FOUR_Y, SvmConfig(seed=5))
-        b = train_svm(FOUR_X, FOUR_Y, SvmConfig(seed=5))
+        a = train_svm(FOUR_X, FOUR_Y, SvmConfig(), seed=5)
+        b = train_svm(FOUR_X, FOUR_Y, SvmConfig(), seed=5)
         assert np.array_equal(a.weights, b.weights)
         assert a.objective_history == b.objective_history
 
@@ -353,7 +367,7 @@ class TestSvm:
         assert model.objective_history == ()
 
 
-def reference_train_svm(x, y, cfg: SvmConfig) -> SvmModel:
+def reference_train_svm(x, y, cfg: SvmConfig, seed: int) -> SvmModel:
     """The per-sample loop `train_svm` replaced, kept as an oracle.
 
     It rescales the whole weight vector and updates the running average
@@ -372,7 +386,7 @@ def reference_train_svm(x, y, cfg: SvmConfig) -> SvmModel:
     bias = 0.0
     avg_weights = np.zeros(d)
     avg_bias = 0.0
-    rng = random.Random(f"svm:{cfg.seed}")
+    rng = random.Random(f"svm:{seed}")
     history = []
     step = 0
     for _ in range(cfg.epochs):
@@ -422,9 +436,9 @@ def signal_features(tmp_path_factory):
 
 
 class TestSvmMatchesReferenceLoop:
-    def assert_same_fit(self, x, y, cfg):
-        got = train_svm(x, y, cfg)
-        want = reference_train_svm(x, y, cfg)
+    def assert_same_fit(self, x, y, cfg, seed):
+        got = train_svm(x, y, cfg, seed=seed)
+        want = reference_train_svm(x, y, cfg, seed)
         assert np.array_equal(got.predict(x), want.predict(x))
         np.testing.assert_allclose(got.weights, want.weights, rtol=1e-9)
         np.testing.assert_allclose(got.bias, want.bias, rtol=1e-9)
@@ -437,24 +451,24 @@ class TestSvmMatchesReferenceLoop:
 
     @pytest.mark.parametrize("seed", [0, 1, 5])
     def test_four_points(self, seed):
-        self.assert_same_fit(FOUR_X, FOUR_Y, SvmConfig(seed=seed))
+        self.assert_same_fit(FOUR_X, FOUR_Y, SvmConfig(), seed)
 
     def test_zero_variance_column(self):
         x = np.array([[1.0, 5.0, 0.3], [2.0, 5.0, -1.2], [3.0, 5.0, 0.7], [4.0, 5.0, 0.1]])
-        self.assert_same_fit(x, np.array([0, 0, 1, 1]), SvmConfig(seed=3))
+        self.assert_same_fit(x, np.array([0, 0, 1, 1]), SvmConfig(), 3)
 
     def test_single_feature(self):
         x = np.array([[0.5], [1.5], [-0.25], [2.0], [-1.0], [0.75]])
-        self.assert_same_fit(x, np.array([1, 1, 0, 1, 0, 0]), SvmConfig(c=0.5, seed=2))
+        self.assert_same_fit(x, np.array([1, 1, 0, 1, 0, 0]), SvmConfig(c=0.5), 2)
 
     def test_two_rows(self):
         x = np.array([[1.0, -3.0, 2.0], [0.0, 4.0, 2.5]])
-        self.assert_same_fit(x, np.array([1, 0]), SvmConfig(epochs=50, seed=7))
+        self.assert_same_fit(x, np.array([1, 0]), SvmConfig(epochs=50), 7)
 
     @pytest.mark.parametrize("labels", [[0, 1, 1, 0, 1, 1, 1], [1, 1, 0, 0, 0, 0, 0]])
     def test_all_constant_columns(self, labels):
         x = np.array([[0.25, -4.0, 3.0]] * len(labels))
-        self.assert_same_fit(x, np.array(labels), SvmConfig(seed=4))
+        self.assert_same_fit(x, np.array(labels), SvmConfig(), 4)
 
     def test_rows_at_column_means(self):
         # column means are (2, 3, 0); rows 2, 4 and 6 standardize to zero
@@ -470,14 +484,14 @@ class TestSvmMatchesReferenceLoop:
             ]
         )
         assert not ((x - x.mean(axis=0)) / x.std(axis=0))[[1, 3, 5]].any()
-        self.assert_same_fit(x, np.array([0, 1, 1, 0, 0, 1, 1]), SvmConfig(seed=6))
+        self.assert_same_fit(x, np.array([0, 1, 1, 0, 0, 1, 1]), SvmConfig(), 6)
 
     @pytest.mark.parametrize("corpus_seed", [1, 2, 3])
     @pytest.mark.parametrize("scheme", SIGNAL_SCHEMES)
     def test_signal_corpus_features(self, signal_features, corpus_seed, scheme):
         x, y = signal_features[(corpus_seed, scheme)]
         assert 0 < y.sum() < len(y)
-        self.assert_same_fit(x, y, SvmConfig(seed=corpus_seed))
+        self.assert_same_fit(x, y, SvmConfig(), corpus_seed)
 
 
 class TestMetrics:
@@ -566,7 +580,8 @@ class TestFolds:
 class TestKfoldCv:
     def test_perfectly_learnable_data_scores_hundred(self):
         data = toy_dataset(n=60, ones=30)
-        report = kfold_cv(data, 2, default_classifier_configs(seed=1), seed=1)
+        cfgs = {"random_forest": ForestConfig(), "linear_svm": SvmConfig(), "cart": CartConfig()}
+        report = kfold_cv(data, 2, cfgs, seed=1)
         assert any(
             report.pooled(name)["f_score"] == 100.0 for name in report.classifiers
         )
@@ -574,7 +589,7 @@ class TestKfoldCv:
 
     def test_report_deterministic(self):
         data = toy_dataset(n=80, ones=40)
-        cfgs = {"cart": CartConfig(), "random_forest": ForestConfig(n_trees=5, seed=2)}
+        cfgs = {"cart": CartConfig(), "random_forest": ForestConfig(n_trees=5)}
         a = kfold_cv(data, 4, cfgs, seed=9)
         b = kfold_cv(data, 4, cfgs, seed=9)
         assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
