@@ -120,11 +120,11 @@ def associate_all(corpus, params, stream=None):
     return run(corpus, params, stream)
 
 
-def assemble_matrix(corpus, associations, scheme, lexicons, params, memo=None):
+def assemble_matrix(corpus, associations, scheme, memo, params):
     """`nextday.features.assemble_matrix`, imported on the first call."""
     from nextday.features import assemble_matrix as run
 
-    return run(corpus, associations, scheme, lexicons, params, memo)
+    return run(corpus, associations, scheme, memo, params)
 
 
 def cmd_associate(config: PipelineConfig, args) -> int:
@@ -154,7 +154,7 @@ def cmd_features(config: PipelineConfig, args) -> int:
     from nextday.features import TextMemo, write_feature_csv
 
     schemes = _resolve_schemes(args.scheme)
-    lexicons = _load_lexicons(config)
+    memo = TextMemo(_load_lexicons(config))
     out = config.output_dir()
     out.mkdir(parents=True, exist_ok=True)
 
@@ -175,9 +175,8 @@ def cmd_features(config: PipelineConfig, args) -> int:
         corpus = build_corpus(load_articles(config.paths.articles), [], [])
         associations = []
 
-    memo = TextMemo(lexicons)
     for scheme in schemes:
-        matrix = assemble_matrix(corpus, associations, scheme, lexicons, config.features, memo)
+        matrix = assemble_matrix(corpus, associations, scheme, memo, config.features)
         path = out / f"features_{scheme}.csv"
         write_feature_csv(matrix, path)
         print(f"wrote {path} ({len(matrix.vectors)} rows)")
@@ -234,11 +233,8 @@ def cmd_evaluate(config: PipelineConfig, args) -> int:
 
     schemes = _resolve_schemes(args.scheme)
     out = config.output_dir()
-    repeats = args.repeats if args.repeats is not None else config.learn.repeats
-    if repeats < 1:
-        raise ConfigError("--repeats must be >= 1")
-    base_seed = config.learn.seed
-    seeds = [base_seed + r for r in range(repeats)]
+    repeats = config.learn.repeats
+    seeds = [config.learn.seed + r for r in range(repeats)]
 
     cfgs = {
         "random_forest": config.learn.forest,
@@ -350,7 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="cross-validate classifiers")
     common(p_eval)
     p_eval.add_argument("--scheme", default="all", help="scheme name or 'all'")
-    p_eval.add_argument("--repeats", type=int, default=None, help="re-run count")
+    p_eval.add_argument(
+        "--repeats", type=int, default=None, help="re-run count; sets learn.repeats"
+    )
 
     common(sub.add_parser("report", help="re-render report.md from report.json"))
     return parser
@@ -370,8 +368,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args.parallel = parallel
     started = _now()
+    overrides = list(args.set)
+    if getattr(args, "repeats", None) is not None:  # evaluate's --repeats N
+        overrides.append(f"learn.repeats={args.repeats}")
     try:
-        config = load_config(args.config, args.set)
+        config = load_config(args.config, overrides)
         code = COMMANDS[args.command](config, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,6 +4,10 @@ The `proposed` scheme combines involvement indices (tweet volume and user
 statistics) with reaction indices (sentiment and emotion variance of the
 associated tweets). The five baseline schemes use only the article text
 and publication calendar, mirroring content/polarity/event approaches.
+
+`SCHEME_BLOCKS` lists each scheme's column blocks and `BLOCK_COLUMNS`
+each block's columns. The text blocks come from one `TextMemo` per run,
+the only holder of the run's lexicons.
 """
 
 from __future__ import annotations
@@ -53,31 +57,38 @@ POLARITY_COLUMNS = (
     "min_negative_polarity",
     "max_negative_polarity",
 )
-ARTICLE_CONTENT_COLUMNS = (
-    "word_count",
-    "non_stop_rate",
-    "day_of_week",
-    "weekend",
-    "entity_count",
-    "mean_word_length",
-)
-TITLE_CONTENT_COLUMNS = (
-    "word_count",
-    "non_stop_rate",
-    "entity_count",
-    "mean_word_length",
-)
-EVENT_COLUMNS = ("event_days", "event_articles")
-PROPOSED_COLUMNS = (
-    "tweet_count_norm",
-    "avg_retweets",
-    "avg_favorites",
-    "affected_user_fraction",
-    "influential_user_fraction",
-    "article_specific_hashtag_count",
-    "sentiment_variance",
-    "emotion_variance",
-)
+# Each block's columns; a scheme's columns are its blocks' columns in order.
+BLOCK_COLUMNS = {
+    "involvement": (
+        "tweet_count_norm",
+        "avg_retweets",
+        "avg_favorites",
+        "affected_user_fraction",
+        "influential_user_fraction",
+        "article_specific_hashtag_count",
+    ),
+    "reaction": ("sentiment_variance", "emotion_variance"),
+    "body_content": (
+        "word_count",
+        "non_stop_rate",
+        "day_of_week",
+        "weekend",
+        "entity_count",
+        "mean_word_length",
+    ),
+    "body_polarity": POLARITY_COLUMNS,
+    "title_content": ("word_count", "non_stop_rate", "entity_count", "mean_word_length"),
+    "title_polarity": POLARITY_COLUMNS,
+    "event": ("event_days", "event_articles"),
+}
+SCHEME_BLOCKS = {
+    SCHEME_PROPOSED: ("involvement", "reaction"),
+    SCHEME_ARTICLE_POLARITY: ("body_polarity",),
+    SCHEME_ARTICLE_CONTENT: ("body_content", "body_polarity"),
+    SCHEME_TITLE_POLARITY: ("title_polarity",),
+    SCHEME_TITLE_CONTENT: ("title_content", "title_polarity"),
+    SCHEME_EVENT: ("event",),
+}
 
 INFLUENTIAL_FOLLOWERS = 1000
 
@@ -101,12 +112,6 @@ class ReactionIndices:
     negative_count: int
     emotion_counts: tuple[int, ...]
     tweet_total: int
-
-
-@dataclass(frozen=True)
-class BaselineFeatures:
-    scheme: str
-    values: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -202,17 +207,14 @@ def involvement_indices(
 def reaction_indices(
     assoc: ArticleAssociation,
     corpus: Corpus,
-    lexicons: Lexicons,
-    memo: TextMemo | None = None,
+    memo: TextMemo,
 ) -> ReactionIndices:
     """Sentiment and emotion variance over the article's tweet set.
 
     Neutral tweets count toward neither PC nor NC; tweets without a
     dominant emotion are excluded from the emotion counts entirely.
-    A `memo` built on the same lexicons scores each tweet once across
-    the articles it serves.
+    The `memo` scores each tweet once across the articles it serves.
     """
-    memo = memo if memo is not None else TextMemo(lexicons)
     pc = 0
     nc = 0
     counts = dict.fromkeys(EMOTION_CATEGORIES, 0)
@@ -314,9 +316,10 @@ def _polarity_values(text: str, lex: SentimentLexicon) -> dict[str, float]:
     }
 
 
-def _content_values(text: str, stopwords) -> dict[str, float]:
+def _content_values(text: str) -> dict[str, float]:
     tokens = tokenize(text)
     total = len(tokens)
+    stopwords = default_stopwords()
     non_stop = sum(1 for t in tokens if t not in stopwords)
     return {
         "word_count": float(total),
@@ -326,23 +329,8 @@ def _content_values(text: str, stopwords) -> dict[str, float]:
     }
 
 
-def article_polarity_features(article: NewsArticle, lex: SentimentLexicon) -> BaselineFeatures:
-    """Eleven polarity statistics of the article body."""
-    return BaselineFeatures(SCHEME_ARTICLE_POLARITY, _polarity_values(article.body, lex))
-
-
-def article_content_features(
-    article: NewsArticle, lex: SentimentLexicon, stopwords=None
-) -> BaselineFeatures:
-    """Content statistics of the body plus the polarity block."""
-    stopwords = stopwords if stopwords is not None else default_stopwords()
-    values = _article_content_values(article, stopwords)
-    values.update(_polarity_values(article.body, lex))
-    return BaselineFeatures(SCHEME_ARTICLE_CONTENT, values)
-
-
-def _article_content_values(article: NewsArticle, stopwords) -> dict[str, float]:
-    content = _content_values(article.body, stopwords)
+def _body_content_values(article: NewsArticle) -> dict[str, float]:
+    content = _content_values(article.body)
     weekday = article.published_at.weekday()
     return {
         "word_count": content["word_count"],
@@ -354,52 +342,37 @@ def _article_content_values(article: NewsArticle, stopwords) -> dict[str, float]
     }
 
 
-def title_features(
-    article: NewsArticle, lex: SentimentLexicon, stopwords=None
-) -> tuple[BaselineFeatures, BaselineFeatures]:
-    """(title polarity, title content + polarity) feature blocks."""
-    stopwords = stopwords if stopwords is not None else default_stopwords()
-    polarity = _polarity_values(article.title, lex)
-    content = _content_values(article.title, stopwords)
-    combined = {name: content[name] for name in TITLE_CONTENT_COLUMNS}
-    combined.update(polarity)
-    return (
-        BaselineFeatures(SCHEME_TITLE_POLARITY, polarity),
-        BaselineFeatures(SCHEME_TITLE_CONTENT, combined),
-    )
+# How each text block is computed from one article and the run's lexicons.
+TEXT_BLOCKS = {
+    "body_content": lambda article, lexicons: _body_content_values(article),
+    "body_polarity": lambda article, lexicons: _polarity_values(article.body, lexicons.sentiment),
+    "title_content": lambda article, lexicons: _content_values(article.title),
+    "title_polarity": lambda article, lexicons: _polarity_values(article.title, lexicons.sentiment),
+}
 
 
 class TextMemo:
     """Text-derived values that the schemes of one `features` run share.
 
-    The body polarity block and the two title blocks of each article,
-    and the sentiment label and dominant emotion of each tweet, are
-    computed on first use and kept for the life of the memo. Build one
-    per run, with that run's lexicons; entries are keyed by article and
-    tweet id, which are unique within a corpus.
+    Each article's text blocks (`TEXT_BLOCKS`), and the sentiment label
+    and dominant emotion of each tweet, are computed on first use and
+    kept for the life of the memo. Build one per run, with that run's
+    lexicons; entries are keyed by article and tweet id, which are
+    unique within a corpus.
     """
 
     def __init__(self, lexicons: Lexicons):
         self.lexicons = lexicons
-        self._body_polarity: dict[str, dict[str, float]] = {}
-        self._titles: dict[str, tuple[BaselineFeatures, BaselineFeatures]] = {}
+        self._blocks: dict[tuple[str, str], dict[str, float]] = {}
         self._reactions: dict[str, tuple[Sentiment, str | None]] = {}
 
-    def body_polarity(self, article: NewsArticle) -> dict[str, float]:
-        """`article_polarity_features(article, ...).values`."""
-        block = self._body_polarity.get(article.id)
-        if block is None:
-            block = article_polarity_features(article, self.lexicons.sentiment).values
-            self._body_polarity[article.id] = block
-        return block
-
-    def titles(self, article: NewsArticle) -> tuple[BaselineFeatures, BaselineFeatures]:
-        """`title_features(article, ...)`."""
-        blocks = self._titles.get(article.id)
-        if blocks is None:
-            blocks = title_features(article, self.lexicons.sentiment)
-            self._titles[article.id] = blocks
-        return blocks
+    def block(self, name: str, article: NewsArticle) -> dict[str, float]:
+        """The article's text block `name`, column name to value."""
+        key = (name, article.id)
+        values = self._blocks.get(key)
+        if values is None:
+            values = self._blocks[key] = TEXT_BLOCKS[name](article, self.lexicons)
+        return values
 
     def tweet_reaction(self, tweet: Tweet) -> tuple[Sentiment, str | None]:
         """The tweet's sentiment label and dominant emotion."""
@@ -495,136 +468,107 @@ def build_event_clusters(
     return {aid: clusters[find(i)] for i, aid in enumerate(ids)}
 
 
-def cluster_day_counts(
-    all_articles: list[NewsArticle], clusters: dict[str, frozenset[str]]
-) -> dict[frozenset[str], int]:
-    """Distinct publication days of each cluster, in one pass over the articles."""
-    days: dict[frozenset[str], set[date]] = {}
-    for a in all_articles:
-        days.setdefault(clusters[a.id], set()).add(a.published_day)
-    return {cluster: len(group) for cluster, group in days.items()}
-
-
-def event_importance(
-    article: NewsArticle,
-    all_articles: list[NewsArticle],
-    params: FeatureParams,
-    clusters: dict[str, frozenset[str]] | None = None,
-    day_counts: dict[frozenset[str], int] | None = None,
-) -> BaselineFeatures:
-    """Size and day-span of the article's similarity cluster.
-
-    `assemble_matrix` passes the clusters and their `cluster_day_counts`
-    once for all articles; without them each call computes both.
-    """
-    if clusters is None:
-        clusters = build_event_clusters(all_articles, params.similarity_threshold)
-    if day_counts is None:
-        day_counts = cluster_day_counts(all_articles, clusters)
-    cluster = clusters[article.id]
-    return BaselineFeatures(
-        SCHEME_EVENT,
-        {"event_days": float(day_counts[cluster]), "event_articles": float(len(cluster))},
-    )
-
-
 def scheme_columns(scheme: str, params: FeatureParams) -> tuple[str, ...]:
-    if scheme == SCHEME_PROPOSED:
-        cols = PROPOSED_COLUMNS
+    if scheme not in SCHEME_BLOCKS:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    columns = tuple(c for name in SCHEME_BLOCKS[scheme] for c in BLOCK_COLUMNS[name])
+    if scheme == SCHEME_PROPOSED and params.authoritative:
+        columns += ("authoritative_user_fraction",)
+    return columns
+
+
+def _proposed_rows(
+    corpus: Corpus,
+    associations: list[ArticleAssociation],
+    articles: list[NewsArticle],
+    memo: TextMemo,
+    params: FeatureParams,
+) -> list[dict[str, float]]:
+    assoc_by_id = {a.article_id: a for a in associations}
+    rerun = "re-run 'nextday associate'"
+    for assoc in associations:
+        if assoc.article_id not in corpus.article_by_id:
+            raise DatasetError(
+                f"association for article '{assoc.article_id}' not in the corpus; {rerun}"
+            )
+        unknown = sorted(t for t in assoc.expanded_tweet_ids if t not in corpus.tweet_by_id)
+        if unknown:
+            raise DatasetError(
+                f"association for article '{assoc.article_id}' names tweet "
+                f"'{unknown[0]}' not in the corpus; {rerun}"
+            )
+    missing = [a.id for a in articles if a.id not in assoc_by_id]
+    if missing:
+        raise DatasetError(f"missing association for article '{missing[0]}'; {rerun}")
+    corpus_max = max([1] + [len(a.expanded_tweet_ids) for a in associations])
+
+    rows = []
+    for article in articles:
+        assoc = assoc_by_id[article.id]
+        inv = involvement_indices(assoc, corpus, corpus_max, params)
+        indices = {"involvement": inv, "reaction": reaction_indices(assoc, corpus, memo)}
+        values = {
+            column: float(getattr(indices[name], column))
+            for name in SCHEME_BLOCKS[SCHEME_PROPOSED]
+            for column in BLOCK_COLUMNS[name]
+        }
         if params.authoritative:
-            cols = cols + ("authoritative_user_fraction",)
-        return cols
-    if scheme == SCHEME_ARTICLE_POLARITY:
-        return POLARITY_COLUMNS
-    if scheme == SCHEME_ARTICLE_CONTENT:
-        return ARTICLE_CONTENT_COLUMNS + POLARITY_COLUMNS
-    if scheme == SCHEME_TITLE_POLARITY:
-        return POLARITY_COLUMNS
-    if scheme == SCHEME_TITLE_CONTENT:
-        return TITLE_CONTENT_COLUMNS + POLARITY_COLUMNS
-    if scheme == SCHEME_EVENT:
-        return EVENT_COLUMNS
-    raise ValueError(f"unknown scheme {scheme!r}")
+            values["authoritative_user_fraction"] = inv.authoritative_user_fraction
+        rows.append(values)
+    return rows
+
+
+def _event_rows(articles: list[NewsArticle], params: FeatureParams) -> list[dict[str, float]]:
+    """Size and distinct publication days of each article's similarity cluster."""
+    clusters = build_event_clusters(articles, params.similarity_threshold)
+    days: dict[frozenset[str], set[date]] = {}
+    for a in articles:
+        days.setdefault(clusters[a.id], set()).add(a.published_day)
+    return [
+        {
+            "event_days": float(len(days[clusters[a.id]])),
+            "event_articles": float(len(clusters[a.id])),
+        }
+        for a in articles
+    ]
 
 
 def assemble_matrix(
     corpus: Corpus,
-    associations: list[ArticleAssociation] | None,
+    associations: list[ArticleAssociation],
     scheme: str,
-    lexicons: Lexicons,
+    memo: TextMemo,
     params: FeatureParams,
-    memo: TextMemo | None = None,
 ) -> FeatureMatrix:
     """One FeatureVector per article, ordered by article id.
 
-    The proposed scheme requires an association for every article; the
-    baselines ignore `associations` entirely. Passing one `memo` to
-    every scheme of a run computes the text blocks they share once.
+    The proposed scheme requires an association for every article, each
+    naming only articles and tweets of the corpus; the baselines ignore
+    `associations` entirely. Passing one `memo` to every scheme of a run
+    computes the text blocks they share once.
     """
     columns = scheme_columns(scheme, params)
-    if memo is None:
-        memo = TextMemo(lexicons)
-    elif memo.lexicons is not lexicons:
-        raise ValueError("memo was built on other lexicons")
     articles = sorted(corpus.articles, key=lambda a: a.id)
-
-    assoc_by_id: dict[str, ArticleAssociation] = {}
-    corpus_max = 1
-    clusters = day_counts = None
     if scheme == SCHEME_PROPOSED:
-        assoc_by_id = {a.article_id: a for a in associations or []}
-        missing = [a.id for a in articles if a.id not in assoc_by_id]
-        if missing:
-            raise DatasetError(f"missing association for article '{missing[0]}'")
-        corpus_max = max(
-            [len(a.expanded_tweet_ids) for a in assoc_by_id.values()] or [0]
-        )
-        corpus_max = max(corpus_max, 1)
+        rows = _proposed_rows(corpus, associations, articles, memo, params)
     elif scheme == SCHEME_EVENT:
-        clusters = build_event_clusters(articles, params.similarity_threshold)
-        day_counts = cluster_day_counts(articles, clusters)
-
-    def compute(article: NewsArticle) -> FeatureVector:
-        if scheme == SCHEME_PROPOSED:
-            assoc = assoc_by_id[article.id]
-            inv = involvement_indices(assoc, corpus, corpus_max, params)
-            rea = reaction_indices(assoc, corpus, lexicons, memo)
-            values = {
-                "tweet_count_norm": inv.tweet_count_norm,
-                "avg_retweets": inv.avg_retweets,
-                "avg_favorites": inv.avg_favorites,
-                "affected_user_fraction": inv.affected_user_fraction,
-                "influential_user_fraction": inv.influential_user_fraction,
-                "article_specific_hashtag_count": float(inv.article_specific_hashtag_count),
-                "sentiment_variance": rea.sentiment_variance,
-                "emotion_variance": rea.emotion_variance,
-            }
-            if params.authoritative:
-                values["authoritative_user_fraction"] = inv.authoritative_user_fraction
-        elif scheme == SCHEME_ARTICLE_POLARITY:
-            values = memo.body_polarity(article)
-        elif scheme == SCHEME_ARTICLE_CONTENT:
-            values = _article_content_values(article, default_stopwords())
-            values.update(memo.body_polarity(article))
-        elif scheme == SCHEME_TITLE_POLARITY:
-            values = memo.titles(article)[0].values
-        elif scheme == SCHEME_TITLE_CONTENT:
-            values = memo.titles(article)[1].values
-        elif scheme == SCHEME_EVENT:
-            values = event_importance(article, articles, params, clusters, day_counts).values
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
+        rows = _event_rows(articles, params)
+    else:
+        rows = [
+            {c: v for name in SCHEME_BLOCKS[scheme] for c, v in memo.block(name, a).items()}
+            for a in articles
+        ]
+    vectors = []
+    for article, values in zip(articles, rows):
         if tuple(values) != columns:
             raise ValueError(
                 f"scheme {scheme!r} emitted columns {tuple(values)} for article "
                 f"'{article.id}', expected {columns}"
             )
-        return FeatureVector(
-            article_id=article.id, scheme=scheme, values=values, label=article.label
+        vectors.append(
+            FeatureVector(article_id=article.id, scheme=scheme, values=values, label=article.label)
         )
-
-    vectors = tuple(compute(a) for a in articles)
-    return FeatureMatrix(scheme=scheme, columns=columns, vectors=vectors)
+    return FeatureMatrix(scheme=scheme, columns=columns, vectors=tuple(vectors))
 
 
 def write_feature_csv(matrix: FeatureMatrix, path) -> None:

@@ -403,9 +403,11 @@ def load_associations(path) -> list[ArticleAssociation]:
     """Read `write_associations` output.
 
     A line that is not a JSON association record (for example one cut
-    short by an interrupted copy) raises DatasetError naming path:line.
+    short by an interrupted copy), or one that repeats an earlier line's
+    article id, raises DatasetError naming path:line.
     """
     associations = []
+    first_line: dict[str, int] = {}
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -415,18 +417,22 @@ def load_associations(path) -> list[ArticleAssociation]:
             except ValueError:  # invalid JSON or invalid UTF-8
                 raise DatasetError(f"{path}:{line_no}: truncated or invalid JSON line") from None
             try:
-                associations.append(
-                    ArticleAssociation(
-                        article_id=obj["article_id"],
-                        seed_tweet_ids=frozenset(obj["seed_tweet_ids"]),
-                        expanded_tweet_ids=frozenset(obj["expanded_tweet_ids"]),
-                        article_specific_hashtags=frozenset(obj["article_specific_hashtags"]),
-                        generic_hashtags=frozenset(obj["generic_hashtags"]),
-                        iterations_run=obj["iterations_run"],
-                    )
+                assoc = ArticleAssociation(
+                    article_id=obj["article_id"],
+                    seed_tweet_ids=frozenset(obj["seed_tweet_ids"]),
+                    expanded_tweet_ids=frozenset(obj["expanded_tweet_ids"]),
+                    article_specific_hashtags=frozenset(obj["article_specific_hashtags"]),
+                    generic_hashtags=frozenset(obj["generic_hashtags"]),
+                    iterations_run=obj["iterations_run"],
                 )
+                first = first_line.setdefault(assoc.article_id, line_no)
             except KeyError as exc:
                 raise DatasetError(f"{path}:{line_no}: missing field {exc.args[0]!r}") from None
             except TypeError:
                 raise DatasetError(f"{path}:{line_no}: not an association record") from None
+            if first != line_no:
+                raise DatasetError(
+                    f"{path}:{line_no}: article id {assoc.article_id!r} repeats line {first}"
+                )
+            associations.append(assoc)
     return associations

@@ -12,6 +12,7 @@ import pytest
 import nextday.cli
 import nextday.corpus
 from nextday.cli import main
+from nextday.config import ALL_SCHEMES
 
 from util import child_env, write_golden_config
 
@@ -22,6 +23,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def example_config_args(monkeypatch, tmp_path):
+    """`--config config.example.json`, writing under tmp_path/out."""
+    monkeypatch.chdir(REPO)  # the example config names the corpus relative to the root
+    out = json.dumps(str(tmp_path / "out"))
+    return ["--config", "config.example.json", "--set", f"paths.output_dir={out}"]
+
+
+def reference_digests():
+    """The golden-26 artifact digests the benchmark's reference records."""
+    return json.loads((REPO / "perfbench" / "reference.json").read_text())["golden-26"]["artifacts"]
 
 
 def assert_one_error_line(err, message):
@@ -176,21 +189,54 @@ class TestFeatures:
         [
             ("mid-line", "associations.jsonl:2: truncated or invalid JSON line"),
             ("three-lines", "missing association for article 'a004'"),
+            ("repeated-article", "associations.jsonl:27: article id 'a001' repeats line 1"),
+            (
+                "unknown-article",
+                "association for article 'a999' not in the corpus; re-run 'nextday associate'",
+            ),
+            (
+                "unknown-tweet",
+                "association for article 'a001' names tweet 't_gone' not in the corpus; "
+                "re-run 'nextday associate'",
+            ),
         ],
-        ids=["mid-line", "three-lines"],
+        ids=["mid-line", "three-lines", "repeated-article", "unknown-article", "unknown-tweet"],
     )
     def test_bad_associations_exit_three(self, capsys, golden_config, tmp_path, cut, message):
         cfg = golden_config()
         assert run(capsys, "associate", "--config", str(cfg))[0] == 0
         path = tmp_path / "out" / "associations.jsonl"
         lines = path.read_bytes().splitlines(keepends=True)
+        first = json.loads(lines[0])
+        assert first["article_id"] == "a001" and len(lines) == 26
         if cut == "mid-line":
             path.write_bytes(lines[0] + lines[1][: len(lines[1]) // 2])
-        else:
+        elif cut == "three-lines":
             path.write_bytes(b"".join(lines[:3]))
+        elif cut == "repeated-article":
+            path.write_bytes(b"".join(lines) + lines[0])
+        elif cut == "unknown-article":
+            extra = json.dumps({**first, "article_id": "a999"}).encode() + b"\n"
+            path.write_bytes(b"".join(lines) + extra)
+        else:
+            stale = {**first, "expanded_tweet_ids": first["expanded_tweet_ids"] + ["t_gone"]}
+            path.write_bytes(json.dumps(stale).encode() + b"\n" + b"".join(lines[1:]))
         code, _, err = run(capsys, "features", "--config", str(cfg), "--scheme", "proposed")
         assert code == 3
         assert_one_error_line(err, message)
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_one_scheme_matches_benchmark_reference(self, capsys, monkeypatch, tmp_path, scheme):
+        """`features --scheme <s>` alone writes the bytes `--scheme all` writes, so
+        one run's shared text memo never lets a scheme depend on those before it."""
+        common = example_config_args(monkeypatch, tmp_path)
+        if scheme == "proposed":
+            assert main(["associate", *common]) == 0
+        assert main(["features", *common, "--scheme", scheme]) == 0
+        capsys.readouterr()
+        name = f"features_{scheme}.csv"
+        digest = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        assert digest == reference_digests()[name]
 
     def test_scheme_all_emits_six(self, capsys, golden_config, tmp_path):
         cfg = golden_config()
@@ -244,6 +290,9 @@ class TestEvaluate:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["seeds"] == [2016, 2017, 2018]
         assert report["repeats"] == 3
+        assert report["config"]["learn"]["repeats"] == 3
+        meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+        assert meta["effective_config"]["learn"]["repeats"] == 3
         stats = report["schemes"]["proposed"]["classifiers"]["cart"]["f_score"]
         assert len(stats["values"]) == 3
         assert stats["min"] <= stats["mean"] <= stats["max"]
@@ -383,19 +432,15 @@ class TestEvaluate:
 def test_golden_artifacts_match_benchmark_reference(capsys, monkeypatch, tmp_path):
     """All five stages on the golden corpus with `config.example.json` write
     the bytes whose sha256 digests the benchmark's reference records."""
-    expected = json.loads((REPO / "perfbench" / "reference.json").read_text())["golden-26"]
-    monkeypatch.chdir(REPO)  # the example config names the corpus relative to the root
-    out = tmp_path / "out"
-    common = ["--config", "config.example.json", "--set", f"paths.output_dir={json.dumps(str(out))}"]
+    expected = reference_digests()
+    common = example_config_args(monkeypatch, tmp_path)
     for stage in ("ingest-check", "associate", "features", "evaluate", "report"):
         schemes = ["--scheme", "all"] if stage in ("features", "evaluate") else []
         assert main([stage, *common, *schemes]) == 0, stage
     capsys.readouterr()
-    digests = {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in expected["artifacts"]
-    }
-    assert digests == expected["artifacts"]
+    out = tmp_path / "out"
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in expected}
+    assert digests == expected
 
 
 class TestConfigPlumbing:
@@ -677,3 +722,8 @@ class TestColdStart:
         }
         assert len(relevance_calls) == 5
         assert min(relevance_calls.values()) >= 1
+        # one assemble_matrix call per scheme, each scoring only what the memo lacks
+        for scheme in ALL_SCHEMES:
+            assert metrics[f"features.assemble_matrix.{scheme}.s"] > 0, scheme
+        assert metrics["lexicons.score_sentiment.calls"] == 216
+        assert metrics["lexicons.tag_emotions.calls"] == 164

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 from unittest import mock
@@ -11,20 +10,15 @@ from nextday import features
 from nextday.config import ALL_SCHEMES, FeatureParams
 from nextday.corpus import load_articles
 from nextday.features import (
-    BaselineFeatures,
     TextMemo,
-    article_content_features,
-    article_polarity_features,
     assemble_matrix,
     build_event_clusters,
     emotion_variance,
-    event_importance,
     extract_entities,
     involvement_indices,
     reaction_indices,
     scheme_columns,
     sentiment_variance,
-    title_features,
     write_feature_csv,
 )
 from nextday.lexicons import (
@@ -196,7 +190,7 @@ class TestReaction:
     def test_empty_association(self, lexicons):
         art = article(id="a1")
         corpus = corpus_of(articles=[art])
-        indices = reaction_indices(assoc("a1"), corpus, lexicons)
+        indices = reaction_indices(assoc("a1"), corpus, TextMemo(lexicons))
         assert indices.sentiment_variance == 0.0
         assert indices.emotion_variance == 0.0
         assert indices.tweet_total == 0
@@ -206,7 +200,9 @@ class TestReaction:
         tweets = [tweet(id=f"t{i}", text=t, user_id=f"u{i}") for i, t in enumerate(texts)]
         art = article(id="a1")
         corpus = corpus_of(articles=[art], tweets=tweets)
-        indices = reaction_indices(assoc("a1", [t.id for t in tweets]), corpus, lexicons)
+        indices = reaction_indices(
+            assoc("a1", [t.id for t in tweets]), corpus, TextMemo(lexicons)
+        )
         assert indices.positive_count == 4
         assert indices.negative_count == 4
         assert indices.sentiment_variance == 1.0
@@ -215,7 +211,7 @@ class TestReaction:
         expected = json.loads((golden_dir / "expected_reaction.json").read_text())
         by_id = {a.article_id: a for a in golden_associations}
         for article_id, want in expected.items():
-            got = reaction_indices(by_id[article_id], golden_corpus, lexicons)
+            got = reaction_indices(by_id[article_id], golden_corpus, TextMemo(lexicons))
             assert got.positive_count == want["positive_count"]
             assert got.negative_count == want["negative_count"]
             assert list(got.emotion_counts) == want["emotion_counts"]
@@ -237,7 +233,7 @@ class TestReaction:
                 top = dominant_emotion(tag_emotions(text, lexicons.emotions))
                 if top:
                     counts[top] += 1
-            got = reaction_indices(assoc_, golden_corpus, lexicons)
+            got = reaction_indices(assoc_, golden_corpus, TextMemo(lexicons))
             assert (got.positive_count, got.negative_count) == (pc, nc)
             assert got.sentiment_variance == sentiment_variance(pc, nc)
             assert got.emotion_variance == emotion_variance(
@@ -245,24 +241,34 @@ class TestReaction:
             )
 
 
+def block(lexicons, name, art):
+    return TextMemo(lexicons).block(name, art)
+
+
+def event_values(arts, article_id, lexicons):
+    matrix = assemble_matrix(
+        corpus_of(arts), [], "event_importance", TextMemo(lexicons), FeatureParams()
+    )
+    return next(v.values for v in matrix.vectors if v.article_id == article_id)
+
+
 class TestPolarityFeatures:
     def test_no_lexicon_words_all_zero(self, lexicons):
         art = article(body="the cat sat on the mat")
-        feats = article_polarity_features(art, lexicons.sentiment)
-        assert set(feats.values) == set(scheme_columns("article_polarity", FeatureParams()))
-        assert all(v == 0.0 for v in feats.values.values())
+        values = block(lexicons, "body_polarity", art)
+        assert set(values) == set(scheme_columns("article_polarity", FeatureParams()))
+        assert all(v == 0.0 for v in values.values())
 
     def test_rates_per_hundred_words(self, lexicons):
         body = " ".join(["great"] * 5 + ["table"] * 95)
-        feats = article_polarity_features(article(body=body), lexicons.sentiment)
-        assert feats.values["positive_word_rate"] == pytest.approx(5.0)
-        assert feats.values["negative_word_rate"] == 0.0
-        assert feats.values["positive_rate_nonneutral"] == 1.0
+        values = block(lexicons, "body_polarity", article(body=body))
+        assert values["positive_word_rate"] == pytest.approx(5.0)
+        assert values["negative_word_rate"] == 0.0
+        assert values["positive_rate_nonneutral"] == 1.0
 
     def test_order_statistics(self, lexicons):
         body = "great good terrible awful win"
-        feats = article_polarity_features(article(body=body), lexicons.sentiment)
-        v = feats.values
+        v = block(lexicons, "body_polarity", article(body=body))
         assert v["min_positive_polarity"] <= v["mean_positive_polarity"] <= v["max_positive_polarity"]
         assert v["min_negative_polarity"] <= v["mean_negative_polarity"] <= v["max_negative_polarity"]
 
@@ -270,12 +276,12 @@ class TestPolarityFeatures:
 class TestContentFeatures:
     def test_weekend_flag(self, lexicons):
         art = article(when=utc(2016, 8, 6, 9))  # a Saturday
-        feats = article_content_features(art, lexicons.sentiment)
-        assert feats.values["day_of_week"] == 5.0
-        assert feats.values["weekend"] == 1.0
-        weekday = article_content_features(article(when=utc(2016, 8, 8, 9)), lexicons.sentiment)
-        assert weekday.values["day_of_week"] == 0.0
-        assert weekday.values["weekend"] == 0.0
+        values = block(lexicons, "body_content", art)
+        assert values["day_of_week"] == 5.0
+        assert values["weekend"] == 1.0
+        weekday = block(lexicons, "body_content", article(when=utc(2016, 8, 8, 9)))
+        assert weekday["day_of_week"] == 0.0
+        assert weekday["weekend"] == 0.0
 
     def test_entity_heuristic_documented_cases(self):
         # sentence-initial token only counts when confirmed mid-sentence
@@ -288,46 +294,41 @@ class TestContentFeatures:
 
     def test_non_stop_rate(self, lexicons):
         art = article(body="ransom payment arrived")  # zero stop words
-        feats = article_content_features(art, lexicons.sentiment)
-        assert feats.values["non_stop_rate"] == 1.0
-        assert feats.values["word_count"] == 3.0
+        values = block(lexicons, "body_content", art)
+        assert values["non_stop_rate"] == 1.0
+        assert values["word_count"] == 3.0
 
     def test_mean_word_length(self, lexicons):
-        art = article(body="ab abcd")
-        feats = article_content_features(art, lexicons.sentiment)
-        assert feats.values["mean_word_length"] == 3.0
+        values = block(lexicons, "body_content", article(body="ab abcd"))
+        assert values["mean_word_length"] == 3.0
 
 
 class TestTitleFeatures:
     def test_one_word_neutral_title(self, lexicons):
-        polarity, content = title_features(article(title="budget"), lexicons.sentiment)
-        assert all(v == 0.0 for v in polarity.values.values())
-        assert content.values["word_count"] == 1.0
+        art = article(title="budget")
+        assert all(v == 0.0 for v in block(lexicons, "title_polarity", art).values())
+        assert block(lexicons, "title_content", art)["word_count"] == 1.0
 
     def test_title_min_le_max(self, lexicons):
-        polarity, _ = title_features(
-            article(title="great terrible win awful"), lexicons.sentiment
-        )
-        assert polarity.values["min_positive_polarity"] <= polarity.values["max_positive_polarity"]
-        assert polarity.values["min_negative_polarity"] <= polarity.values["max_negative_polarity"]
+        polarity = block(lexicons, "title_polarity", article(title="great terrible win awful"))
+        assert polarity["min_positive_polarity"] <= polarity["max_positive_polarity"]
+        assert polarity["min_negative_polarity"] <= polarity["max_negative_polarity"]
 
 
 class TestEventImportance:
-    def test_singleton_cluster(self):
+    def test_singleton_cluster(self, lexicons):
         a = article(id="a1", title="Senate Vote", body="The Senate vote concluded.")
         b = article(id="a2", title="Rain Coming", body="A storm is over the coast tonight.")
-        feats = event_importance(a, [a, b], FeatureParams())
-        assert feats.values == {"event_days": 1.0, "event_articles": 1.0}
+        assert event_values([a, b], "a1", lexicons) == {"event_days": 1.0, "event_articles": 1.0}
 
-    def test_near_duplicates_cluster(self):
+    def test_near_duplicates_cluster(self, lexicons):
         base = "President Obama signed the Budget Accord with Senator Reid in Washington."
         arts = [
             article(id="a1", title="Budget Accord signed", body=base, when=utc(2016, 8, 1)),
             article(id="a2", title="Budget Accord holds", body=base, when=utc(2016, 8, 2)),
             article(id="a3", title="Budget Accord debated", body=base, when=utc(2016, 8, 2)),
         ]
-        feats = event_importance(arts[0], arts, FeatureParams())
-        assert feats.values == {"event_days": 2.0, "event_articles": 3.0}
+        assert event_values(arts, "a1", lexicons) == {"event_days": 2.0, "event_articles": 3.0}
 
     def test_matrix_days_match_member_scan(self, lexicons):
         budget = "President Obama signed the Budget Accord with Senator Reid in Washington."
@@ -342,7 +343,7 @@ class TestEventImportance:
             article(id="c1", title="Rain Coming", body="A storm is over the coast tonight."),
         ]
         matrix = assemble_matrix(
-            corpus_of(arts), None, "event_importance", lexicons, FeatureParams()
+            corpus_of(arts), [], "event_importance", TextMemo(lexicons), FeatureParams()
         )
         clusters = build_event_clusters(arts, FeatureParams().similarity_threshold)
         for vec in matrix.vectors:
@@ -479,15 +480,18 @@ class TestMatrix:
     def test_proposed_csv_matches_golden(
         self, tmp_path, golden_dir, golden_corpus, golden_associations, lexicons
     ):
+        memo = TextMemo(lexicons)
         matrix = assemble_matrix(
-            golden_corpus, list(golden_associations), "proposed", lexicons, FeatureParams()
+            golden_corpus, list(golden_associations), "proposed", memo, FeatureParams()
         )
         out = tmp_path / "features_proposed.csv"
         write_feature_csv(matrix, out)
         assert out.read_bytes() == (golden_dir / "expected_features_proposed.csv").read_bytes()
 
     def test_header_shape(self, tmp_path, golden_corpus, lexicons):
-        matrix = assemble_matrix(golden_corpus, None, "event_importance", lexicons, FeatureParams())
+        matrix = assemble_matrix(
+            golden_corpus, [], "event_importance", TextMemo(lexicons), FeatureParams()
+        )
         out = tmp_path / "f.csv"
         write_feature_csv(matrix, out)
         header = out.read_text().splitlines()[0]
@@ -496,15 +500,16 @@ class TestMatrix:
     def test_missing_association_rejected(self, golden_corpus, golden_associations, lexicons):
         partial = [a for a in golden_associations if a.article_id != "a001"]
         with pytest.raises(ValueError, match="missing association for article 'a001'"):
-            assemble_matrix(golden_corpus, partial, "proposed", lexicons, FeatureParams())
+            assemble_matrix(golden_corpus, partial, "proposed", TextMemo(lexicons), FeatureParams())
 
     def test_rerun_identical_and_jobs_invariant(
         self, tmp_path, golden_corpus, golden_associations, lexicons
     ):
         outputs = []
         for _ in range(2):
+            memo = TextMemo(lexicons)
             matrix = assemble_matrix(
-                golden_corpus, list(golden_associations), "proposed", lexicons, FeatureParams()
+                golden_corpus, list(golden_associations), "proposed", memo, FeatureParams()
             )
             path = tmp_path / f"m{len(outputs)}.csv"
             write_feature_csv(matrix, path)
@@ -512,31 +517,36 @@ class TestMatrix:
         assert outputs[0] == outputs[1]
 
     def test_normalization_peaks_at_one(self, golden_corpus, golden_associations, lexicons):
+        memo = TextMemo(lexicons)
         matrix = assemble_matrix(
-            golden_corpus, list(golden_associations), "proposed", lexicons, FeatureParams()
+            golden_corpus, list(golden_associations), "proposed", memo, FeatureParams()
         )
         peaks = [v.values["tweet_count_norm"] for v in matrix.vectors]
         assert max(peaks) == 1.0
 
     def test_all_schemes_assemble(self, golden_corpus, golden_associations, lexicons):
         for scheme in ALL_SCHEMES:
+            memo = TextMemo(lexicons)
             matrix = assemble_matrix(
-                golden_corpus, list(golden_associations), scheme, lexicons, FeatureParams()
+                golden_corpus, list(golden_associations), scheme, memo, FeatureParams()
             )
             assert len(matrix.vectors) == len(golden_corpus.articles)
             for vector in matrix.vectors:
                 assert tuple(vector.values) == matrix.columns
 
     def test_wrong_columns_rejected(self, monkeypatch, golden_corpus, lexicons):
-        real = features.event_importance
+        real = features.TEXT_BLOCKS["title_content"]
 
-        def one_column_short(*args):
-            result = real(*args)
-            return BaselineFeatures(result.scheme, {"event_days": result.values["event_days"]})
+        def one_column_short(article, lexicons):
+            values = real(article, lexicons)
+            del values["entity_count"]
+            return values
 
-        monkeypatch.setattr(features, "event_importance", one_column_short)
-        with pytest.raises(ValueError, match="scheme 'event_importance' emitted columns"):
-            assemble_matrix(golden_corpus, None, "event_importance", lexicons, FeatureParams())
+        monkeypatch.setitem(features.TEXT_BLOCKS, "title_content", one_column_short)
+        with pytest.raises(ValueError, match="scheme 'title_content_polarity' emitted columns"):
+            assemble_matrix(
+                golden_corpus, [], "title_content_polarity", TextMemo(lexicons), FeatureParams()
+            )
 
     def test_one_memo_scores_each_text_once(
         self, monkeypatch, golden_corpus, golden_associations, lexicons
@@ -552,9 +562,7 @@ class TestMatrix:
             monkeypatch.setattr(features, name, counted)
         memo = TextMemo(lexicons)
         shared = [
-            assemble_matrix(
-                golden_corpus, list(golden_associations), s, lexicons, FeatureParams(), memo
-            )
+            assemble_matrix(golden_corpus, list(golden_associations), s, memo, FeatureParams())
             for s in ALL_SCHEMES
         ]
         tweets = set().union(*(a.expanded_tweet_ids for a in golden_associations))
@@ -564,21 +572,16 @@ class TestMatrix:
             "tag_emotions": len(tweets),
         }
         fresh = [
-            assemble_matrix(golden_corpus, list(golden_associations), s, lexicons, FeatureParams())
+            assemble_matrix(
+                golden_corpus, list(golden_associations), s, TextMemo(lexicons), FeatureParams()
+            )
             for s in ALL_SCHEMES
         ]
         assert shared == fresh
 
-    def test_memo_of_other_lexicons_rejected(self, golden_corpus, lexicons):
-        memo = TextMemo(dataclasses.replace(lexicons))
-        with pytest.raises(ValueError, match="other lexicons"):
-            assemble_matrix(
-                golden_corpus, None, "title_polarity", lexicons, FeatureParams(), memo
-            )
-
     def test_authoritative_column_appended(self, golden_corpus, golden_associations, lexicons):
         params = FeatureParams(authoritative=True)
         matrix = assemble_matrix(
-            golden_corpus, list(golden_associations), "proposed", lexicons, params
+            golden_corpus, list(golden_associations), "proposed", TextMemo(lexicons), params
         )
         assert matrix.columns[-1] == "authoritative_user_fraction"

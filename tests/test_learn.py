@@ -7,7 +7,7 @@ import pytest
 
 from nextday.config import CartConfig, FeatureParams, ForestConfig, RelevanceParams, SvmConfig
 from nextday.corpus import DatasetError, load_corpus
-from nextday.features import assemble_matrix, write_feature_csv
+from nextday.features import TextMemo, assemble_matrix, write_feature_csv
 from nextday.learn import (
     Dataset,
     f_score,
@@ -425,10 +425,11 @@ def signal_features(tmp_path_factory):
             root / "articles.jsonl", root / "tweets.jsonl", root / "users.jsonl"
         )
         associations = associate_all(corpus, RelevanceParams())
+        memo = TextMemo(lexicons)
         for scheme in SIGNAL_SCHEMES:
             path = root / f"features_{scheme}.csv"
             write_feature_csv(
-                assemble_matrix(corpus, associations, scheme, lexicons, FeatureParams()), path
+                assemble_matrix(corpus, associations, scheme, memo, FeatureParams()), path
             )
             data = Dataset.from_csv(path, scheme)
             matrices[(seed, scheme)] = (data.x, data.y)
