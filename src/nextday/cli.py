@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING
 from nextday import __version__
 from nextday.config import (
     ALL_SCHEMES,
+    SCHEME_EVENT,
     SCHEME_PROPOSED,
     ConfigError,
     PipelineConfig,
@@ -154,7 +155,9 @@ def cmd_features(config: PipelineConfig, args) -> int:
     from nextday.features import TextMemo, write_feature_csv
 
     schemes = _resolve_schemes(args.scheme)
-    memo = TextMemo(_load_lexicons(config))
+    # event_importance scores no text, so a run of it alone loads no lexicon
+    reads_text = any(scheme != SCHEME_EVENT for scheme in schemes)
+    memo = TextMemo(_load_lexicons(config) if reads_text else None)
     out = config.output_dir()
     out.mkdir(parents=True, exist_ok=True)
 
@@ -183,7 +186,7 @@ def cmd_features(config: PipelineConfig, args) -> int:
     return EXIT_OK
 
 
-def kfold_cv(data, k: int, classifier_cfgs: dict, seed: int):
+def kfold_cv(data, k: int, classifier_cfgs: dict, seed: int, plans=None):
     """`nextday.learn.cv.kfold_cv`, imported on the first call.
 
     Only `evaluate` calls it, so the other subcommands never load numpy
@@ -191,11 +194,11 @@ def kfold_cv(data, k: int, classifier_cfgs: dict, seed: int):
     """
     from nextday.learn.cv import kfold_cv as run
 
-    return run(data, k, classifier_cfgs, seed)
+    return run(data, k, classifier_cfgs, seed, plans)
 
 
-# A pool worker's copy of the parent's (data, k, cfgs, seed) jobs. The
-# parent never sets it: each forked worker gets the list from
+# A pool worker's copy of the parent's (data, k, cfgs, seed, plans) jobs.
+# The parent never sets it: each forked worker gets the list from
 # `_set_worker_jobs`, so only job indices and results cross the pipe.
 _worker_jobs: list[tuple] = []
 
@@ -229,7 +232,7 @@ def _run_jobs(jobs: list[tuple], parallel: bool) -> list:
 
 
 def cmd_evaluate(config: PipelineConfig, args) -> int:
-    from nextday.learn.cv import Dataset, build_report
+    from nextday.learn.cv import Dataset, build_report, fold_plans
 
     schemes = _resolve_schemes(args.scheme)
     out = config.output_dir()
@@ -241,18 +244,25 @@ def cmd_evaluate(config: PipelineConfig, args) -> int:
         "linear_svm": config.learn.svm,
         "cart": config.learn.cart,
     }
-    jobs = []
-    first = None  # (path, article ids) of the first feature file read
+    datasets = []
     for scheme in schemes:
         path = out / f"features_{scheme}.csv"
         if not path.exists():
             raise ConfigError(f"{path} not found; run 'nextday features' first")
         data = Dataset.from_csv(path, scheme=scheme)
-        if first is None:
-            first = (path, data.article_ids)
-        elif data.article_ids != first[1]:
-            raise DatasetError(f"{path}: article ids differ from those of {first[0]}")
-        jobs += [(data, config.learn.k, cfgs, seed) for seed in seeds]
+        if datasets:
+            first_path, first = datasets[0]
+            if data.article_ids != first.article_ids:
+                raise DatasetError(f"{path}: article ids differ from those of {first_path}")
+            if (data.y != first.y).any():
+                raise DatasetError(f"{path}: labels differ from those of {first_path}")
+        datasets.append((path, data))
+    # the folds and random draws depend only on the labels, which every file
+    # shares, so each repeat's plans are built once and used by every scheme
+    plans = {seed: fold_plans(datasets[0][1].y, config.learn.k, cfgs, seed) for seed in seeds}
+    jobs = [
+        (data, config.learn.k, cfgs, seed, plans[seed]) for _, data in datasets for seed in seeds
+    ]
     reports = _run_jobs(jobs, args.parallel)
     runs = {
         scheme: reports[i * repeats : (i + 1) * repeats] for i, scheme in enumerate(schemes)

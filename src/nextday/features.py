@@ -357,11 +357,11 @@ class TextMemo:
     Each article's text blocks (`TEXT_BLOCKS`), and the sentiment label
     and dominant emotion of each tweet, are computed on first use and
     kept for the life of the memo. Build one per run, with that run's
-    lexicons; entries are keyed by article and tweet id, which are
-    unique within a corpus.
+    lexicons (None when no scheme of the run scores text); entries are
+    keyed by article and tweet id, which are unique within a corpus.
     """
 
-    def __init__(self, lexicons: Lexicons):
+    def __init__(self, lexicons: Lexicons | None):
         self.lexicons = lexicons
         self._blocks: dict[tuple[str, str], dict[str, float]] = {}
         self._reactions: dict[str, tuple[Sentiment, str | None]] = {}

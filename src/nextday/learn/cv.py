@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from nextday.corpus import DatasetError
-from nextday.learn.svm import train_svm
-from nextday.learn.tree import train_cart, train_forest
+from nextday.learn.svm import epoch_orders, train_svm
+from nextday.learn.tree import train_cart, train_forest, tree_draws
 from nextday.text import decode_utf8
 
 
@@ -105,13 +105,44 @@ def stratified_folds(y, k: int, seed: int) -> list[list[int]]:
     return [sorted(fold) for fold in folds]
 
 
-def _train(name: str, cfg, x, y, feature_names, seed: int):
+def _fold_seed(seed: int, fold: int) -> int:
+    return seed * 1000 + fold
+
+
+def _draw(name: str, cfg, n: int, seed: int):
+    """The random draws classifier `name` makes when fitting n rows."""
+    if name == "cart":
+        return None
+    if name == "random_forest":
+        return tree_draws(n, cfg, seed)
+    if name == "linear_svm":
+        return epoch_orders(n, cfg.epochs, seed)
+    raise ValueError(f"unknown classifier {name!r}")
+
+
+def fold_plans(y, k: int, classifier_cfgs: dict, seed: int) -> list[dict]:
+    """Per fold of `stratified_folds(y, k, seed)`, each classifier's draws.
+
+    The draws depend on the labels only through the fold sizes, so every
+    feature matrix over the same labels can share one list of plans.
+    """
+    n = len(y)
+    return [
+        {
+            name: _draw(name, cfg, n - len(holdout), _fold_seed(seed, fold_index))
+            for name, cfg in classifier_cfgs.items()
+        }
+        for fold_index, holdout in enumerate(stratified_folds(y, k, seed))
+    ]
+
+
+def _train(name: str, cfg, x, y, feature_names, seed: int, plan):
     if name == "cart":
         return train_cart(x, y, cfg, feature_names)
     if name == "random_forest":
-        return train_forest(x, y, cfg, feature_names, seed)
+        return train_forest(x, y, cfg, feature_names, seed, plan)
     if name == "linear_svm":
-        return train_svm(x, y, cfg, feature_names, seed)
+        return train_svm(x, y, cfg, feature_names, seed, plan)
     raise ValueError(f"unknown classifier {name!r}")
 
 
@@ -163,15 +194,24 @@ def _round_tree(value):
     return value
 
 
-def kfold_cv(data: Dataset, k: int, classifier_cfgs: dict, seed: int) -> EvalReport:
+def kfold_cv(
+    data: Dataset, k: int, classifier_cfgs: dict, seed: int, plans: list[dict] | None = None
+) -> EvalReport:
     """Stratified k-fold evaluation of every configured classifier.
 
     All classifiers see the same fold assignment; the forest and the SVM
     on fold f are seeded `seed * 1000 + f`. Headline metrics come
     from the confusion matrix pooled over folds; per-fold numbers and
     their mean are reported alongside.
+
+    `plans` is `fold_plans(data.y, k, classifier_cfgs, seed)`, built here
+    when not given.
     """
+    if plans is None:
+        plans = fold_plans(data.y, k, classifier_cfgs, seed)
     folds = stratified_folds(data.y, k, seed)
+    if len(plans) != len(folds):
+        raise ValueError(f"{len(plans)} fold plans for {len(folds)} folds")
     all_indices = np.arange(len(data.y))
     results: dict[str, dict] = {}
     for name in classifier_cfgs:
@@ -183,7 +223,7 @@ def kfold_cv(data: Dataset, k: int, classifier_cfgs: dict, seed: int) -> EvalRep
             x_test, y_test = data.x[test_mask], data.y[test_mask]
             model = _train(
                 name, classifier_cfgs[name], x_train, y_train, data.feature_names,
-                seed * 1000 + fold_index,
+                _fold_seed(seed, fold_index), plans[fold_index][name],
             )
             counts = _confusion(y_test, model.predict(x_test))
             for key in pooled:

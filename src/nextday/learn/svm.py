@@ -43,7 +43,25 @@ def hinge_objective(weights: np.ndarray, bias: float, x: np.ndarray, signs: np.n
     return 0.5 * float(weights @ weights) + c * float(hinge.sum())
 
 
-def train_svm(x, y, cfg: SvmConfig | None = None, feature_names=(), seed: int = 0) -> SvmModel:
+def epoch_orders(n: int, epochs: int, seed: int) -> np.ndarray:
+    """The row visiting order of every epoch, as an (epochs, n) int32 array.
+
+    Epoch e's order is `random.Random(f"svm:{seed}")`'s e-th shuffle of
+    range(n). The orders depend only on (n, epochs, seed), so fits of
+    several feature matrices with the same labels and fold can share them.
+    """
+    rng = random.Random(f"svm:{seed}")
+    orders = np.empty((epochs, n), dtype=np.int32)
+    for epoch in range(epochs):
+        order = list(range(n))
+        rng.shuffle(order)
+        orders[epoch] = order
+    return orders
+
+
+def train_svm(
+    x, y, cfg: SvmConfig | None = None, feature_names=(), seed: int = 0, orders=None
+) -> SvmModel:
     """Hinge-loss sub-gradient descent with a 1/(lambda*t) step schedule.
 
     Features are standardized from the training data itself (zero
@@ -69,6 +87,9 @@ def train_svm(x, y, cfg: SvmConfig | None = None, feature_names=(), seed: int = 
     and sum_k delta_k * H_{k-1} is kept as one coefficient per training
     row (the sum of H_{k-1} over that row's violating steps) and folded
     in with one product against the matrix per epoch.
+
+    `orders` is `epoch_orders(n, cfg.epochs, seed)`, built here when not
+    given.
     """
     cfg = cfg or SvmConfig()
     matrix = np.asarray(x, dtype=np.float64)
@@ -76,6 +97,10 @@ def train_svm(x, y, cfg: SvmConfig | None = None, feature_names=(), seed: int = 
     n, d = matrix.shape
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
+    if orders is None:
+        orders = epoch_orders(n, cfg.epochs, seed)
+    if orders.shape != (cfg.epochs, n):
+        raise ValueError(f"epoch orders {orders.shape} do not fit {cfg.epochs} epochs of {n} rows")
     signs = np.where(labels == 1, 1.0, -1.0)
 
     mean = matrix.mean(axis=0)
@@ -101,13 +126,10 @@ def train_svm(x, y, cfg: SvmConfig | None = None, feature_names=(), seed: int = 
     bias = 0.0
     avg_weights = np.zeros(d)
     avg_bias = 0.0
-    rng = random.Random(f"svm:{seed}")
     history = []
     step = 0
-    for _ in range(cfg.epochs):
-        order = list(range(n))
-        rng.shuffle(order)
-        for i in order:
+    for order in orders:
+        for i in order.tolist():
             sign = row_signs[i]
             row = rows[i]
             if row is None:

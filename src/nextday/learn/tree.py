@@ -210,8 +210,55 @@ def train_cart(x, y, cfg: CartConfig | None = None, feature_names=()) -> CartMod
     return CartModel(config=cfg, root=root, feature_names=tuple(feature_names))
 
 
+def bootstrap_rows(rng: random.Random, n: int) -> tuple[np.ndarray, int]:
+    """`[rng.randrange(n) for _ in range(n)]` as int32, and the words it used.
+
+    Each `randrange(n)` takes one 32-bit Mersenne Twister word, keeps its
+    top `n.bit_length()` bits and rejects values >= n. Here one
+    `getrandbits` call draws the words for all n at once; they come out
+    as the little-endian 32-bit limbs of the result, in draw order. `rng`
+    is left where the `randrange` loop would leave it: the state is put
+    back and advanced by exactly the words used.
+    """
+    bits = n.bit_length()
+    state = rng.getstate()
+    # n draws need 2**bits words on average; the margin is some four
+    # standard deviations, so a second draw is rare
+    words = (1 << bits) + 4 * math.isqrt(1 << bits) + 8
+    while True:
+        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        values = np.frombuffer(raw, dtype="<u4") >> (32 - bits)
+        kept = np.flatnonzero(values < n)
+        if len(kept) >= n:
+            break
+        rng.setstate(state)
+        words *= 2
+    used = int(kept[n - 1]) + 1
+    rng.setstate(state)
+    rng.getrandbits(32 * used)
+    return values[kept[:n]].astype(np.int32), used
+
+
+def tree_draws(n: int, cfg: ForestConfig, seed: int) -> tuple[np.ndarray, list[int]] | None:
+    """Every tree's bootstrap rows and the RNG words each bootstrap used.
+
+    Tree i's rows are row i of an (n_trees, n) int32 array, drawn from
+    `random.Random(f"tree:{seed}:{i}")`. They depend only on (n, cfg,
+    seed), so fits of several feature matrices with the same labels and
+    fold can share them. None when `cfg.bootstrap` is off.
+    """
+    if not cfg.bootstrap:
+        return None
+    rows = np.empty((cfg.n_trees, n), dtype=np.int32)
+    used = []
+    for index in range(cfg.n_trees):
+        rows[index], words = bootstrap_rows(random.Random(f"tree:{seed}:{index}"), n)
+        used.append(words)
+    return rows, used
+
+
 def train_forest(
-    x, y, cfg: ForestConfig | None = None, feature_names=(), seed: int = 0
+    x, y, cfg: ForestConfig | None = None, feature_names=(), seed: int = 0, draws=None
 ) -> ForestModel:
     """Bagged CART ensemble with per-node feature subsampling.
 
@@ -219,6 +266,10 @@ def train_forest(
     at d), or ceil(sqrt(d)) when it is None. Each tree's RNG is derived
     from (seed, tree index) only, so training is reproducible and trees
     could be grown in any order.
+
+    `draws` is `tree_draws(n, cfg, seed)`, built here when not given. A
+    tree's RNG is advanced past its bootstrap's words before it grows,
+    so its column samples are those that followed the bootstrap.
     """
     cfg = cfg or ForestConfig()
     matrix = _as_matrix(x)
@@ -226,6 +277,11 @@ def train_forest(
     n, d = matrix.shape
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
+    if draws is None:
+        draws = tree_draws(n, cfg, seed)
+    shape = None if draws is None else draws[0].shape
+    if shape != ((cfg.n_trees, n) if cfg.bootstrap else None):
+        raise ValueError(f"bootstrap draws do not fit {cfg.n_trees} trees on {n} rows")
     max_features = cfg.max_features
     if max_features is None:
         max_features = math.isqrt(d)
@@ -236,12 +292,12 @@ def train_forest(
     roots = []
     for index in range(cfg.n_trees):
         rng = random.Random(f"tree:{seed}:{index}")
-        if cfg.bootstrap:
-            chosen = [rng.randrange(n) for _ in range(n)]
-            sample_x = np.ascontiguousarray(matrix[chosen])
-            sample_y = labels[chosen]
-        else:
+        if draws is None:
             sample_x, sample_y = matrix, labels
+        else:
+            rows, used = draws
+            rng.getrandbits(32 * used[index])
+            sample_x, sample_y = matrix[rows[index]], labels[rows[index]]
         roots.append(
             _grow(sample_x, sample_y, 0, cfg, rng=rng, max_features=max_features)
         )

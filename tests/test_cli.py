@@ -238,6 +238,17 @@ class TestFeatures:
         digest = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
         assert digest == reference_digests()[name]
 
+    def test_event_scheme_loads_no_lexicon(self, capsys, monkeypatch, tmp_path):
+        common = example_config_args(monkeypatch, tmp_path)
+        missing = ["--set", f"paths.emotion_lexicon={json.dumps(str(tmp_path / 'absent.tsv'))}"]
+        assert main(["features", *common, *missing, "--scheme", "event_importance"]) == 0
+        name = "features_event_importance.csv"
+        digest = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        assert digest == reference_digests()[name]
+        capsys.readouterr()
+        assert main(["features", *common, *missing, "--scheme", "all"]) == 2
+        assert_one_error_line(capsys.readouterr().err, "'paths.emotion_lexicon'")
+
     def test_scheme_all_emits_six(self, capsys, golden_config, tmp_path):
         cfg = golden_config()
         assert run(capsys, "associate", "--config", str(cfg))[0] == 0
@@ -263,6 +274,19 @@ code = main()
 print(json.dumps({"pool": "multiprocessing.pool" in sys.modules}))
 sys.exit(code)
 """
+
+
+# POOL_PROBE with every SVM fit raising a data error. The patch is made
+# before `main()` runs, so forked pool workers inherit it.
+FAILING_FIT_PROBE = """
+import nextday.learn.cv
+from nextday.corpus import DatasetError
+
+def train_svm(*args, **kwargs):
+    raise DatasetError("fit failed")
+
+nextday.learn.cv.train_svm = train_svm
+""" + POOL_PROBE
 
 
 class TestEvaluate:
@@ -339,6 +363,22 @@ class TestEvaluate:
     def test_worker_error_keeps_exit_code(self, prepared):
         result = subprocess.run(
             [
+                sys.executable, "-c", FAILING_FIT_PROBE, "evaluate", "--config", str(prepared),
+                "--scheme", "all",
+            ],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert result.returncode == 3
+        assert_one_error_line(result.stderr, "fit failed")
+        assert json.loads(result.stdout.splitlines()[-1])["pool"] is (
+            len(os.sched_getaffinity(0)) > 1
+        )
+
+    def test_class_support_error_comes_before_the_pool(self, prepared):
+        result = subprocess.run(
+            [
                 sys.executable, "-c", POOL_PROBE, "evaluate", "--config", str(prepared),
                 "--scheme", "all", "--set", "learn.k=20",
             ],
@@ -347,11 +387,8 @@ class TestEvaluate:
             env=child_env(),
         )
         assert result.returncode == 3
-        assert "insufficient class support" in result.stderr
-        assert "Traceback" not in result.stderr
-        assert json.loads(result.stdout.splitlines()[-1])["pool"] is (
-            len(os.sched_getaffinity(0)) > 1
-        )
+        assert_one_error_line(result.stderr, "insufficient class support")
+        assert json.loads(result.stdout.splitlines()[-1])["pool"] is False
 
     @pytest.mark.parametrize(
         "scheme, cpus, pooled",
@@ -392,19 +429,31 @@ class TestEvaluate:
         assert fits == [os.getpid()] * 30
 
     @pytest.mark.parametrize(
-        "scheme, edit",
+        "scheme, edit, message",
         [
-            ("proposed", lambda rows: rows[:21]),  # header and 20 of 26 articles
-            ("event_importance", lambda rows: [rows[0], "renamed" + rows[1], *rows[2:]]),
+            # header and 20 of 26 articles
+            ("proposed", lambda rows: rows[:21], "article ids differ from those of"),
+            (
+                "event_importance",
+                lambda rows: [rows[0], "renamed" + rows[1], *rows[2:]],
+                "article ids differ from those of",
+            ),
+            (
+                "event_importance",
+                lambda rows: [rows[0], rows[1][:-1] + str(1 - int(rows[1][-1])), *rows[2:]],
+                "labels differ from those of",
+            ),
         ],
-        ids=["first-file-cut", "later-file-renamed"],
+        ids=["first-file-cut", "later-file-renamed", "later-file-label-flipped"],
     )
-    def test_feature_files_disagree_exit_three(self, capsys, prepared, tmp_path, scheme, edit):
+    def test_feature_files_disagree_exit_three(
+        self, capsys, prepared, tmp_path, scheme, edit, message
+    ):
         path = tmp_path / "out" / f"features_{scheme}.csv"
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
         code, _, err = run(capsys, "evaluate", "--config", str(prepared), "--scheme", "all")
         assert code == 3
-        assert_one_error_line(err, "article ids differ from those of")
+        assert_one_error_line(err, message)
         assert str(path) in err
         assert not (tmp_path / "out" / "report.json").exists()
 
@@ -695,7 +744,7 @@ class TestColdStart:
         assert Tracer().missing == set()
         # the tracer reads the `data` argument of every kfold_cv call
         assert list(inspect.signature(nextday.cli.kfold_cv).parameters) == [
-            "data", "k", "classifier_cfgs", "seed",
+            "data", "k", "classifier_cfgs", "seed", "plans",
         ]
 
     def test_traced_golden_run_fills_every_layer_metric(self, monkeypatch, golden_config, tmp_path):
@@ -727,3 +776,9 @@ class TestColdStart:
             assert metrics[f"features.assemble_matrix.{scheme}.s"] > 0, scheme
         assert metrics["lexicons.score_sentiment.calls"] == 216
         assert metrics["lexicons.tag_emotions.calls"] == 164
+        # 6 schemes x 5 folds per classifier; shared random draws leave
+        # every fit's size and every tree's growth as they were
+        assert metrics["learn.train_svm.calls"] == 30
+        assert metrics["learn.train_forest.calls"] == 30
+        assert metrics["learn.svm.steps"] == 124_800
+        assert metrics["learn.best_split.calls"] == 2_010

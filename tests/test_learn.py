@@ -5,7 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nextday.config import CartConfig, FeatureParams, ForestConfig, RelevanceParams, SvmConfig
+from nextday.config import (
+    ALL_SCHEMES,
+    CartConfig,
+    FeatureParams,
+    ForestConfig,
+    RelevanceParams,
+    SvmConfig,
+)
 from nextday.corpus import DatasetError, load_corpus
 from nextday.features import TextMemo, assemble_matrix, write_feature_csv
 from nextday.learn import (
@@ -18,8 +25,9 @@ from nextday.learn import (
     train_forest,
     train_svm,
 )
-from nextday.learn.svm import SvmModel, hinge_objective
-from nextday.learn.tree import Node, best_split
+from nextday.learn.cv import fold_plans
+from nextday.learn.svm import SvmModel, epoch_orders, hinge_objective
+from nextday.learn.tree import Node, _grow, best_split, bootstrap_rows, tree_draws
 from nextday.lexicons import default_lexicons
 from nextday.relevance import associate_all
 from signal_corpus import write_signal_corpus
@@ -638,3 +646,122 @@ class TestDataset:
         path.write_text("article_id,f0,f1,label\na,0.0,1\n")
         with pytest.raises(DatasetError, match="wrong column count"):
             Dataset.from_csv(path)
+
+
+def bit_identical_svm(a: SvmModel, b: SvmModel) -> bool:
+    return (
+        a.weights.tobytes() == b.weights.tobytes()
+        and np.float64(a.bias).tobytes() == np.float64(b.bias).tobytes()
+        and np.asarray(a.objective_history).tobytes() == np.asarray(b.objective_history).tobytes()
+    )
+
+
+def reference_forest(x, y, cfg: ForestConfig, seed: int) -> list[dict]:
+    """Each tree grown from a bootstrap of n `randrange(n)` calls, the draws
+    `train_forest` made one at a time before they could be shared."""
+    n = len(y)
+    labels = np.asarray(y, dtype=np.int8)
+    trees = []
+    for index in range(cfg.n_trees):
+        rng = random.Random(f"tree:{seed}:{index}")
+        chosen = [rng.randrange(n) for _ in range(n)] if cfg.bootstrap else list(range(n))
+        root = _grow(
+            np.ascontiguousarray(x[chosen]), labels[chosen], 0, cfg, rng, cfg.max_features
+        )
+        trees.append(root.to_dict())
+    return trees
+
+
+@pytest.fixture(scope="module")
+def golden_datasets(tmp_path_factory, golden_corpus, golden_associations, lexicons):
+    """The six golden feature CSVs, read back as datasets."""
+    root = tmp_path_factory.mktemp("golden_csv")
+    memo = TextMemo(lexicons)
+    datasets = []
+    for scheme in ALL_SCHEMES:
+        path = root / f"features_{scheme}.csv"
+        matrix = assemble_matrix(golden_corpus, golden_associations, scheme, memo, FeatureParams())
+        write_feature_csv(matrix, path)
+        datasets.append(Dataset.from_csv(path, scheme))
+    return datasets
+
+
+class TestSharedDraws:
+    """The random draws of a fit, built once and passed in, change no bit of it."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 2399, 2400, 4096, 4097])
+    def test_bulk_bootstrap_is_the_randrange_loop(self, n):
+        for index in range(3):
+            loop = random.Random(f"tree:7:{index}")
+            bulk = random.Random(f"tree:7:{index}")
+            want = [loop.randrange(n) for _ in range(n)]
+            rows, used = bootstrap_rows(bulk, n)
+            assert rows.dtype == np.int32
+            assert rows.tolist() == want
+            assert bulk.getstate() == loop.getstate()
+            assert used >= n
+
+    def test_epoch_orders_are_the_shuffle_loop(self):
+        rng = random.Random("svm:5")
+        orders = epoch_orders(9, 4, 5)
+        assert orders.dtype == np.int32 and orders.shape == (4, 9)
+        for row in orders:
+            order = list(range(9))
+            rng.shuffle(order)
+            assert row.tolist() == order
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [(FOUR_X, FOUR_Y), (np.array([[0.25, -4.0, 3.0]] * 7), np.array([0, 1, 1, 0, 1, 1, 1]))],
+        ids=["four-points", "all-constant"],
+    )
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_svm_orders_change_nothing(self, x, y, seed):
+        cfg = SvmConfig()
+        given = train_svm(x, y, cfg, seed=seed, orders=epoch_orders(len(y), cfg.epochs, seed))
+        assert bit_identical_svm(given, train_svm(x, y, cfg, seed=seed))
+
+    @pytest.mark.parametrize("corpus_seed", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", SIGNAL_SCHEMES)
+    def test_svm_orders_change_nothing_on_signal_corpus(self, signal_features, corpus_seed, scheme):
+        x, y = signal_features[(corpus_seed, scheme)]
+        cfg = SvmConfig()
+        orders = epoch_orders(len(y), cfg.epochs, corpus_seed)
+        given = train_svm(x, y, cfg, seed=corpus_seed, orders=orders)
+        assert bit_identical_svm(given, train_svm(x, y, cfg, seed=corpus_seed))
+
+    @pytest.mark.parametrize("bootstrap", [True, False], ids=["bootstrap", "no-bootstrap"])
+    def test_forest_draws_change_nothing(self, bootstrap):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(70, 6))
+        x[:, 2] = 1.5  # a constant column
+        y = (x[:, 0] - x[:, 4] > 0.1).astype(int)
+        cfg = ForestConfig(n_trees=12, bootstrap=bootstrap, max_features=2)
+        draws = tree_draws(70, cfg, 8)
+        assert (draws is None) is not bootstrap
+        given = train_forest(x, y, cfg, seed=8, draws=draws)
+        assert given.to_dict() == train_forest(x, y, cfg, seed=8).to_dict()
+        assert given.to_dict()["trees"] == reference_forest(x, y, cfg, 8)
+
+    def test_draws_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="epoch orders"):
+            train_svm(FOUR_X, FOUR_Y, SvmConfig(), orders=epoch_orders(3, 200, 0))
+        x = np.arange(20.0).reshape(10, 2)
+        y = np.array([0, 1] * 5)
+        cfg = ForestConfig(n_trees=2)
+        with pytest.raises(ValueError, match="bootstrap draws"):
+            train_forest(x, y, cfg, draws=tree_draws(9, cfg, 0))
+        with pytest.raises(ValueError, match="bootstrap draws"):
+            train_forest(x, y, ForestConfig(n_trees=2, bootstrap=False), draws=tree_draws(10, cfg, 0))
+
+    def test_one_plan_list_serves_every_golden_scheme(self, golden_datasets):
+        cfgs = {
+            "random_forest": ForestConfig(n_trees=10),
+            "linear_svm": SvmConfig(),
+            "cart": CartConfig(),
+        }
+        plans = fold_plans(golden_datasets[0].y, 5, cfgs, 2016)
+        assert [sorted(plan) for plan in plans] == [sorted(cfgs)] * 5
+        for data in golden_datasets:
+            shared = kfold_cv(data, 5, cfgs, 2016, plans)
+            assert shared.to_dict() == kfold_cv(data, 5, cfgs, 2016).to_dict(), data.scheme
