@@ -1,9 +1,14 @@
 """CART decision tree and the bagged random forest built on top of it.
 
-Growing a tree spends most of its time in `best_split`, the Gini split
-search. `_grow` looks that name up in this module on every call, so
-instrumentation that wraps `nextday.learn.tree.best_split` sees every
-split search.
+One grower builds every tree of a fit, CART's single tree and each tree
+of a forest alike. It ranks each column's values once per fit, as SLIQ's
+presorted attribute lists do (Mehta, Agrawal & Rissanen, EDBT 1996), and
+then grows all trees in lockstep. Each round takes the next node to
+search from every tree and scores them all in one call of `best_split`
+(a round too large to hold at once takes several), so a round costs a
+fixed set of numpy calls however many nodes it holds. The grower looks
+that name up in this module on every call, so instrumentation that
+wraps `nextday.learn.tree.best_split` sees every split search.
 """
 
 from __future__ import annotations
@@ -11,60 +16,116 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from nextday.config import CartConfig, ForestConfig
 
 
-def best_split(
-    x: np.ndarray, y: np.ndarray, min_leaf: int
-) -> tuple[int, float, float] | None:
-    """Best (column, threshold, score) over all columns of `x`, or None.
+def rank_columns(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's code `2 * rank + label`, and each column's values by rank.
 
-    Candidate thresholds are midpoints between consecutive distinct
-    sorted values leaving at least `min_leaf` samples on each side. The
-    score is the split quality sum((l0^2+l1^2)/l, (r0^2+r1^2)/r), which
-    orders splits exactly like Gini impurity decrease; exact ties keep
-    the earliest candidate (lower column, then lower threshold).
-
-    Every column is sorted and swept at once, so a node costs the same
-    handful of numpy calls whatever its column count. Ties between equal
-    values may sort either way; the class counts at a boundary between
-    distinct values do not depend on that order.
+    A value's rank is the number of distinct smaller values in its
+    column, so equal values share a rank. The codes are int32 with the
+    shape of `x`; `values[col, rank]` is the value of that rank (a
+    column's ranks past its own count of distinct values are 0.0).
     """
-    n, m = x.shape
-    if n < 2 or m == 0 or n < 2 * min_leaf:
-        return None
-    columns = np.arange(m)
+    n, d = x.shape
     order = np.argsort(x, axis=0)
-    sorted_values = x[order, columns]
-    left_ones = np.cumsum(y[order], axis=0, dtype=np.int64)
-    n1 = int(left_ones[-1, 0])
-    left_ones = left_ones[:-1]
-    # left[k] rows go left when splitting after sorted position k
-    left = np.arange(1, n, dtype=np.int64)[:, np.newaxis]
-    right = n - left
-    edge = (left >= min_leaf) & (right >= min_leaf)
-    valid = (sorted_values[1:] > sorted_values[:-1]) & edge
+    sorted_values = np.take_along_axis(x, order, axis=0)
+    steps = np.zeros((n, d), dtype=np.int32)
+    steps[1:] = sorted_values[1:] > sorted_values[:-1]
+    sorted_ranks = np.cumsum(steps, axis=0, dtype=np.int32)
+    values = np.zeros((d, int(sorted_ranks.max(initial=0)) + 1))
+    values[np.arange(d), sorted_ranks] = sorted_values
+    codes = np.empty((n, d), dtype=np.int32)
+    np.put_along_axis(codes, order, 2 * sorted_ranks, axis=0)
+    codes += y[:, np.newaxis]
+    return codes, values
+
+
+def best_split(
+    codes: np.ndarray,
+    values: np.ndarray,
+    rows: np.ndarray,
+    bounds: np.ndarray,
+    columns: np.ndarray,
+    min_leaf: int,
+) -> list[tuple[int, float, float] | None]:
+    """Best (column, threshold, score) of each node of a round, or None.
+
+    `codes` and `values` are `rank_columns(x, y)`. Node i holds the rows
+    `rows[bounds[i]:bounds[i + 1]]` of `x` (a row may repeat) and
+    searches the columns `columns[i]`, in ascending order. Candidate
+    thresholds are midpoints between consecutive distinct values of a
+    column within the node leaving at least `min_leaf` rows on each side.
+    The score is the split quality sum((l0^2+l1^2)/l, (r0^2+r1^2)/r),
+    which orders splits exactly like Gini impurity decrease; exact ties
+    keep the earliest candidate (lower column, then lower threshold).
+
+    Every (node, column) pair is a segment of one integer key
+    `segment * 2 * stride + code`, and one sort of the keys orders every
+    segment by value at once. The labels ride in the key's low bit, so
+    one cumulative sum, less each segment's base, counts the ones left
+    of every boundary. Ties between equal values sort zeros first; the
+    class counts at a boundary between distinct values do not depend on
+    that order.
+    """
+    nodes, width = columns.shape
+    stride = values.shape[1]
+    min_leaf = max(min_leaf, 1)
+    lengths = np.diff(bounds)
+    # node i's segments are w contiguous runs of lengths[i] sorted keys
+    segment_length = np.repeat(lengths, width)
+    segment_start = (
+        width * bounds[:-1, np.newaxis] + lengths[:, np.newaxis] * np.arange(width)
+    ).ravel()
+    dtype = np.int32 if 2 * nodes * width * stride < 2**31 else np.int64
+    node_of = np.repeat(np.arange(nodes, dtype=dtype), lengths)
+    segment = node_of[:, np.newaxis] * width + np.arange(width, dtype=dtype)
+    key = segment * (2 * stride) + codes[rows[:, np.newaxis], columns[node_of]]
+    key = np.sort(key, axis=None)
+    ones = np.zeros(len(key) + 1, dtype=np.int64)
+    np.cumsum(key & 1, out=ones[1:])
+    key >>= 1  # segment * stride + rank
+    # split after sorted position p when the next key in its segment is larger
+    at = np.flatnonzero(key[1:] > key[:-1])
+    segment = key[at] // stride
+    start = segment_start[segment]
+    length = segment_length[segment]
+    left = at + 1 - start
+    right = length - left
+    keep = (left >= min_leaf) & (right >= min_leaf)
+    at, segment, start, length, left, right = (
+        a[keep] for a in (at, segment, start, length, left, right)
+    )
+    base = ones[start]
+    left_ones = ones[at + 1] - base
+    right_ones = ones[start + length] - base - left_ones
     left_zeros = left - left_ones
-    right_ones = n1 - left_ones
     right_zeros = right - right_ones
     quality = (left_zeros * left_zeros + left_ones * left_ones) / left + (
         right_zeros * right_zeros + right_ones * right_ones
     ) / right
-    quality = np.where(valid, quality, -np.inf)
-    # first maximum per column (lowest threshold), then across columns
-    # (lowest column): the order in which the per-column scan kept ties
-    split_at = quality.argmax(axis=0)
-    column_best = quality[split_at, columns]
-    col = int(column_best.argmax())
-    score = float(column_best[col])
-    if score == -np.inf:
-        return None
-    k = int(split_at[col])
-    threshold = float((sorted_values[k, col] + sorted_values[k + 1, col]) / 2.0)
-    return col, threshold, score
+    found: list[tuple[int, float, float] | None] = [None] * nodes
+    if not len(quality):
+        return found
+    # candidates run in (node, column, threshold) order: the first maximum
+    # of each node's run is its earliest best candidate
+    node = segment // width
+    first = np.flatnonzero(np.concatenate(([True], node[1:] != node[:-1])))
+    best = np.maximum.reduceat(quality, first)
+    hits = np.flatnonzero(quality == np.repeat(best, np.diff(first, append=len(quality))))
+    win = hits[np.searchsorted(hits, first)]
+    winner = node[first]
+    col = columns[winner, segment[win] % width]
+    low = key[at[win]] % stride
+    high = key[at[win] + 1] % stride
+    threshold = (values[col, low] + values[col, high]) / 2.0
+    for i, c, t, s in zip(winner.tolist(), col.tolist(), threshold.tolist(), best.tolist()):
+        found[i] = (c, t, s)
+    return found
 
 
 def parent_score(n0: int, n1: int) -> float:
@@ -105,43 +166,119 @@ class Node:
         }
 
 
-def _grow(
+# `best_split` holds some 60 bytes per (row, column) pair of its nodes at
+# once. A round with more pairs than this is searched in several calls,
+# which caps that near 8 MB and changes no tree.
+_SEARCH_PAIRS = 1 << 17
+
+
+def _grow_trees(
     x: np.ndarray,
     y: np.ndarray,
-    depth: int,
     cfg: CartConfig | ForestConfig,
-    rng: random.Random | None,
-    max_features: int | None,
-) -> Node:
-    n = x.shape[0]
-    n1 = int(y.sum())
-    n0 = n - n1
-    counts = (n0, n1)
-    if depth >= cfg.max_depth or n0 == 0 or n1 == 0 or n < 2 * cfg.min_samples_leaf:
-        return Node(counts=counts)
+    samples: list[np.ndarray],
+    rngs: list[random.Random | None],
+    width: int,
+) -> list[Node]:
+    """One tree per entry of `samples` (int32 rows of `x`), grown in lockstep.
 
+    A node is searched when it is shallower than `cfg.max_depth`, holds
+    both classes and at least `2 * cfg.min_samples_leaf` rows, which its
+    class counts tell without a look at its labels. It splits when the
+    best split beats `parent_score` and sends rows both ways. One
+    comparison partitions every node of a round, and each child's rows
+    are a slice of the round's left-going or right-going rows.
+
+    Each tree keeps a depth-first stack. A tree with an RNG and
+    `width < d` searches `sorted(rng.sample(range(d), width))` columns at
+    each node and gives one node per round, so it draws in the order a
+    recursive grower would. Any other tree draws nothing, searches every
+    column and gives every node on its stack.
+    """
     d = x.shape[1]
-    if max_features is not None and max_features < d and rng is not None:
-        columns = sorted(rng.sample(range(d), max_features))
-        found = best_split(np.ascontiguousarray(x[:, columns]), y, cfg.min_samples_leaf)
-        if found is not None:
-            found = (columns[found[0]], found[1], found[2])
-    else:
-        found = best_split(x, y, cfg.min_samples_leaf)
+    codes, values = rank_columns(x, y)
+    is_one = y.astype(bool)
+    all_columns = list(range(d))
+    min_leaf = cfg.min_samples_leaf
 
-    if found is None or found[2] <= parent_score(n0, n1):
-        return Node(counts=counts)
-    feature, threshold, _ = found
-    mask = x[:, feature] <= threshold
-    if not mask.any() or mask.all():  # degenerate midpoint rounding
-        return Node(counts=counts)
-    left = _grow(
-        np.ascontiguousarray(x[mask]), y[mask], depth + 1, cfg, rng, max_features
-    )
-    right = _grow(
-        np.ascontiguousarray(x[~mask]), y[~mask], depth + 1, cfg, rng, max_features
-    )
-    return Node(feature=feature, threshold=threshold, left=left, right=right, counts=counts)
+    def push(stack: list, tree: int, node: Node, depth: int, rows: np.ndarray) -> None:
+        n0, n1 = node.counts
+        if depth < cfg.max_depth and n0 > 0 and n1 > 0 and n0 + n1 >= 2 * min_leaf:
+            stack.append((tree, node, depth, rows))
+
+    def search(batch: list, columns: list) -> None:
+        """One `best_split` call over `batch`, then its nodes' splits."""
+        lengths = [len(entry[3]) for entry in batch]
+        offsets = list(accumulate(lengths, initial=0))
+        bounds = np.array(offsets)
+        rows = np.concatenate([entry[3] for entry in batch])
+        found = best_split(
+            codes, values, rows, bounds, np.array(columns, dtype=np.intp), min_leaf
+        )
+        split = [
+            i
+            for i, (best, entry) in enumerate(zip(found, batch))
+            if best is not None and best[2] > parent_score(*entry[1].counts)
+        ]
+        if split:
+            features = [0] * len(batch)
+            thresholds = [-math.inf] * len(batch)  # sends no row of an unsplit node left
+            for i in split:
+                features[i], thresholds[i], _ = found[i]
+            node_of = np.repeat(np.arange(len(batch)), lengths)
+            goes_left = x[rows, np.array(features)[node_of]] <= np.array(thresholds)[node_of]
+            left_n = np.add.reduceat(goes_left, bounds[:-1]).tolist()
+            left_ones = np.add.reduceat(goes_left & is_one[rows], bounds[:-1]).tolist()
+            left_rows = rows[goes_left]
+            right_rows = rows[~goes_left]
+            left_at = list(accumulate(left_n, initial=0))
+            for i in split:
+                tree, node, depth, _ = batch[i]
+                n_left = left_n[i]
+                n_right = lengths[i] - n_left
+                if n_left == 0 or n_right == 0:  # degenerate midpoint rounding
+                    continue
+                n0, n1 = node.counts
+                ones = left_ones[i]
+                node.feature, node.threshold = features[i], thresholds[i]
+                node.left = Node(counts=(n_left - ones, ones))
+                node.right = Node(counts=(n0 - n_left + ones, n1 - ones))
+                # the left child on top: each tree grows depth first, left first
+                a = left_at[i]
+                b = offsets[i] - a
+                push(stacks[tree], tree, node.right, depth + 1, right_rows[b : b + n_right])
+                push(stacks[tree], tree, node.left, depth + 1, left_rows[a : a + n_left])
+
+    roots = []
+    stacks: list[list] = []
+    for tree, rows in enumerate(samples):
+        n1 = int(np.count_nonzero(is_one[rows]))
+        roots.append(Node(counts=(len(rows) - n1, n1)))
+        stacks.append([])
+        push(stacks[tree], tree, roots[tree], 0, rows)
+    samples_columns = [rng is not None and width < d for rng in rngs]
+    live = [tree for tree, stack in enumerate(stacks) if stack]
+    while live:
+        batch = []
+        columns = []
+        for tree in live:
+            stack = stacks[tree]
+            if samples_columns[tree]:
+                batch.append(stack.pop())
+                columns.append(sorted(rngs[tree].sample(all_columns, width)))
+            else:
+                batch += stack
+                columns += [all_columns] * len(stack)
+                stack.clear()
+        start = pairs = 0
+        for i, entry in enumerate(batch):
+            if pairs and pairs + len(entry[3]) * len(columns[i]) > _SEARCH_PAIRS:
+                search(batch[start:i], columns[start:i])
+                start, pairs = i, 0
+            pairs += len(entry[3]) * len(columns[i])
+        search(batch[start:], columns[start:])
+        live = [tree for tree in live if stacks[tree]]
+    return roots
 
 
 def _predict_node(node: Node, row: np.ndarray) -> int:
@@ -159,6 +296,16 @@ def _as_labels(y) -> np.ndarray:
     if labels.size and not np.isin(labels, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
     return labels
+
+
+def _training_data(x, y) -> tuple[np.ndarray, np.ndarray]:
+    matrix = _as_matrix(x)
+    labels = _as_labels(y)
+    if matrix.shape[0] == 0:
+        raise ValueError("cannot train on an empty dataset")
+    if not np.isfinite(matrix).all():
+        raise ValueError("feature values must be finite")
+    return matrix, labels
 
 
 @dataclass
@@ -202,11 +349,9 @@ def train_cart(x, y, cfg: CartConfig | None = None, feature_names=()) -> CartMod
     resolve to class 0.
     """
     cfg = cfg or CartConfig()
-    matrix = _as_matrix(x)
-    labels = _as_labels(y)
-    if matrix.shape[0] == 0:
-        raise ValueError("cannot train on an empty dataset")
-    root = _grow(matrix, labels, 0, cfg, rng=None, max_features=None)
+    matrix, labels = _training_data(x, y)
+    n, d = matrix.shape
+    (root,) = _grow_trees(matrix, labels, cfg, [np.arange(n, dtype=np.int32)], [None], d)
     return CartModel(config=cfg, root=root, feature_names=tuple(feature_names))
 
 
@@ -272,11 +417,8 @@ def train_forest(
     so its column samples are those that followed the bootstrap.
     """
     cfg = cfg or ForestConfig()
-    matrix = _as_matrix(x)
-    labels = _as_labels(y)
+    matrix, labels = _training_data(x, y)
     n, d = matrix.shape
-    if n == 0:
-        raise ValueError("cannot train on an empty dataset")
     if draws is None:
         draws = tree_draws(n, cfg, seed)
     shape = None if draws is None else draws[0].shape
@@ -289,16 +431,13 @@ def train_forest(
             max_features += 1
     max_features = min(max_features, d)
 
-    roots = []
-    for index in range(cfg.n_trees):
-        rng = random.Random(f"tree:{seed}:{index}")
-        if draws is None:
-            sample_x, sample_y = matrix, labels
-        else:
-            rows, used = draws
-            rng.getrandbits(32 * used[index])
-            sample_x, sample_y = matrix[rows[index]], labels[rows[index]]
-        roots.append(
-            _grow(sample_x, sample_y, 0, cfg, rng=rng, max_features=max_features)
-        )
+    rngs = [random.Random(f"tree:{seed}:{index}") for index in range(cfg.n_trees)]
+    if draws is None:
+        samples = [np.arange(n, dtype=np.int32)] * cfg.n_trees
+    else:
+        rows, used = draws
+        for rng, words in zip(rngs, used):
+            rng.getrandbits(32 * words)
+        samples = list(rows)
+    roots = _grow_trees(matrix, labels, cfg, samples, rngs, max_features)
     return ForestModel(config=cfg, roots=roots, feature_names=tuple(feature_names))

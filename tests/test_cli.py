@@ -781,4 +781,7 @@ class TestColdStart:
         assert metrics["learn.train_svm.calls"] == 30
         assert metrics["learn.train_forest.calls"] == 30
         assert metrics["learn.svm.steps"] == 124_800
-        assert metrics["learn.best_split.calls"] == 2_010
+        # one call per lockstep round, not per node: the 2,010 searched
+        # nodes are recounted from the trees in test_learn.py
+        assert metrics["learn.best_split.calls"] == 220
+        assert metrics["learn.best_split.self_s"] > 0

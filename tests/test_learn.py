@@ -27,7 +27,14 @@ from nextday.learn import (
 )
 from nextday.learn.cv import fold_plans
 from nextday.learn.svm import SvmModel, epoch_orders, hinge_objective
-from nextday.learn.tree import Node, _grow, best_split, bootstrap_rows, tree_draws
+from nextday.learn.tree import (
+    Node,
+    best_split,
+    bootstrap_rows,
+    parent_score,
+    rank_columns,
+    tree_draws,
+)
 from nextday.lexicons import default_lexicons
 from nextday.relevance import associate_all
 from signal_corpus import write_signal_corpus
@@ -119,6 +126,69 @@ def reference_best_split(x, y, min_leaf):
     return best[1], best[2], best[0]
 
 
+def reference_node_split(x, y, min_leaf):
+    """The per-node one-pass split search `best_split` batched, kept as an
+    oracle: every column of one node sorted and swept at once."""
+    n, m = x.shape
+    if n < 2 or m == 0 or n < 2 * min_leaf:
+        return None
+    columns = np.arange(m)
+    order = np.argsort(x, axis=0)
+    sorted_values = x[order, columns]
+    left_ones = np.cumsum(y[order], axis=0, dtype=np.int64)
+    n1 = int(left_ones[-1, 0])
+    left_ones = left_ones[:-1]
+    left = np.arange(1, n, dtype=np.int64)[:, np.newaxis]
+    right = n - left
+    edge = (left >= min_leaf) & (right >= min_leaf)
+    valid = (sorted_values[1:] > sorted_values[:-1]) & edge
+    left_zeros = left - left_ones
+    right_ones = n1 - left_ones
+    right_zeros = right - right_ones
+    quality = (left_zeros * left_zeros + left_ones * left_ones) / left + (
+        right_zeros * right_zeros + right_ones * right_ones
+    ) / right
+    quality = np.where(valid, quality, -np.inf)
+    split_at = quality.argmax(axis=0)
+    column_best = quality[split_at, columns]
+    col = int(column_best.argmax())
+    score = float(column_best[col])
+    if score == -np.inf:
+        return None
+    k = int(split_at[col])
+    threshold = float((sorted_values[k, col] + sorted_values[k + 1, col]) / 2.0)
+    return col, threshold, score
+
+
+def reference_grow(x, y, depth, cfg, rng, max_features):
+    """The recursive grower the lockstep one replaced, kept as an oracle."""
+    n = x.shape[0]
+    n1 = int(y.sum())
+    n0 = n - n1
+    counts = (n0, n1)
+    if depth >= cfg.max_depth or n0 == 0 or n1 == 0 or n < 2 * cfg.min_samples_leaf:
+        return Node(counts=counts)
+    d = x.shape[1]
+    if max_features is not None and max_features < d and rng is not None:
+        columns = sorted(rng.sample(range(d), max_features))
+        found = reference_node_split(
+            np.ascontiguousarray(x[:, columns]), y, cfg.min_samples_leaf
+        )
+        if found is not None:
+            found = (columns[found[0]], found[1], found[2])
+    else:
+        found = reference_node_split(x, y, cfg.min_samples_leaf)
+    if found is None or found[2] <= parent_score(n0, n1):
+        return Node(counts=counts)
+    feature, threshold, _ = found
+    mask = x[:, feature] <= threshold
+    if not mask.any() or mask.all():
+        return Node(counts=counts)
+    left = reference_grow(x[mask], y[mask], depth + 1, cfg, rng, max_features)
+    right = reference_grow(x[~mask], y[~mask], depth + 1, cfg, rng, max_features)
+    return Node(feature=feature, threshold=threshold, left=left, right=right, counts=counts)
+
+
 def fuzz_split_cases(seed, count=300):
     """Small grids with many ties, constant columns and duplicated columns."""
     rng = np.random.default_rng(seed)
@@ -136,37 +206,72 @@ def fuzz_split_cases(seed, count=300):
         yield np.ascontiguousarray(grid), y, int(rng.integers(1, 4))
 
 
+def batched_split(cases, min_leaf):
+    """`best_split` over the (x, y) cases of one width, one node each.
+
+    The cases' rows are stacked into one matrix, ranked together, and
+    handed over in a shuffled order within each node.
+    """
+    x = np.vstack([case_x for case_x, _ in cases])
+    y = np.concatenate([case_y for _, case_y in cases])
+    codes, values = rank_columns(x, y)
+    bounds = np.cumsum([0] + [len(case_y) for _, case_y in cases])
+    rng = np.random.default_rng(0)
+    rows = np.concatenate(
+        [rng.permutation(np.arange(a, b, dtype=np.int32)) for a, b in zip(bounds, bounds[1:])]
+    )
+    columns = np.tile(np.arange(x.shape[1]), (len(cases), 1))
+    return best_split(codes, values, rows, bounds, columns, min_leaf)
+
+
+def each_split_alone_and_joined(cases):
+    """(case, split found for it alone, split found with its group joined),
+    joining the cases of each (width, min_leaf) into one call."""
+    groups = {}
+    for x, y, min_leaf in cases:
+        groups.setdefault((x.shape[1], min_leaf), []).append((x, y))
+    for (_, min_leaf), group in groups.items():
+        joined = batched_split(group, min_leaf)
+        assert len(joined) == len(group)
+        for (x, y), found in zip(group, joined):
+            yield x, y, min_leaf, batched_split([(x, y)], min_leaf)[0], found
+
+
 class TestKernels:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_one_pass_matches_column_loop(self, seed):
-        for x, y, min_leaf in fuzz_split_cases(seed):
-            assert best_split(x, y, min_leaf) == reference_best_split(x, y, min_leaf)
+        cases = list(fuzz_split_cases(seed))
+        for x, y, min_leaf, alone, joined in each_split_alone_and_joined(cases):
+            want = reference_best_split(x, y, min_leaf)
+            assert alone == joined == want
+            assert reference_node_split(x, y, min_leaf) == want
 
     def test_one_pass_matches_exact_oracle(self):
-        for x, y, min_leaf in fuzz_split_cases(3, count=150):
+        cases = list(fuzz_split_cases(3, count=150))
+        for x, y, min_leaf, alone, joined in each_split_alone_and_joined(cases):
             rows = [(*row, label) for row, label in zip(x.tolist(), y.tolist())]
             table = [
                 entry
                 for col in range(x.shape[1])
                 for entry in exact_split_table(rows, col, min_leaf)
             ]
-            found = best_split(x, y, min_leaf)
+            assert alone == joined
             if not table:
-                assert found is None
+                assert alone is None
                 continue
             best_decrease = max(d for _, _, d in table)
             winners = [(f, t) for f, t, d in table if d == best_decrease]
-            assert found is not None and (found[0], found[1]) == min(winners)
+            assert alone is not None and (alone[0], alone[1]) == min(winners)
 
     def test_no_split_when_node_too_small(self):
         x = np.ascontiguousarray([[0.0], [1.0]])
         y = np.array([0, 1], dtype=np.int8)
-        assert best_split(x, y, 2) is None
+        assert batched_split([(x, y)], 2) == [None]
 
     def test_constant_feature_yields_none(self):
         x = np.ascontiguousarray([[1.0], [1.0], [1.0], [1.0]])
         y = np.array([0, 1, 0, 1], dtype=np.int8)
-        assert best_split(x, y, 1) is None
+        assert batched_split([(x, y)], 1) == [None]
 
 
 class TestCart:
@@ -301,9 +406,9 @@ class TestForest:
     def test_each_node_searches_max_features_columns(self, monkeypatch, max_features):
         widths = []
 
-        def counting(x, y, min_leaf):
-            widths.append(x.shape[1])
-            return best_split(x, y, min_leaf)
+        def counting(codes, values, rows, bounds, columns, min_leaf):
+            widths.append(columns.shape[1])
+            return best_split(codes, values, rows, bounds, columns, min_leaf)
 
         monkeypatch.setattr("nextday.learn.tree.best_split", counting)
         rng = np.random.default_rng(11)
@@ -665,7 +770,7 @@ def reference_forest(x, y, cfg: ForestConfig, seed: int) -> list[dict]:
     for index in range(cfg.n_trees):
         rng = random.Random(f"tree:{seed}:{index}")
         chosen = [rng.randrange(n) for _ in range(n)] if cfg.bootstrap else list(range(n))
-        root = _grow(
+        root = reference_grow(
             np.ascontiguousarray(x[chosen]), labels[chosen], 0, cfg, rng, cfg.max_features
         )
         trees.append(root.to_dict())
@@ -765,3 +870,106 @@ class TestSharedDraws:
         for data in golden_datasets:
             shared = kfold_cv(data, 5, cfgs, 2016, plans)
             assert shared.to_dict() == kfold_cv(data, 5, cfgs, 2016).to_dict(), data.scheme
+
+
+def fuzz_fit_cases(seed, count):
+    """Fits of 1-80 rows: normal draws, tied grids (with -0.0) and small
+    integers, some constant columns, some single-class labels."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 81))
+        d = int(rng.integers(1, 7))
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            x = rng.normal(size=(n, d))
+        elif kind == 1:
+            x = rng.choice([0.0, -0.0, 1.0, 2.5, -3.0, 0.5], size=(n, d))
+        else:
+            x = rng.integers(0, 3, size=(n, d)).astype(float)
+        x[:, rng.random(d) < 0.2] = x[0, 0]
+        y = rng.integers(0, 2, size=n)
+        if rng.random() < 0.1:
+            y[:] = y[0]
+        yield x, y, int(rng.integers(1, 4)), int(rng.integers(0, 9)), rng
+
+
+def searched_nodes(tree: dict, cfg, depth: int = 0) -> int:
+    """Nodes of a `to_dict()` tree that passed the grower's stopping rules."""
+    n0, n1 = tree["counts"]
+    here = depth < cfg.max_depth and n0 > 0 and n1 > 0 and n0 + n1 >= 2 * cfg.min_samples_leaf
+    if "left" not in tree:
+        return int(here)
+    return 1 + searched_nodes(tree["left"], cfg, depth + 1) + searched_nodes(
+        tree["right"], cfg, depth + 1
+    )
+
+
+class TestLockstepGrower:
+    """Trees grown in lockstep equal the recursive grower's, node for node."""
+
+    def test_cart_matches_recursion(self):
+        for x, y, leaf, depth, _ in fuzz_fit_cases(21, 400):
+            cfg = CartConfig(max_depth=depth, min_samples_leaf=leaf)
+            want = reference_grow(x, np.asarray(y, dtype=np.int8), 0, cfg, None, None)
+            assert train_cart(x, y, cfg).root.to_dict() == want.to_dict()
+
+    def test_forest_matches_recursion(self):
+        for x, y, leaf, depth, rng in fuzz_fit_cases(22, 150):
+            cfg = ForestConfig(
+                n_trees=int(rng.integers(1, 7)),
+                bootstrap=bool(rng.integers(0, 2)),
+                max_features=int(rng.integers(1, x.shape[1] + 1)),
+                max_depth=depth,
+                min_samples_leaf=leaf,
+            )
+            seed = int(rng.integers(0, 1000))
+            got = train_forest(x, y, cfg, seed=seed).to_dict()["trees"]
+            assert got == reference_forest(x, y, cfg, seed)
+
+    def test_rounds_searched_in_several_calls(self, monkeypatch):
+        monkeypatch.setattr("nextday.learn.tree._SEARCH_PAIRS", 40)
+        for x, y, leaf, depth, rng in fuzz_fit_cases(23, 60):
+            cart = CartConfig(max_depth=depth, min_samples_leaf=leaf)
+            want = reference_grow(x, np.asarray(y, dtype=np.int8), 0, cart, None, None)
+            assert train_cart(x, y, cart).root.to_dict() == want.to_dict()
+            forest = ForestConfig(n_trees=5, max_features=1, max_depth=depth, min_samples_leaf=leaf)
+            assert train_forest(x, y, forest, seed=4).to_dict()["trees"] == reference_forest(
+                x, y, forest, 4
+            )
+
+    def test_empty_fit_rejected(self):
+        empty = np.empty((0, 3))
+        with pytest.raises(ValueError, match="empty"):
+            train_cart(empty, [])
+        with pytest.raises(ValueError, match="empty"):
+            train_forest(empty, [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        x = np.arange(12.0).reshape(6, 2)
+        x[4, 1] = bad
+        y = [0, 1, 0, 1, 0, 1]
+        with pytest.raises(ValueError, match="finite"):
+            train_cart(x, y)
+        with pytest.raises(ValueError, match="finite"):
+            train_forest(x, y, ForestConfig(n_trees=2))
+
+    def test_golden_run_searches_2010_nodes(self, golden_datasets, monkeypatch):
+        # the traced golden run's fits: 6 schemes x 5 folds, 25 trees, CART
+        import nextday.learn.cv as cv
+
+        fitted = []
+        for name in ("train_forest", "train_cart"):
+            fit = getattr(cv, name)
+            monkeypatch.setattr(
+                cv, name, lambda *args, fit=fit: fitted.append(fit(*args)) or fitted[-1]
+            )
+        cfgs = {"random_forest": ForestConfig(n_trees=25), "cart": CartConfig()}
+        for data in golden_datasets:
+            kfold_cv(data, 5, cfgs, 2016)
+        assert len(fitted) == 60
+        searched = 0
+        for model in fitted:
+            roots = model.roots if hasattr(model, "roots") else [model.root]
+            searched += sum(searched_nodes(root.to_dict(), model.config) for root in roots)
+        assert searched == 2_010
