@@ -186,7 +186,7 @@ def cmd_features(config: PipelineConfig, args) -> int:
     return EXIT_OK
 
 
-def kfold_cv(data, k: int, classifier_cfgs: dict, seed: int, plans=None):
+def kfold_cv(data, classifier_cfgs: dict, plans):
     """`nextday.learn.cv.kfold_cv`, imported on the first call.
 
     Only `evaluate` calls it, so the other subcommands never load numpy
@@ -194,10 +194,10 @@ def kfold_cv(data, k: int, classifier_cfgs: dict, seed: int, plans=None):
     """
     from nextday.learn.cv import kfold_cv as run
 
-    return run(data, k, classifier_cfgs, seed, plans)
+    return run(data, classifier_cfgs, plans)
 
 
-# A pool worker's copy of the parent's (data, k, cfgs, seed, plans) jobs.
+# A pool worker's copy of the parent's (data, cfgs, plans) jobs.
 # The parent never sets it: each forked worker gets the list from
 # `_set_worker_jobs`, so only job indices and results cross the pipe.
 _worker_jobs: list[tuple] = []
@@ -218,7 +218,7 @@ def _run_jobs(jobs: list[tuple], parallel: bool) -> list:
     pool of one worker per CPU. Fork, not spawn, lets the workers inherit
     the loaded datasets and imports; the only other thread at that point
     is OpenBLAS's, which its own fork handler stops. `map` keeps the job
-    order, so callers see the same reports either way, and an error
+    order, so callers see the same results either way, and an error
     raised in a worker is re-raised here.
     """
     workers = min(len(os.sched_getaffinity(0)), len(jobs)) if parallel else 1
@@ -260,12 +260,10 @@ def cmd_evaluate(config: PipelineConfig, args) -> int:
     # the folds and random draws depend only on the labels, which every file
     # shares, so each repeat's plans are built once and used by every scheme
     plans = {seed: fold_plans(datasets[0][1].y, config.learn.k, cfgs, seed) for seed in seeds}
-    jobs = [
-        (data, config.learn.k, cfgs, seed, plans[seed]) for _, data in datasets for seed in seeds
-    ]
-    reports = _run_jobs(jobs, args.parallel)
+    jobs = [(data, cfgs, plans[seed]) for _, data in datasets for seed in seeds]
+    results = _run_jobs(jobs, args.parallel)
     runs = {
-        scheme: reports[i * repeats : (i + 1) * repeats] for i, scheme in enumerate(schemes)
+        scheme: results[i * repeats : (i + 1) * repeats] for i, scheme in enumerate(schemes)
     }
 
     # paths are machine-specific run metadata (present in run_meta.json);
@@ -370,8 +368,9 @@ def main(argv: list[str] | None = None) -> int:
     With no `argv`, as from the `nextday` script or `python -m
     nextday.cli`, the command line is `sys.argv` and `evaluate` may run
     its cross-validations on a process pool. A caller that passes an
-    `argv` list gets every fit in its own process, so in-process
-    instrumentation sees them all. Both give the same artifacts.
+    `argv` list gets every fit run one after another in the calling
+    process, so in-process instrumentation sees them all. Both give the
+    same artifacts.
     """
     parallel = argv is None
     argv = list(sys.argv[1:] if argv is None else argv)

@@ -114,33 +114,33 @@ def _read_jsonl(path) -> Iterable[tuple[int, dict]]:
             yield line_no, obj
 
 
-def _require(obj: dict, key: str, line_no: int):
+def _require(obj: dict, key: str, line_no: int, path):
     if key not in obj:
-        raise CorpusError(f"missing field '{key}' at line {line_no}")
+        raise CorpusError(f"missing field '{key}' at line {line_no} of {path}")
     return obj[key]
 
 
-def _require_str(obj: dict, key: str, line_no: int) -> str:
-    value = _require(obj, key, line_no)
+def _require_str(obj: dict, key: str, line_no: int, path) -> str:
+    value = _require(obj, key, line_no, path)
     if not isinstance(value, str):
-        raise CorpusError(f"field '{key}' must be a string at line {line_no}")
+        raise CorpusError(f"field '{key}' must be a string at line {line_no} of {path}")
     return value
 
-def _require_count(obj: dict, key: str, line_no: int) -> int:
-    value = _require(obj, key, line_no)
+def _require_count(obj: dict, key: str, line_no: int, path) -> int:
+    value = _require(obj, key, line_no, path)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise CorpusError(f"field '{key}' must be an integer at line {line_no}")
+        raise CorpusError(f"field '{key}' must be an integer at line {line_no} of {path}")
     if value < 0:
-        raise CorpusError(f"negative {key} at line {line_no}")
+        raise CorpusError(f"negative {key} at line {line_no} of {path}")
     return value
 
 
-def _require_timestamp(obj: dict, key: str, line_no: int) -> datetime:
-    value = _require(obj, key, line_no)
+def _require_timestamp(obj: dict, key: str, line_no: int, path) -> datetime:
+    value = _require(obj, key, line_no, path)
     try:
         return parse_rfc3339(value)
     except ValueError as exc:
-        raise CorpusError(f"bad {key} at line {line_no}: {exc}") from None
+        raise CorpusError(f"bad {key} at line {line_no} of {path}: {exc}") from None
 
 
 def normalize_hashtag(tag: str) -> str:
@@ -152,28 +152,28 @@ def load_articles(path) -> list[NewsArticle]:
     articles: list[NewsArticle] = []
     seen: set[str] = set()
     for line_no, obj in _read_jsonl(path):
-        article_id = _require_str(obj, "id", line_no)
+        article_id = _require_str(obj, "id", line_no, path)
         if article_id in seen:
-            raise CorpusError(f"duplicate article id '{article_id}' at line {line_no}")
+            raise CorpusError(f"duplicate article id '{article_id}' at line {line_no} of {path}")
         seen.add(article_id)
-        title = _require_str(obj, "title", line_no)
-        body = _require_str(obj, "body", line_no)
+        title = _require_str(obj, "title", line_no, path)
+        body = _require_str(obj, "body", line_no, path)
         if not title.strip() or not body.strip():
-            raise CorpusError(f"empty title or body at line {line_no}")
-        label = _require(obj, "label", line_no)
+            raise CorpusError(f"empty title or body at line {line_no} of {path}")
+        label = _require(obj, "label", line_no, path)
         if isinstance(label, bool) or not isinstance(label, int):
-            raise CorpusError(f"label must be an integer at line {line_no}")
+            raise CorpusError(f"label must be an integer at line {line_no} of {path}")
         if label not in (0, 1):
-            raise CorpusError(f"label out of range at line {line_no}")
+            raise CorpusError(f"label out of range at line {line_no} of {path}")
         section = obj.get("section")
         if section is not None and not isinstance(section, str):
-            raise CorpusError(f"field 'section' must be a string at line {line_no}")
+            raise CorpusError(f"field 'section' must be a string at line {line_no} of {path}")
         articles.append(
             NewsArticle(
                 id=article_id,
                 title=title,
                 body=body,
-                published_at=_require_timestamp(obj, "published_at", line_no),
+                published_at=_require_timestamp(obj, "published_at", line_no, path),
                 label=label,
                 section=section,
             )
@@ -186,28 +186,30 @@ def load_tweets(path) -> list[Tweet]:
     tweets: list[Tweet] = []
     seen: set[str] = set()
     for line_no, obj in _read_jsonl(path):
-        tweet_id = _require_str(obj, "id", line_no)
+        tweet_id = _require_str(obj, "id", line_no, path)
         if tweet_id in seen:
-            raise CorpusError(f"duplicate tweet id '{tweet_id}' at line {line_no}")
+            raise CorpusError(f"duplicate tweet id '{tweet_id}' at line {line_no} of {path}")
         seen.add(tweet_id)
-        text = _require_str(obj, "text", line_no)
+        text = _require_str(obj, "text", line_no, path)
         supplied = obj.get("hashtags", [])
         if not isinstance(supplied, list) or not all(isinstance(h, str) for h in supplied):
-            raise CorpusError(f"field 'hashtags' must be a list of strings at line {line_no}")
+            raise CorpusError(
+                f"field 'hashtags' must be a list of strings at line {line_no} of {path}"
+            )
         hashtags = set(extract_hashtags(text))
         for tag in supplied:
             normalized = normalize_hashtag(tag)
             if not _HASHTAG_OK_RE.fullmatch(normalized):
-                raise CorpusError(f"invalid hashtag {tag!r} at line {line_no}")
+                raise CorpusError(f"invalid hashtag {tag!r} at line {line_no} of {path}")
             hashtags.add(normalized)
         tweets.append(
             Tweet(
                 id=tweet_id,
                 text=text,
-                user_id=_require_str(obj, "user_id", line_no),
-                created_at=_require_timestamp(obj, "created_at", line_no),
-                retweet_count=_require_count(obj, "retweet_count", line_no),
-                favorite_count=_require_count(obj, "favorite_count", line_no),
+                user_id=_require_str(obj, "user_id", line_no, path),
+                created_at=_require_timestamp(obj, "created_at", line_no, path),
+                retweet_count=_require_count(obj, "retweet_count", line_no, path),
+                favorite_count=_require_count(obj, "favorite_count", line_no, path),
                 hashtags=frozenset(hashtags),
             )
         )
@@ -219,18 +221,18 @@ def load_users(path) -> list[UserProfile]:
     users: list[UserProfile] = []
     seen: set[str] = set()
     for line_no, obj in _read_jsonl(path):
-        user_id = _require_str(obj, "user_id", line_no)
+        user_id = _require_str(obj, "user_id", line_no, path)
         if user_id in seen:
-            raise CorpusError(f"duplicate user_id '{user_id}' at line {line_no}")
+            raise CorpusError(f"duplicate user_id '{user_id}' at line {line_no} of {path}")
         seen.add(user_id)
-        verified = _require(obj, "verified", line_no)
+        verified = _require(obj, "verified", line_no, path)
         if not isinstance(verified, bool):
-            raise CorpusError(f"field 'verified' must be a boolean at line {line_no}")
+            raise CorpusError(f"field 'verified' must be a boolean at line {line_no} of {path}")
         users.append(
             UserProfile(
                 user_id=user_id,
-                followers_count=_require_count(obj, "followers_count", line_no),
-                last_active_at=_require_timestamp(obj, "last_active_at", line_no),
+                followers_count=_require_count(obj, "followers_count", line_no, path),
+                last_active_at=_require_timestamp(obj, "last_active_at", line_no, path),
                 verified=verified,
             )
         )

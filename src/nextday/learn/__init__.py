@@ -2,7 +2,6 @@
 
 from nextday.learn.cv import (
     Dataset,
-    EvalReport,
     f_score,
     kfold_cv,
     metrics,
@@ -13,7 +12,6 @@ from nextday.learn.tree import CartModel, ForestModel, train_cart, train_forest
 
 __all__ = [
     "Dataset",
-    "EvalReport",
     "f_score",
     "kfold_cv",
     "metrics",

@@ -6,6 +6,7 @@ import csv
 import io
 import math
 import random
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,12 @@ from nextday.corpus import DatasetError
 from nextday.learn.svm import epoch_orders, train_svm
 from nextday.learn.tree import train_cart, train_forest, tree_draws
 from nextday.text import decode_utf8
+
+
+# A feature cell is a plain decimal and a label cell plain digits, in ASCII:
+# `float()` alone would also read `1_0`, ` 1`, `1e3`, `nan` or other digits.
+_FEATURE_CELL = re.compile(r"-?[0-9]+(\.[0-9]+)?")
+_LABEL_CELL = re.compile(r"[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -57,11 +64,11 @@ class Dataset:
                     f"{path}:{line_no}: article id {row[0]!r} repeats line {first_line[row[0]]}"
                 )
             first_line[row[0]] = line_no
-            try:
-                rows.append([float(v) for v in row[1:-1]])
-                labels.append(int(row[-1]))
-            except ValueError:
-                raise DatasetError(f"{path}:{line_no}: non-numeric cell") from None
+            cells = row[1:-1]
+            if not all(map(_FEATURE_CELL.fullmatch, cells)) or not _LABEL_CELL.fullmatch(row[-1]):
+                raise DatasetError(f"{path}:{line_no}: non-numeric cell")
+            rows.append([float(v) for v in cells])
+            labels.append(int(row[-1]))
         x = np.asarray(rows, dtype=np.float64).reshape(len(first_line), len(names))
         y = np.asarray(labels, dtype=np.int8)
         return cls(scheme=scheme, feature_names=names, x=x, y=y, article_ids=tuple(first_line))
@@ -105,10 +112,6 @@ def stratified_folds(y, k: int, seed: int) -> list[list[int]]:
     return [sorted(fold) for fold in folds]
 
 
-def _fold_seed(seed: int, fold: int) -> int:
-    return seed * 1000 + fold
-
-
 def _draw(name: str, cfg, n: int, seed: int):
     """The random draws classifier `name` makes when fitting n rows."""
     if name == "cart":
@@ -120,68 +123,53 @@ def _draw(name: str, cfg, n: int, seed: int):
     raise ValueError(f"unknown classifier {name!r}")
 
 
-def fold_plans(y, k: int, classifier_cfgs: dict, seed: int) -> list[dict]:
-    """Per fold of `stratified_folds(y, k, seed)`, each classifier's draws.
+@dataclass(frozen=True)
+class FoldPlan:
+    """One fold: ascending `train` and `test` row indices, the seed of its
+    fits, and each classifier's random draws for fitting the train rows."""
+
+    train: np.ndarray
+    test: np.ndarray
+    seed: int
+    draws: dict
+
+
+def fold_plans(y, k: int, classifier_cfgs: dict, seed: int) -> list[FoldPlan]:
+    """One plan per fold of `stratified_folds(y, k, seed)`; fold f's seed is
+    `seed * 1000 + f`.
 
     The draws depend on the labels only through the fold sizes, so every
     feature matrix over the same labels can share one list of plans.
     """
-    n = len(y)
-    return [
-        {
-            name: _draw(name, cfg, n - len(holdout), _fold_seed(seed, fold_index))
-            for name, cfg in classifier_cfgs.items()
-        }
-        for fold_index, holdout in enumerate(stratified_folds(y, k, seed))
-    ]
+    plans = []
+    for fold, holdout in enumerate(stratified_folds(y, k, seed)):
+        test = np.array(holdout, dtype=np.intp)
+        train = np.setdiff1d(np.arange(len(y)), test)
+        fold_seed = seed * 1000 + fold
+        draws = {name: _draw(name, c, len(train), fold_seed) for name, c in classifier_cfgs.items()}
+        plans.append(FoldPlan(train, test, fold_seed, draws))
+    return plans
 
 
-def _train(name: str, cfg, x, y, feature_names, seed: int, plan):
+def _train(name: str, cfg, x, y, feature_names, seed: int, draws):
     if name == "cart":
         return train_cart(x, y, cfg, feature_names)
     if name == "random_forest":
-        return train_forest(x, y, cfg, feature_names, seed, plan)
+        return train_forest(x, y, cfg, feature_names, seed, draws)
     if name == "linear_svm":
-        return train_svm(x, y, cfg, feature_names, seed, plan)
+        return train_svm(x, y, cfg, feature_names, seed, draws)
     raise ValueError(f"unknown classifier {name!r}")
 
 
 def _confusion(y_true: np.ndarray, y_pred: np.ndarray) -> dict[str, int]:
-    true = np.asarray(y_true).astype(np.int8)
-    pred = np.asarray(y_pred).astype(np.int8)
-    return {
-        "tp": int(((true == 1) & (pred == 1)).sum()),
-        "fp": int(((true == 0) & (pred == 1)).sum()),
-        "fn": int(((true == 1) & (pred == 0)).sum()),
-        "tn": int(((true == 0) & (pred == 0)).sum()),
-    }
+    """Counts of each (true, predicted) pair of 0/1 labels."""
+    tn, fp, fn, tp = np.bincount(2 * y_true.astype(np.intp) + y_pred, minlength=4).tolist()
+    return {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
 
 
 def _with_metrics(counts: dict[str, int]) -> dict:
     precision, recall, f = metrics(counts["tp"], counts["fp"], counts["fn"])
     return {**counts, "precision": precision, "recall": recall, "f_score": f}
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    scheme: str
-    k: int
-    seed: int
-    folds: tuple[tuple[int, ...], ...]
-    classifiers: dict[str, dict]
-
-    def pooled(self, name: str) -> dict:
-        return self.classifiers[name]["pooled"]
-
-    def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "k": self.k,
-            "seed": self.seed,
-            "classifiers": {
-                name: _round_tree(block) for name, block in self.classifiers.items()
-            },
-        }
 
 
 def _round_tree(value):
@@ -194,57 +182,33 @@ def _round_tree(value):
     return value
 
 
-def kfold_cv(
-    data: Dataset, k: int, classifier_cfgs: dict, seed: int, plans: list[dict] | None = None
-) -> EvalReport:
-    """Stratified k-fold evaluation of every configured classifier.
-
-    All classifiers see the same fold assignment; the forest and the SVM
-    on fold f are seeded `seed * 1000 + f`. Headline metrics come
-    from the confusion matrix pooled over folds; per-fold numbers and
-    their mean are reported alongside.
-
-    `plans` is `fold_plans(data.y, k, classifier_cfgs, seed)`, built here
-    when not given.
-    """
-    if plans is None:
-        plans = fold_plans(data.y, k, classifier_cfgs, seed)
-    folds = stratified_folds(data.y, k, seed)
-    if len(plans) != len(folds):
-        raise ValueError(f"{len(plans)} fold plans for {len(folds)} folds")
-    all_indices = np.arange(len(data.y))
+def kfold_cv(data: Dataset, classifier_cfgs: dict, plans: list[FoldPlan]) -> dict[str, dict]:
+    """Cross-validate each classifier of `classifier_cfgs` on the folds of
+    `plans`, a `fold_plans` list over `data.y`. Per classifier: the
+    confusion matrix pooled over folds with its metrics (the headline
+    numbers), each fold's, and their mean."""
+    n = len(data.y)
+    if not plans or sorted(i for plan in plans for i in plan.test.tolist()) != list(range(n)):
+        raise ValueError(f"the fold plans' test rows do not partition the {n} rows")
     results: dict[str, dict] = {}
-    for name in classifier_cfgs:
-        pooled = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
-        fold_rows = []
-        for fold_index, holdout in enumerate(folds):
-            test_mask = np.isin(all_indices, holdout)
-            x_train, y_train = data.x[~test_mask], data.y[~test_mask]
-            x_test, y_test = data.x[test_mask], data.y[test_mask]
+    for name, cfg in classifier_cfgs.items():
+        counts = []
+        for plan in plans:
             model = _train(
-                name, classifier_cfgs[name], x_train, y_train, data.feature_names,
-                _fold_seed(seed, fold_index), plans[fold_index][name],
+                name, cfg, data.x[plan.train], data.y[plan.train], data.feature_names,
+                plan.seed, plan.draws[name],
             )
-            counts = _confusion(y_test, model.predict(x_test))
-            for key in pooled:
-                pooled[key] += counts[key]
-            fold_rows.append({"fold": fold_index, **_with_metrics(counts)})
-        fold_mean = {
-            metric: sum(row[metric] for row in fold_rows) / len(fold_rows)
-            for metric in ("precision", "recall", "f_score")
-        }
+            counts.append(_confusion(data.y[plan.test], model.predict(data.x[plan.test])))
+        folds = [{"fold": fold, **_with_metrics(c)} for fold, c in enumerate(counts)]
         results[name] = {
-            "pooled": _with_metrics(pooled),
-            "folds": fold_rows,
-            "fold_mean": fold_mean,
+            "pooled": _with_metrics({key: sum(c[key] for c in counts) for key in counts[0]}),
+            "folds": folds,
+            "fold_mean": {
+                metric: sum(row[metric] for row in folds) / len(folds)
+                for metric in ("precision", "recall", "f_score")
+            },
         }
-    return EvalReport(
-        scheme=data.scheme,
-        k=k,
-        seed=seed,
-        folds=tuple(tuple(f) for f in folds),
-        classifiers=results,
-    )
+    return results
 
 
 def _spread(values: list[float]) -> dict:
@@ -260,28 +224,28 @@ def _spread(values: list[float]) -> dict:
 
 
 def build_report(
-    runs: dict[str, list[EvalReport]],
+    runs: dict[str, list[dict]],
     k: int,
     seeds: list[int],
     config_snapshot: dict,
 ) -> dict:
-    """Merge per-scheme, per-repeat EvalReports into the report.json tree."""
+    """Merge per-scheme, per-repeat `kfold_cv` results into the report.json tree."""
     schemes = {}
-    for scheme, reports in runs.items():
+    for scheme, results in runs.items():
         classifiers = {}
-        for name in reports[0].classifiers:
+        for name, first in results[0].items():
             stats = {
-                metric: _spread([r.pooled(name)[metric] for r in reports])
+                metric: _spread([result[name]["pooled"][metric] for result in results])
                 for metric in ("precision", "recall", "f_score")
             }
             classifiers[name] = _round_tree(
                 {
                     **stats,
                     "pooled_counts": {
-                        key: reports[0].pooled(name)[key] for key in ("tp", "fp", "fn", "tn")
+                        key: first["pooled"][key] for key in ("tp", "fp", "fn", "tn")
                     },
-                    "folds": reports[0].classifiers[name]["folds"],
-                    "fold_mean": reports[0].classifiers[name]["fold_mean"],
+                    "folds": first["folds"],
+                    "fold_mean": first["fold_mean"],
                 }
             )
         schemes[scheme] = {"classifiers": classifiers}

@@ -384,16 +384,18 @@ def bootstrap_rows(rng: random.Random, n: int) -> tuple[np.ndarray, int]:
     return values[kept[:n]].astype(np.int32), used
 
 
-def tree_draws(n: int, cfg: ForestConfig, seed: int) -> tuple[np.ndarray, list[int]] | None:
+def tree_draws(n: int, cfg: ForestConfig, seed: int) -> tuple[np.ndarray, list[int]]:
     """Every tree's bootstrap rows and the RNG words each bootstrap used.
 
     Tree i's rows are row i of an (n_trees, n) int32 array, drawn from
     `random.Random(f"tree:{seed}:{i}")`. They depend only on (n, cfg,
     seed), so fits of several feature matrices with the same labels and
-    fold can share them. None when `cfg.bootstrap` is off.
+    fold can share them. With `cfg.bootstrap` off, every tree's rows are
+    range(n) and use no words.
     """
     if not cfg.bootstrap:
-        return None
+        rows = np.broadcast_to(np.arange(n, dtype=np.int32), (cfg.n_trees, n))
+        return rows, [0] * cfg.n_trees
     rows = np.empty((cfg.n_trees, n), dtype=np.int32)
     used = []
     for index in range(cfg.n_trees):
@@ -419,10 +421,8 @@ def train_forest(
     cfg = cfg or ForestConfig()
     matrix, labels = _training_data(x, y)
     n, d = matrix.shape
-    if draws is None:
-        draws = tree_draws(n, cfg, seed)
-    shape = None if draws is None else draws[0].shape
-    if shape != ((cfg.n_trees, n) if cfg.bootstrap else None):
+    rows, used = tree_draws(n, cfg, seed) if draws is None else draws
+    if rows.shape != (cfg.n_trees, n) or any((words > 0) != cfg.bootstrap for words in used):
         raise ValueError(f"bootstrap draws do not fit {cfg.n_trees} trees on {n} rows")
     max_features = cfg.max_features
     if max_features is None:
@@ -432,12 +432,7 @@ def train_forest(
     max_features = min(max_features, d)
 
     rngs = [random.Random(f"tree:{seed}:{index}") for index in range(cfg.n_trees)]
-    if draws is None:
-        samples = [np.arange(n, dtype=np.int32)] * cfg.n_trees
-    else:
-        rows, used = draws
-        for rng, words in zip(rngs, used):
-            rng.getrandbits(32 * words)
-        samples = list(rows)
-    roots = _grow_trees(matrix, labels, cfg, samples, rngs, max_features)
+    for rng, words in zip(rngs, used):
+        rng.getrandbits(32 * words)
+    roots = _grow_trees(matrix, labels, cfg, list(rows), rngs, max_features)
     return ForestModel(config=cfg, roots=roots, feature_names=tuple(feature_names))

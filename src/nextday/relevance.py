@@ -21,7 +21,7 @@ import logging
 import math
 import sys
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, timedelta
 from typing import IO, Iterable, Mapping
 
@@ -399,12 +399,18 @@ def write_associations(path, associations: list[ArticleAssociation]) -> None:
             fh.write(json.dumps(association_to_dict(assoc), ensure_ascii=False) + "\n")
 
 
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
 def load_associations(path) -> list[ArticleAssociation]:
     """Read `write_associations` output.
 
-    A line that is not a JSON association record (for example one cut
-    short by an interrupted copy), or one that repeats an earlier line's
-    article id, raises DatasetError naming path:line.
+    A line that is not a JSON association record, or one that repeats an
+    earlier line's article id, raises DatasetError naming path:line. A
+    record has a string `article_id`, lists of strings for its tweet ids
+    and hashtags, and a non-negative integer `iterations_run`; a line cut
+    short by an interrupted copy is not one.
     """
     associations = []
     first_line: dict[str, int] = {}
@@ -417,22 +423,22 @@ def load_associations(path) -> list[ArticleAssociation]:
             except ValueError:  # invalid JSON or invalid UTF-8
                 raise DatasetError(f"{path}:{line_no}: truncated or invalid JSON line") from None
             try:
-                assoc = ArticleAssociation(
-                    article_id=obj["article_id"],
-                    seed_tweet_ids=frozenset(obj["seed_tweet_ids"]),
-                    expanded_tweet_ids=frozenset(obj["expanded_tweet_ids"]),
-                    article_specific_hashtags=frozenset(obj["article_specific_hashtags"]),
-                    generic_hashtags=frozenset(obj["generic_hashtags"]),
-                    iterations_run=obj["iterations_run"],
-                )
-                first = first_line.setdefault(assoc.article_id, line_no)
+                article_id, *lists, iterations = [obj[f.name] for f in fields(ArticleAssociation)]
             except KeyError as exc:
                 raise DatasetError(f"{path}:{line_no}: missing field {exc.args[0]!r}") from None
-            except TypeError:
+            except TypeError:  # the line holds no JSON object
                 raise DatasetError(f"{path}:{line_no}: not an association record") from None
+            if not (
+                isinstance(article_id, str)
+                and all(_is_string_list(ids) for ids in lists)
+                and type(iterations) is int  # not a bool
+                and iterations >= 0
+            ):
+                raise DatasetError(f"{path}:{line_no}: not an association record")
+            first = first_line.setdefault(article_id, line_no)
             if first != line_no:
                 raise DatasetError(
-                    f"{path}:{line_no}: article id {assoc.article_id!r} repeats line {first}"
+                    f"{path}:{line_no}: article id {article_id!r} repeats line {first}"
                 )
-            associations.append(assoc)
+            associations.append(ArticleAssociation(article_id, *map(frozenset, lists), iterations))
     return associations

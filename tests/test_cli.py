@@ -744,7 +744,7 @@ class TestColdStart:
         assert Tracer().missing == set()
         # the tracer reads the `data` argument of every kfold_cv call
         assert list(inspect.signature(nextday.cli.kfold_cv).parameters) == [
-            "data", "k", "classifier_cfgs", "seed", "plans",
+            "data", "classifier_cfgs", "plans",
         ]
 
     def test_traced_golden_run_fills_every_layer_metric(self, monkeypatch, golden_config, tmp_path):

@@ -140,6 +140,16 @@ class TestLoadArticles:
             load_articles(tmp_path / "nope.jsonl")
 
 
+    def test_record_error_names_file(self, tmp_path):
+        records = [article_record(article(id=f"a{i}")) for i in range(3)]
+        del records[1]["title"]
+        path = tmp_path / "articles.jsonl"
+        write_jsonl(path, records)
+        with pytest.raises(CorpusError) as caught:
+            load_articles(path)
+        assert str(caught.value) == f"missing field 'title' at line 2 of {path}"
+
+
 class TestLoadTweets:
     def test_hashtags_extracted_from_text(self, tmp_path):
         path = write_lines(
@@ -263,6 +273,16 @@ class TestLoadTweets:
             load_tweets(path)
 
 
+    def test_record_error_names_file(self, tmp_path):
+        records = [tweet_record(tweet(id=f"t{i}")) for i in range(3)]
+        records[2]["retweet_count"] = "7"
+        path = tmp_path / "tweets.jsonl"
+        write_jsonl(path, records)
+        with pytest.raises(CorpusError) as caught:
+            load_tweets(path)
+        assert str(caught.value) == f"field 'retweet_count' must be an integer at line 3 of {path}"
+
+
 class TestLoadUsers:
     def test_basic(self, tmp_path):
         path = write_lines(
@@ -286,6 +306,16 @@ class TestLoadUsers:
         path = write_lines(tmp_path / "u.jsonl", line, line)
         with pytest.raises(CorpusError, match="duplicate user_id 'u1'"):
             load_users(path)
+
+
+    def test_record_error_names_file(self, tmp_path):
+        records = [user_record(user(user_id=f"u{i}")) for i in range(3)]
+        del records[2]["user_id"]
+        path = tmp_path / "users.jsonl"
+        write_jsonl(path, records)
+        with pytest.raises(CorpusError) as caught:
+            load_users(path)
+        assert str(caught.value) == f"missing field 'user_id' at line 3 of {path}"
 
 
 class TestBuildCorpus:

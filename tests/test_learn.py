@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -691,33 +692,62 @@ class TestFolds:
         assert stratified_folds(data.y, 10, 7) != stratified_folds(data.y, 10, 8)
 
 
+def cross_validate(data, k, cfgs, seed):
+    return kfold_cv(data, cfgs, fold_plans(data.y, k, cfgs, seed))
+
+
 class TestKfoldCv:
     def test_perfectly_learnable_data_scores_hundred(self):
         data = toy_dataset(n=60, ones=30)
         cfgs = {"random_forest": ForestConfig(), "linear_svm": SvmConfig(), "cart": CartConfig()}
-        report = kfold_cv(data, 2, cfgs, seed=1)
-        assert any(
-            report.pooled(name)["f_score"] == 100.0 for name in report.classifiers
-        )
-        assert report.pooled("cart")["f_score"] == 100.0
+        results = cross_validate(data, 2, cfgs, seed=1)
+        assert any(block["pooled"]["f_score"] == 100.0 for block in results.values())
+        assert results["cart"]["pooled"]["f_score"] == 100.0
 
     def test_report_deterministic(self):
         data = toy_dataset(n=80, ones=40)
         cfgs = {"cart": CartConfig(), "random_forest": ForestConfig(n_trees=5)}
-        a = kfold_cv(data, 4, cfgs, seed=9)
-        b = kfold_cv(data, 4, cfgs, seed=9)
-        assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
+        a = cross_validate(data, 4, cfgs, seed=9)
+        b = cross_validate(data, 4, cfgs, seed=9)
+        assert json.dumps(a) == json.dumps(b)
 
     def test_pooled_counts_cover_all_rows(self):
         data = toy_dataset(n=90, ones=45, separable=False)
-        report = kfold_cv(data, 3, {"cart": CartConfig()}, seed=4)
-        pooled = report.pooled("cart")
+        pooled = cross_validate(data, 3, {"cart": CartConfig()}, seed=4)["cart"]["pooled"]
         assert pooled["tp"] + pooled["fp"] + pooled["fn"] + pooled["tn"] == 90
 
     def test_insufficient_support_propagates(self):
         data = toy_dataset(n=20, ones=3)
         with pytest.raises(DatasetError):
-            kfold_cv(data, 5, {"cart": CartConfig()}, seed=1)
+            cross_validate(data, 5, {"cart": CartConfig()}, seed=1)
+
+    def test_plans_fold_train_and_seed(self):
+        data = toy_dataset(n=50, ones=20)
+        plans = fold_plans(data.y, 5, {"cart": CartConfig()}, 3)
+        for fold, (plan, holdout) in enumerate(zip(plans, stratified_folds(data.y, 5, 3))):
+            assert plan.test.tolist() == holdout
+            assert plan.train.tolist() == sorted(set(range(50)) - set(holdout))
+            assert plan.seed == 3000 + fold
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda plans: plans[1:],
+            lambda plans: plans + plans[:1],
+            lambda plans: [replace(plans[0], test=plans[0].test[1:]), *plans[1:]],
+            lambda plans: [],
+        ],
+        ids=["fold-missing", "fold-repeated", "row-missing", "no-plans"],
+    )
+    def test_plans_must_partition_the_rows(self, change):
+        data = toy_dataset(n=40, ones=20)
+        cfgs = {"cart": CartConfig()}
+        plans = change(fold_plans(data.y, 4, cfgs, 2))
+        with pytest.raises(ValueError, match="do not partition the 40 rows"):
+            kfold_cv(data, cfgs, plans)
+        other = toy_dataset(n=44, ones=20)
+        with pytest.raises(ValueError, match="do not partition the 44 rows"):
+            kfold_cv(other, cfgs, fold_plans(data.y, 4, cfgs, 2))
 
 
 class TestDataset:
@@ -745,6 +775,28 @@ class TestDataset:
         path.write_text("article_id,f0,label\na,0.0,2\n")
         with pytest.raises(DatasetError, match="labels must be 0 or 1"):
             Dataset.from_csv(path)
+
+    @pytest.mark.parametrize(
+        "feature, label",
+        [
+            ("1_0", "1"), ("1e3", "1"), (" 1.5", "1"), ("1.5 ", "1"), ("+1.5", "1"),
+            (".5", "1"), ("5.", "1"), ("nan", "1"), ("inf", "1"), ("", "1"),
+            ("\u0661.5", "1"), ("0.5", " 1"), ("0.5", "1.0"), ("0.5", "-0"), ("0.5", "1_0"),
+            ("0.5", "\u0661"), ("0.5", ""),
+        ],
+    )
+    def test_non_numeric_cell(self, tmp_path, feature, label):
+        path = tmp_path / "f.csv"
+        path.write_text(f"article_id,f0,label\na,-0.25,0\nb,{feature},{label}\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match="f.csv:3: non-numeric cell"):
+            Dataset.from_csv(path)
+
+    def test_plain_cells_read(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("article_id,f0,f1,label\na,-0.000000,12,01\nb,3.250000,-7,0\n")
+        data = Dataset.from_csv(path)
+        assert data.x.tolist() == [[0.0, 12.0], [3.25, -7.0]]
+        assert data.y.tolist() == [1, 0]
 
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "f.csv"
@@ -843,7 +895,11 @@ class TestSharedDraws:
         y = (x[:, 0] - x[:, 4] > 0.1).astype(int)
         cfg = ForestConfig(n_trees=12, bootstrap=bootstrap, max_features=2)
         draws = tree_draws(70, cfg, 8)
-        assert (draws is None) is not bootstrap
+        rows, used = draws
+        assert rows.shape == (12, 70)
+        assert (sum(used) == 0) is not bootstrap
+        if not bootstrap:
+            assert (rows == np.arange(70)).all()
         given = train_forest(x, y, cfg, seed=8, draws=draws)
         assert given.to_dict() == train_forest(x, y, cfg, seed=8).to_dict()
         assert given.to_dict()["trees"] == reference_forest(x, y, cfg, 8)
@@ -866,10 +922,10 @@ class TestSharedDraws:
             "cart": CartConfig(),
         }
         plans = fold_plans(golden_datasets[0].y, 5, cfgs, 2016)
-        assert [sorted(plan) for plan in plans] == [sorted(cfgs)] * 5
+        assert [sorted(plan.draws) for plan in plans] == [sorted(cfgs)] * 5
         for data in golden_datasets:
-            shared = kfold_cv(data, 5, cfgs, 2016, plans)
-            assert shared.to_dict() == kfold_cv(data, 5, cfgs, 2016).to_dict(), data.scheme
+            own = kfold_cv(data, cfgs, fold_plans(data.y, 5, cfgs, 2016))
+            assert kfold_cv(data, cfgs, plans) == own, data.scheme
 
 
 def fuzz_fit_cases(seed, count):
@@ -965,8 +1021,9 @@ class TestLockstepGrower:
                 cv, name, lambda *args, fit=fit: fitted.append(fit(*args)) or fitted[-1]
             )
         cfgs = {"random_forest": ForestConfig(n_trees=25), "cart": CartConfig()}
+        plans = fold_plans(golden_datasets[0].y, 5, cfgs, 2016)
         for data in golden_datasets:
-            kfold_cv(data, 5, cfgs, 2016)
+            kfold_cv(data, cfgs, plans)
         assert len(fitted) == 60
         searched = 0
         for model in fitted:

@@ -212,6 +212,20 @@ class TestExpandAssociation:
         assert assoc.iterations_run == 0
 
 
+def association_line(**fields) -> bytes:
+    """A valid association line for article a2, with `fields` replaced."""
+    record = {
+        "article_id": "a2",
+        "seed_tweet_ids": ["t1"],
+        "expanded_tweet_ids": ["t1", "t2"],
+        "article_specific_hashtags": ["abc", "defg"],
+        "generic_hashtags": [],
+        "iterations_run": 1,
+        **fields,
+    }
+    return json.dumps(record).encode()
+
+
 class TestAssociationProperties:
     def test_expansion_monotone_in_iterations(self, golden_corpus):
         previous = {}
@@ -287,8 +301,24 @@ class TestAssociationProperties:
             (b'{"article_id": "a2", "seed_tweet_ids": 7, "expanded_tweet_ids": [],'
              b' "article_specific_hashtags": [], "generic_hashtags": [], "iterations_run": 0}',
              "not an association record"),
+            (association_line(article_specific_hashtags="abcdefg"), "not an association record"),
+            (association_line(seed_tweet_ids=["t1", 2]), "not an association record"),
+            (association_line(generic_hashtags={"a": 1}), "not an association record"),
+            (association_line(expanded_tweet_ids=None), "not an association record"),
+            (association_line(article_id=2), "not an association record"),
+            (association_line(iterations_run=True), "not an association record"),
+            (association_line(iterations_run=-1), "not an association record"),
+            (association_line(iterations_run=1.0), "not an association record"),
+            (association_line(iterations_run="1"), "not an association record"),
+            (b'"a2"', "not an association record"),
+            (b"null", "not an association record"),
         ],
-        ids=["cut-json", "bad-utf8", "missing-field", "not-an-object", "wrong-type"],
+        ids=[
+            "cut-json", "bad-utf8", "missing-field", "not-an-object", "wrong-type",
+            "hashtags-string", "id-not-string", "hashtags-object", "ids-null", "article-id-int",
+            "iterations-bool", "iterations-negative", "iterations-float", "iterations-string",
+            "json-string", "json-null",
+        ],
     )
     def test_bad_line_names_path_and_line(self, tmp_path, golden_associations, bad_line, message):
         path = tmp_path / "associations.jsonl"
@@ -296,6 +326,13 @@ class TestAssociationProperties:
         path.write_bytes(path.read_bytes() + b"\n" + bad_line + b"\n")
         with pytest.raises(DatasetError, match=f"associations.jsonl:3: {message}"):
             load_associations(path)
+
+    def test_valid_line_reads(self, tmp_path):
+        path = tmp_path / "associations.jsonl"
+        path.write_bytes(association_line() + b"\n")
+        (assoc,) = load_associations(path)
+        assert assoc.article_specific_hashtags == {"abc", "defg"}
+        assert assoc.iterations_run == 1
 
 
 class TestGoldenAgreement:
