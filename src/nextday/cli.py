@@ -66,7 +66,9 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def _write_run_meta(config: PipelineConfig, command: str, argv: list[str], started: str) -> None:
+def _write_run_meta(
+    config: PipelineConfig, command: str, argv: list[str], started: str, extra: dict
+) -> None:
     out = config.output_dir()
     out.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -76,6 +78,7 @@ def _write_run_meta(config: PipelineConfig, command: str, argv: list[str], start
         "finished_at": _now(),
         "version": __version__,
         "effective_config": asdict(config),
+        **extra,
     }
     _write_text(out / "run_meta.json", json.dumps(meta, indent=2) + "\n")
 
@@ -233,6 +236,10 @@ def _run_jobs(jobs: list[tuple], parallel: bool) -> list:
 
 def cmd_evaluate(config: PipelineConfig, args) -> int:
     from nextday.learn.cv import Dataset, build_report, fold_plans
+    from nextday.learn.svm import EPOCH_PATH
+
+    # "compiled", or "python" with the reason the epoch helper is not used
+    args.run_meta = {"svm_epochs": EPOCH_PATH}
 
     schemes = _resolve_schemes(args.scheme)
     out = config.output_dir()
@@ -389,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CorpusError, DatasetError, LexiconError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    _write_run_meta(config, args.command, argv, started)
+    _write_run_meta(config, args.command, argv, started, getattr(args, "run_meta", {}))
     return code
 
 

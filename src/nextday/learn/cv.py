@@ -67,8 +67,11 @@ class Dataset:
             cells = row[1:-1]
             if not all(map(_FEATURE_CELL.fullmatch, cells)) or not _LABEL_CELL.fullmatch(row[-1]):
                 raise DatasetError(f"{path}:{line_no}: non-numeric cell")
+            label = int(row[-1])
+            if label not in (0, 1):
+                raise DatasetError(f"{path}:{line_no}: labels must be 0 or 1")
             rows.append([float(v) for v in cells])
-            labels.append(int(row[-1]))
+            labels.append(label)
         x = np.asarray(rows, dtype=np.float64).reshape(len(first_line), len(names))
         y = np.asarray(labels, dtype=np.int8)
         return cls(scheme=scheme, feature_names=names, x=x, y=y, article_ids=tuple(first_line))

@@ -1,10 +1,26 @@
-"""Linear SVM trained by deterministic primal sub-gradient descent."""
+"""Linear SVM trained by deterministic primal sub-gradient descent.
+
+The epoch shuffles and the per-row step loop run in `_epoch.c` when it
+can be built: importing this module compiles it with `cc` into
+`__pycache__/` on first use and loads it with ctypes. The dot product
+there is the `cblas_ddot` that `ndarray.dot` itself calls, so a fit gives
+the same bits on either path. When the library cannot be built or
+loaded, one warning says why and the Python loops below run instead;
+they are also the compiled path's test oracles.
+"""
 
 from __future__ import annotations
 
+import ctypes
 import logging
+import os
 import random
+import shutil
+import sysconfig
+import tempfile
+import zlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -50,13 +66,33 @@ def epoch_orders(n: int, epochs: int, seed: int) -> np.ndarray:
     range(n). The orders depend only on (n, epochs, seed), so fits of
     several feature matrices with the same labels and fold can share them.
     """
-    rng = random.Random(f"svm:{seed}")
+    return _orders(_HELPER, n, epochs, seed)
+
+
+def _shuffle_words(n: int, epochs: int) -> int:
+    """Words drawn up front for `epochs` shuffles of n rows: a shuffle takes
+    fewer than 2 per row on average, so running out is rare."""
+    return 2 * n * epochs + 64
+
+
+def _orders(helper: _Helper | None, n: int, epochs: int, seed: int) -> np.ndarray:
     orders = np.empty((epochs, n), dtype=np.int32)
-    for epoch in range(epochs):
-        order = list(range(n))
-        rng.shuffle(order)
-        orders[epoch] = order
-    return orders
+    if helper is None:
+        rng = random.Random(f"svm:{seed}")
+        for epoch in range(epochs):
+            order = list(range(n))
+            rng.shuffle(order)
+            orders[epoch] = order
+        return orders
+    # the shuffles' words are the little-endian 32-bit limbs of one bulk
+    # draw, in draw order; if they run out, draw again from the same seed
+    words = _shuffle_words(n, epochs)
+    while True:
+        raw = random.Random(f"svm:{seed}").getrandbits(32 * words).to_bytes(4 * words, "little")
+        drawn = np.frombuffer(raw, dtype="<u4").astype(np.uint32, copy=False)
+        if helper.lib.shuffle_orders(drawn.ctypes.data, words, orders.ctypes.data, n, epochs) >= 0:
+            return orders
+        words *= 2
 
 
 def train_svm(
@@ -74,6 +110,52 @@ def train_svm(
     (recorded per epoch on the model) decreases cleanly once past the
     early noisy epochs.
 
+    `orders` is `epoch_orders(n, cfg.epochs, seed)`, built here when not
+    given; any integer (epochs, n) array of rows in range(n) is accepted.
+    """
+    cfg = cfg or SvmConfig()
+    matrix = np.asarray(x, dtype=np.float64)
+    labels = np.asarray(y)
+    n, d = matrix.shape
+    if n == 0:
+        raise ValueError("cannot train on an empty dataset")
+    if labels.shape != (n,):
+        raise ValueError(f"labels {labels.shape} do not fit {n} rows")
+    orders = epoch_orders(n, cfg.epochs, seed) if orders is None else np.asarray(orders)
+    if orders.shape != (cfg.epochs, n):
+        raise ValueError(f"epoch orders {orders.shape} do not fit {cfg.epochs} epochs of {n} rows")
+    # the compiled loop indexes rows by these values
+    if orders.dtype.kind not in "iu" or (orders.size and (orders.min() < 0 or orders.max() >= n)):
+        raise ValueError(f"epoch orders must be integer rows in range({n})")
+    signs = np.where(labels == 1, 1.0, -1.0)
+
+    mean = matrix.mean(axis=0)
+    std = matrix.std(axis=0)
+    flat = std == 0.0
+    if flat.any():
+        log.warning("zero-variance features standardized to zero: %s", np.nonzero(flat)[0].tolist())
+    scale = np.where(flat, 1.0, std)
+    standardized = np.ascontiguousarray((matrix - mean) / scale)
+    weights, bias, history = _descend(
+        _HELPER, standardized, signs, np.ascontiguousarray(orders, dtype=np.int32), cfg.c
+    )
+    return SvmModel(
+        config=cfg,
+        weights=weights,
+        bias=bias,
+        mean=mean,
+        scale=scale,
+        feature_names=tuple(feature_names),
+        objective_history=tuple(history),
+    )
+
+
+def _descend(helper: _Helper | None, standardized, signs, orders, c: float):
+    """The averaged weights and bias after every epoch of `orders` over the
+    standardized rows, and the objective after each epoch. `orders` is a
+    C-contiguous int32 (epochs, n) array of rows in range(n): the compiled
+    loop reads it, and the matrix, by address.
+
     Step t visits row x with sign s and updates
     w_t = (1 - 1/t) * w_{t-1} + [s * (x.w_{t-1} + b) < 1] * s * x / (lambda*t),
     so v_t = t * w_t is the plain sum of the increments
@@ -87,77 +169,178 @@ def train_svm(
     and sum_k delta_k * H_{k-1} is kept as one coefficient per training
     row (the sum of H_{k-1} over that row's violating steps) and folded
     in with one product against the matrix per epoch.
-
-    `orders` is `epoch_orders(n, cfg.epochs, seed)`, built here when not
-    given.
     """
-    cfg = cfg or SvmConfig()
-    matrix = np.asarray(x, dtype=np.float64)
-    labels = np.asarray(y)
-    n, d = matrix.shape
-    if n == 0:
-        raise ValueError("cannot train on an empty dataset")
-    if orders is None:
-        orders = epoch_orders(n, cfg.epochs, seed)
-    if orders.shape != (cfg.epochs, n):
-        raise ValueError(f"epoch orders {orders.shape} do not fit {cfg.epochs} epochs of {n} rows")
-    signs = np.where(labels == 1, 1.0, -1.0)
-
-    mean = matrix.mean(axis=0)
-    std = matrix.std(axis=0)
-    flat = std == 0.0
-    if flat.any():
-        log.warning("zero-variance features standardized to zero: %s", np.nonzero(flat)[0].tolist())
-    scale = np.where(flat, 1.0, std)
-    standardized = (matrix - mean) / scale
-
-    lam = 1.0 / (cfg.c * n)
-    # a row that standardizes to all zeros (every row of an all-constant
-    # matrix) adds exactly +0.0 to the dot product, the weight sum and the
-    # folded harmonic term, so its step only reads and moves the bias
-    rows = [row if row.any() else None for row in standardized]
-    row_signs = signs.tolist()
+    n, d = standardized.shape
+    lam = 1.0 / (c * n)
     # scaled_sum = lambda * v_step, the sum of sign * row over the violating
     # steps; harmonic_sums[i] is the sum of H_{k-1} over row i's violating steps k
     scaled_sum = np.zeros(d)
-    harmonic_sums = [0.0] * n
-    harmonic = 0.0  # H_step
-    eta = 0.0  # 1 / (lambda * step), so w_step = eta * scaled_sum (w_0 = 0)
-    bias = 0.0
+    # state: eta = 1 / (lambda * step), so w_step = eta * scaled_sum (w_0 = 0);
+    # then the bias, its running average and H_step.
+    # A row that standardizes to all zeros (every row of an all-constant
+    # matrix) adds exactly +0.0 to the dot product, the weight sum and the
+    # folded harmonic term, so its step only reads and moves the bias.
+    if helper is None:
+        rows = [row if row.any() else None for row in standardized]
+        row_signs = signs.tolist()
+        harmonic_sums = [0.0] * n
+        state = [0.0, 0.0, 0.0, 0.0]
+
+        def run_epoch(epoch, step):
+            state[:] = _python_epoch(
+                rows, row_signs, orders[epoch], lam, step, state, scaled_sum, harmonic_sums
+            )
+    else:
+        zero_rows = (~standardized.any(axis=1)).astype(np.uint8)
+        harmonic_sums = np.zeros(n)
+        state = np.zeros(4)
+        fixed = [a.ctypes.data for a in (standardized, signs, zero_rows)]
+        updated = [a.ctypes.data for a in (state, scaled_sum, harmonic_sums)]
+        orders_at, order_bytes = orders.ctypes.data, orders.strides[0]
+
+        def run_epoch(epoch, step):
+            order_at = orders_at + epoch * order_bytes
+            helper.lib.svm_epoch(helper.ddot, n, d, *fixed, order_at, lam, step, *updated)
+
     avg_weights = np.zeros(d)
-    avg_bias = 0.0
     history = []
-    step = 0
-    for order in orders:
-        for i in order.tolist():
-            sign = row_signs[i]
-            row = rows[i]
-            if row is None:
-                margin = sign * bias
-            else:
-                margin = sign * (eta * float(row.dot(scaled_sum)) + bias)
-            step += 1
-            eta = 1.0 / (lam * step)
-            if margin < 1.0:
-                bias += eta * sign
-                if row is not None:
-                    if sign > 0.0:
-                        scaled_sum += row
-                    else:
-                        scaled_sum -= row
-                    harmonic_sums[i] += harmonic
-            avg_bias += (bias - avg_bias) / step
-            harmonic += 1.0 / step
+    for epoch in range(len(orders)):
+        run_epoch(epoch, epoch * n)
+        step = (epoch + 1) * n
+        _, _, avg_bias, harmonic = state
         folded = (signs * np.asarray(harmonic_sums)) @ standardized
         avg_weights = (harmonic * scaled_sum - folded) / (lam * step)
-        history.append(hinge_objective(avg_weights, avg_bias, standardized, signs, cfg.c))
+        history.append(hinge_objective(avg_weights, avg_bias, standardized, signs, c))
+    return avg_weights, float(state[2]), history
 
-    return SvmModel(
-        config=cfg,
-        weights=avg_weights,
-        bias=avg_bias,
-        mean=mean,
-        scale=scale,
-        feature_names=tuple(feature_names),
-        objective_history=tuple(history),
-    )
+
+def _python_epoch(rows, row_signs, order, lam, step, state, scaled_sum, harmonic_sums):
+    """One epoch of steps, as the compiled `svm_epoch` takes them; `rows[i]`
+    is None for an all-zero row. Returns the new state."""
+    eta, bias, avg_bias, harmonic = state
+    for i in order.tolist():
+        sign = row_signs[i]
+        row = rows[i]
+        if row is None:
+            margin = sign * bias
+        else:
+            margin = sign * (eta * float(row.dot(scaled_sum)) + bias)
+        step += 1
+        eta = 1.0 / (lam * step)
+        if margin < 1.0:
+            bias += eta * sign
+            if row is not None:
+                if sign > 0.0:
+                    scaled_sum += row
+                else:
+                    scaled_sum -= row
+                harmonic_sums[i] += harmonic
+        avg_bias += (bias - avg_bias) / step
+        harmonic += 1.0 / step
+    return [eta, bias, avg_bias, harmonic]
+
+
+# The compiled epoch helper: building, caching and loading it.
+
+_SOURCE = Path(__file__).with_name("_epoch.c")
+_BUILD = ["cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC"]
+_BUILD_TIMEOUT_S = 120
+_DDOT = "scipy_cblas_ddot64_"  # numpy's bundled OpenBLAS, 64-bit ints
+
+
+class _Unavailable(Exception):
+    """Why the compiled epoch helper cannot be used."""
+
+
+@dataclass(frozen=True)
+class _Helper:
+    lib: ctypes.CDLL
+    ddot: int  # the address of numpy's ddot
+
+
+def _library(build_dir: Path) -> Path:
+    """The cached library of this source, build command and platform in
+    `build_dir`, built first if it is missing or fails its checksum.
+
+    The file is the library's bytes followed by their CRC-32, so a cut or
+    damaged copy is rebuilt rather than mapped. A build writes a temporary
+    file and renames it into place, so concurrent builds are safe. (CRC-32
+    rather than hashlib's sha256: hashlib would load OpenSSL into every
+    `evaluate` process, some 3.5 MB of resident memory.)
+    """
+    key = _SOURCE.read_bytes() + "\0".join([*_BUILD, sysconfig.get_platform()]).encode()
+    path = build_dir / f"_epoch-{zlib.crc32(key):08x}.so"
+    try:
+        data = path.read_bytes()
+        if len(data) > 4 and data[-4:] == zlib.crc32(data[:-4]).to_bytes(4, "little"):
+            return path
+    except OSError:
+        pass
+    compiler = shutil.which(_BUILD[0])
+    if compiler is None:
+        raise _Unavailable(f"no C compiler {_BUILD[0]!r} on PATH")
+    try:
+        build_dir.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=f"{path.stem}-", suffix=".tmp", dir=build_dir)
+        os.close(fd)
+    except OSError as exc:
+        raise _Unavailable(f"cannot write {build_dir}: {exc}") from None
+    import subprocess  # only a build needs it
+
+    try:
+        try:
+            subprocess.run(
+                [compiler, *_BUILD[1:], "-o", tmp, str(_SOURCE)],
+                check=True, capture_output=True, timeout=_BUILD_TIMEOUT_S,
+            )
+        except subprocess.CalledProcessError as exc:
+            detail = exc.stderr.decode(errors="replace").strip().splitlines()
+            raise _Unavailable(f"build failed: {detail[-1] if detail else exc}") from None
+        except (OSError, subprocess.TimeoutExpired) as exc:
+            raise _Unavailable(f"build failed: {exc}") from None
+        data = Path(tmp).read_bytes()
+        Path(tmp).write_bytes(data + zlib.crc32(data).to_bytes(4, "little"))
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise _Unavailable(f"cannot write {path}: {exc}") from None
+    finally:
+        Path(tmp).unlink(missing_ok=True)
+    return path
+
+
+def _numpy_ddot() -> int:
+    """The address of the `cblas_ddot` that numpy's `DOUBLE_dot` calls,
+    looked up from numpy's core extension and the libraries it links."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        function = getattr(ctypes.CDLL(_multiarray_umath.__file__), _DDOT)
+    except (ImportError, OSError, AttributeError):
+        raise _Unavailable(f"numpy's BLAS has no {_DDOT}") from None
+    return ctypes.cast(function, ctypes.c_void_p).value
+
+
+def load_helper(build_dir: Path) -> tuple[_Helper | None, dict]:
+    """The compiled helper from `build_dir`, or None after one warning;
+    and a record of the path the epochs take, for run metadata."""
+    try:
+        try:
+            lib = ctypes.CDLL(str(_library(build_dir)))
+        except OSError as exc:
+            raise _Unavailable(f"cannot load the library: {exc}") from None
+        pointer, count = ctypes.c_void_p, ctypes.c_int64
+        lib.shuffle_orders.restype = count
+        lib.shuffle_orders.argtypes = [pointer, count, pointer, count, count]
+        lib.svm_epoch.restype = None
+        lib.svm_epoch.argtypes = [
+            pointer, count, count, pointer, pointer, pointer, pointer,
+            ctypes.c_double, count, pointer, pointer, pointer,
+        ]
+        helper = _Helper(lib, _numpy_ddot())
+    except _Unavailable as exc:
+        log.warning("SVM epochs run in Python: %s", exc)
+        return None, {"path": "python", "reason": str(exc)}
+    return helper, {"path": "compiled"}
+
+
+_HELPER, EPOCH_PATH = load_helper(Path(__file__).parent / "__pycache__")

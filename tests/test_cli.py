@@ -321,6 +321,18 @@ class TestEvaluate:
         assert len(stats["values"]) == 3
         assert stats["min"] <= stats["mean"] <= stats["max"]
 
+    def test_run_meta_records_the_svm_epoch_path(self, capsys, prepared, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert run(capsys, "evaluate", "--config", str(prepared), "--scheme", "proposed")[0] == 0
+        assert json.loads((out / "run_meta.json").read_text())["svm_epochs"] == {"path": "compiled"}
+        report = (out / "report.json").read_bytes()
+        fallback = {"path": "python", "reason": "no C compiler 'cc' on PATH"}
+        monkeypatch.setattr("nextday.learn.svm._HELPER", None)
+        monkeypatch.setattr("nextday.learn.svm.EPOCH_PATH", fallback)
+        assert run(capsys, "evaluate", "--config", str(prepared), "--scheme", "proposed")[0] == 0
+        assert json.loads((out / "run_meta.json").read_text())["svm_epochs"] == fallback
+        assert (out / "report.json").read_bytes() == report
+
     def test_report_markdown_layout(self, capsys, prepared, tmp_path):
         assert run(capsys, "evaluate", "--config", str(prepared), "--scheme", "proposed")[0] == 0
         text = (tmp_path / "out" / "report.md").read_text()

@@ -1,5 +1,7 @@
 import json
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -27,6 +29,7 @@ from nextday.learn import (
     train_svm,
 )
 from nextday.learn.cv import fold_plans
+from nextday.learn import svm
 from nextday.learn.svm import SvmModel, epoch_orders, hinge_objective
 from nextday.learn.tree import (
     Node,
@@ -39,6 +42,7 @@ from nextday.learn.tree import (
 from nextday.lexicons import default_lexicons
 from nextday.relevance import associate_all
 from signal_corpus import write_signal_corpus
+from util import child_env
 
 # two features, eight rows; the second feature separates cleanly at 3.5
 EIGHT_ROWS = [
@@ -791,6 +795,13 @@ class TestDataset:
         with pytest.raises(DatasetError, match="f.csv:3: non-numeric cell"):
             Dataset.from_csv(path)
 
+    @pytest.mark.parametrize("label", ["2", "128", "300", "1" * 25])
+    def test_label_out_of_range(self, tmp_path, label):
+        path = tmp_path / "f.csv"
+        path.write_text(f"article_id,f0,label\na,-0.25,0\nb,0.5,{label}\n")
+        with pytest.raises(DatasetError, match="f.csv:3: labels must be 0 or 1"):
+            Dataset.from_csv(path)
+
     def test_plain_cells_read(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("article_id,f0,f1,label\na,-0.000000,12,01\nb,3.250000,-7,0\n")
@@ -926,6 +937,189 @@ class TestSharedDraws:
         for data in golden_datasets:
             own = kfold_cv(data, cfgs, fold_plans(data.y, 5, cfgs, 2016))
             assert kfold_cv(data, cfgs, plans) == own, data.scheme
+
+
+def python_shuffles(n, epochs, seed):
+    rng = random.Random(f"svm:{seed}")
+    orders = []
+    for _ in range(epochs):
+        order = list(range(n))
+        rng.shuffle(order)
+        orders.append(order)
+    return orders
+
+
+def svm_fuzz_cases(seed, count):
+    """Fits of 1-90 rows by 1-40 columns (across ddot's blocks of 16 and
+    32): normal draws, rounded grids, constant columns and rows at the
+    column means, with c in {0.1, 1, 7} and 0-30 epochs."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 91))
+        d = int(rng.integers(1, 41))
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            x = rng.normal(size=(n, d))
+        elif kind == 1:
+            x = np.round(rng.normal(size=(n, d)), 1)
+        else:
+            # each row x, its mirror 2m - x and m itself: the column means
+            # are exactly m, so the last row standardizes to all zeros
+            half = rng.integers(-3, 4, size=((n - 1) // 2, d)).astype(float)
+            middle = rng.integers(-3, 4, size=(1, d)).astype(float)
+            x = np.vstack([half, 2 * middle - half, middle])
+        x[:, rng.random(d) < 0.2] = x[0, 0]
+        y = rng.integers(0, 2, size=len(x))
+        cfg = SvmConfig(c=float(rng.choice([0.1, 1.0, 7.0])), epochs=int(rng.integers(0, 31)))
+        yield x, y, cfg, int(rng.integers(0, 1000))
+
+
+class TestCompiledEpochs:
+    """The compiled shuffle and step loop give the Python loops' bits."""
+
+    def test_built_here(self):
+        # a C compiler is part of the test environment, so both paths run
+        assert svm.EPOCH_PATH == {"path": "compiled"}
+        assert svm._HELPER is not None
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 2399, 2400, 4096, 4097])
+    def test_shuffle_replays_random_shuffle(self, n):
+        for seed, epochs in ((0, 1), (5, 3), (20160803, 2), (9, 0)):
+            orders = epoch_orders(n, epochs, seed)
+            assert orders.dtype == np.int32 and orders.shape == (epochs, n)
+            assert orders.tolist() == python_shuffles(n, epochs, seed)
+
+    def test_shuffle_draws_again_when_words_run_out(self, monkeypatch):
+        words = np.zeros(1, dtype=np.uint32)
+        orders = np.empty((1, 3), dtype=np.int32)
+        assert svm._HELPER.lib.shuffle_orders(words.ctypes.data, 1, orders.ctypes.data, 3, 1) == -1
+        monkeypatch.setattr(svm, "_shuffle_words", lambda n, epochs: 1)
+        for n, epochs in ((3, 1), (129, 4), (2400, 2)):
+            assert epoch_orders(n, epochs, 11).tolist() == python_shuffles(n, epochs, 11)
+
+    def test_step_loop_matches_python_loop(self, monkeypatch):
+        cases = list(svm_fuzz_cases(31, 300))
+        compiled = [train_svm(x, y, cfg, seed=seed) for x, y, cfg, seed in cases]
+        monkeypatch.setattr(svm, "_HELPER", None)
+        for (x, y, cfg, seed), got in zip(cases, compiled):
+            assert bit_identical_svm(got, train_svm(x, y, cfg, seed=seed)), (x.shape, cfg, seed)
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
+    @pytest.mark.parametrize(
+        "index, value, dtype",
+        [((1, 2), 4, np.int32), ((0, 0), -1, np.int64), (None, None, float), (None, None, bool)],
+        ids=["out-of-range", "negative", "float", "bool"],
+    )
+    def test_bad_orders_rejected(self, monkeypatch, compiled, index, value, dtype):
+        if not compiled:
+            monkeypatch.setattr(svm, "_HELPER", None)
+        orders = epoch_orders(4, 3, 0).astype(dtype)
+        if index is not None:
+            orders[index] = value
+        with pytest.raises(ValueError, match=r"integer rows in range\(4\)"):
+            train_svm(FOUR_X, FOUR_Y, SvmConfig(epochs=3), orders=orders)
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
+    def test_labels_of_another_length_rejected(self, monkeypatch, compiled):
+        if not compiled:
+            monkeypatch.setattr(svm, "_HELPER", None)
+        with pytest.raises(ValueError, match=r"labels \(3,\) do not fit 4 rows"):
+            train_svm(FOUR_X, FOUR_Y[:3], SvmConfig(epochs=3))
+
+
+# Loads the helper from the build directory argv[1] with `cc` and every
+# subprocess made to fail, so only a cached library can load; then checks
+# one fit against the Python loop and prints the recorded epoch path.
+CACHED_LOAD_PROBE = """
+import json, shutil, subprocess, sys
+from pathlib import Path
+import numpy as np
+from nextday.learn import svm
+
+def no_build(*args, **kwargs):
+    raise AssertionError("cc ran")
+
+subprocess.run = no_build
+shutil.which = lambda name: None
+helper, record = svm.load_helper(Path(sys.argv[1]))
+x, y = np.arange(40.0).reshape(10, 4) % 7, np.arange(10) % 2
+fits = [svm._descend(h, x, np.where(y == 1, 1.0, -1.0), svm.epoch_orders(10, 5, 3), 1.0) for h in (helper, None)]
+same = fits[0][0].tobytes() == fits[1][0].tobytes() and fits[0][1:] == fits[1][1:]
+print(json.dumps({"record": record, "same": same}))
+"""
+
+
+class TestEpochHelperBuild:
+    """Building, caching and falling back from the compiled epoch helper."""
+
+    def cached_load(self, build_dir):
+        result = subprocess.run(
+            [sys.executable, "-c", CACHED_LOAD_PROBE, str(build_dir)],
+            capture_output=True, text=True, env=child_env(), timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout), result.stderr
+
+    def test_no_compiler_falls_back_to_the_same_bits(self, monkeypatch, caplog, tmp_path):
+        x = np.round(np.random.default_rng(4).normal(size=(30, 18)), 1)
+        y = np.arange(30) % 3 == 0
+        cfg = SvmConfig(epochs=12)
+        compiled = train_svm(x, y, cfg, seed=2), epoch_orders(50, 6, 2)
+        monkeypatch.setattr(svm.shutil, "which", lambda name: None)
+        with caplog.at_level("WARNING", logger="nextday.learn.svm"):
+            helper, record = svm.load_helper(tmp_path / "build")
+        assert helper is None
+        assert record == {"path": "python", "reason": "no C compiler 'cc' on PATH"}
+        assert [r.getMessage() for r in caplog.records] == [
+            "SVM epochs run in Python: no C compiler 'cc' on PATH"
+        ]
+        monkeypatch.setattr(svm, "_HELPER", helper)
+        assert bit_identical_svm(compiled[0], train_svm(x, y, cfg, seed=2))
+        assert epoch_orders(50, 6, 2).tobytes() == compiled[1].tobytes()
+
+    def test_failed_build_falls_back(self, monkeypatch, caplog, tmp_path):
+        monkeypatch.setattr(svm, "_BUILD", ["false", *svm._BUILD[1:]])
+        with caplog.at_level("WARNING", logger="nextday.learn.svm"):
+            helper, record = svm.load_helper(tmp_path)
+        assert helper is None and record["reason"].startswith("build failed")
+        assert len(caplog.records) == 1
+        assert list(tmp_path.iterdir()) == []  # no temporary file left behind
+
+    def test_missing_ddot_falls_back(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(svm, "_DDOT", "no_such_ddot")
+        helper, record = svm.load_helper(tmp_path)
+        assert helper is None and record["reason"] == "numpy's BLAS has no no_such_ddot"
+
+    def test_unwritable_build_dir_falls_back(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        helper, record = svm.load_helper(tmp_path / "file" / "build")
+        assert helper is None and record["reason"].startswith("cannot write")
+
+    def test_cached_library_reused_without_cc(self, tmp_path):
+        helper, record = svm.load_helper(tmp_path)
+        assert helper is not None and record == {"path": "compiled"}
+        (library,) = tmp_path.iterdir()
+        stamp = library.stat().st_mtime_ns
+        assert self.cached_load(tmp_path)[0] == {"record": {"path": "compiled"}, "same": True}
+        assert library.stat().st_mtime_ns == stamp
+
+    @pytest.mark.parametrize("damage", ["truncated", "overwritten"])
+    def test_damaged_cache_is_rebuilt(self, tmp_path, damage):
+        # only child processes map the library: a mapped file damaged in
+        # place would fault in the process that maps it
+        library = svm._library(tmp_path)
+        good = library.read_bytes()
+        if damage == "truncated":
+            library.write_bytes(good[: len(good) // 2])
+        else:
+            library.write_bytes(good[:4000] + bytes(100) + good[4100:])
+        # without cc the damaged copy is not loaded: the probe falls back
+        probe, err = self.cached_load(tmp_path)
+        assert probe == {"record": {"path": "python", "reason": "no C compiler 'cc' on PATH"}, "same": True}
+        assert "SVM epochs run in Python" in err
+        assert svm._library(tmp_path) == library
+        assert library.read_bytes() == good
+        assert self.cached_load(tmp_path)[0] == {"record": {"path": "compiled"}, "same": True}
 
 
 def fuzz_fit_cases(seed, count):
