@@ -1,4 +1,4 @@
-/* The SVM's epoch shuffles and its per-row step loop, for nextday.learn.svm.
+/* The SVM's epoch shuffles and the step loop of a whole fit, for nextday.learn.svm.
  *
  * Both entry points replay the Python code they stand for operation by
  * operation, so a fit gives the same bits either way. Build with
@@ -47,46 +47,52 @@ int64_t shuffle_orders(const uint32_t *words, int64_t m, int32_t *orders, int64_
     return used;
 }
 
-/* One epoch of `train_svm`'s step loop over the rows in `order`, starting
- * after `step` steps. x is the (n, d) standardized matrix, row-major;
- * zero_row[i] is set when row i is all zeros, which takes the bias-only
- * step. state holds eta, bias, avg_bias and harmonic, and is updated in
- * place together with scaled_sum and harmonic_sums.
+/* Every epoch of `train_svm`'s step loop: epoch e visits the rows in
+ * orders[e * n .. e * n + n). x is the (n, d) standardized matrix,
+ * row-major; zero_row[i] is set when row i is all zeros, which takes the
+ * bias-only step. scaled_sum (d) and harmonic_sums (n) start at zero and
+ * are updated in place. After epoch e, row e of the (epochs, 2 + d + n)
+ * snap holds avg_bias, harmonic, scaled_sum and harmonic_sums.
  */
-void svm_epoch(ddot_fn ddot, int64_t n, int64_t d, const double *x, const double *signs,
-               const uint8_t *zero_row, const int32_t *order, double lam, int64_t step,
-               double *state, double *scaled_sum, double *harmonic_sums) {
-    double eta = state[0], bias = state[1], avg_bias = state[2], harmonic = state[3];
-    for (int64_t k = 0; k < n; k++) {
-        int64_t i = order[k];
-        double sign = signs[i];
-        const double *row = x + i * d;
-        double margin;
-        if (zero_row[i]) {
-            margin = sign * bias;
-        } else {
-            /* numpy's DOUBLE_dot adds the BLAS result to 0.0 */
-            double dot = 0.0 + ddot(d, row, 1, scaled_sum, 1);
-            margin = sign * (eta * dot + bias);
-        }
-        step += 1;
-        eta = 1.0 / (lam * (double)step);
-        if (margin < 1.0) {
-            bias += eta * sign;
-            if (!zero_row[i]) {
-                if (sign > 0.0) {
-                    for (int64_t j = 0; j < d; j++) scaled_sum[j] += row[j];
-                } else {
-                    for (int64_t j = 0; j < d; j++) scaled_sum[j] -= row[j];
-                }
-                harmonic_sums[i] += harmonic;
+void svm_fit(ddot_fn ddot, int64_t n, int64_t d, const double *x, const double *signs,
+             const uint8_t *zero_row, const int32_t *orders, int64_t epochs, double lam,
+             double *scaled_sum, double *harmonic_sums, double *snap) {
+    double eta = 0.0, bias = 0.0, avg_bias = 0.0, harmonic = 0.0;
+    int64_t step = 0;
+    for (int64_t e = 0; e < epochs; e++) {
+        const int32_t *order = orders + e * n;
+        for (int64_t k = 0; k < n; k++) {
+            int64_t i = order[k];
+            double sign = signs[i];
+            const double *row = x + i * d;
+            double margin;
+            if (zero_row[i]) {
+                margin = sign * bias;
+            } else {
+                /* numpy's DOUBLE_dot adds the BLAS result to 0.0 */
+                double dot = 0.0 + ddot(d, row, 1, scaled_sum, 1);
+                margin = sign * (eta * dot + bias);
             }
+            step += 1;
+            eta = 1.0 / (lam * (double)step);
+            if (margin < 1.0) {
+                bias += eta * sign;
+                if (!zero_row[i]) {
+                    if (sign > 0.0) {
+                        for (int64_t j = 0; j < d; j++) scaled_sum[j] += row[j];
+                    } else {
+                        for (int64_t j = 0; j < d; j++) scaled_sum[j] -= row[j];
+                    }
+                    harmonic_sums[i] += harmonic;
+                }
+            }
+            avg_bias += (bias - avg_bias) / (double)step;
+            harmonic += 1.0 / (double)step;
         }
-        avg_bias += (bias - avg_bias) / (double)step;
-        harmonic += 1.0 / (double)step;
+        double *out = snap + e * (2 + d + n);
+        out[0] = avg_bias;
+        out[1] = harmonic;
+        for (int64_t j = 0; j < d; j++) out[2 + j] = scaled_sum[j];
+        for (int64_t i = 0; i < n; i++) out[2 + d + i] = harmonic_sums[i];
     }
-    state[0] = eta;
-    state[1] = bias;
-    state[2] = avg_bias;
-    state[3] = harmonic;
 }

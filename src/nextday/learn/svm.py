@@ -1,7 +1,7 @@
 """Linear SVM trained by deterministic primal sub-gradient descent.
 
-The epoch shuffles and the per-row step loop run in `_epoch.c` when it
-can be built: importing this module compiles it with `cc` into
+The epoch shuffles and the whole step loop of a fit run in `_epoch.c`
+when it can be built: importing this module compiles it with `cc` into
 `__pycache__/` on first use and loads it with ctypes. The dot product
 there is the `cblas_ddot` that `ndarray.dot` itself calls, so a fit gives
 the same bits on either path. When the library cannot be built or
@@ -19,7 +19,8 @@ import shutil
 import sysconfig
 import tempfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,14 @@ class SvmModel:
     mean: np.ndarray
     scale: np.ndarray
     feature_names: tuple[str, ...] = ()
-    objective_history: tuple[float, ...] = ()
+    descent: Descent | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def objective_history(self) -> tuple[float, ...]:
+        """The objective of the averaged iterate after each epoch. It is only
+        a diagnostic, so it is computed from the fit's snapshots when first
+        read."""
+        return () if self.descent is None else self.descent.objectives(self.config.c)
 
     def _standardize(self, x: np.ndarray) -> np.ndarray:
         return (x - self.mean) / self.scale
@@ -57,6 +65,34 @@ def hinge_objective(weights: np.ndarray, bias: float, x: np.ndarray, signs: np.n
     margins = signs * (x @ weights + bias)
     hinge = np.maximum(0.0, 1.0 - margins)
     return 0.5 * float(weights @ weights) + c * float(hinge.sum())
+
+
+@dataclass(frozen=True)
+class Descent:
+    """A fit's state after each epoch. Row e of `snapshots` is
+    [avg_bias, H, scaled_sum..., harmonic_sums...] after epoch e, as
+    `_descend` defines them."""
+
+    standardized: np.ndarray
+    signs: np.ndarray
+    lam: float
+    snapshots: np.ndarray
+
+    def averaged(self, epoch: int) -> tuple[np.ndarray, float]:
+        """The averaged weights and bias after epoch `epoch` (from 0)."""
+        n, d = self.standardized.shape
+        avg_bias, harmonic = self.snapshots[epoch, :2]
+        scaled_sum = self.snapshots[epoch, 2 : 2 + d]
+        harmonic_sums = self.snapshots[epoch, 2 + d :]
+        folded = (self.signs * harmonic_sums) @ self.standardized
+        return (harmonic * scaled_sum - folded) / (self.lam * ((epoch + 1) * n)), avg_bias
+
+    def objectives(self, c: float) -> tuple[float, ...]:
+        """The objective of the averaged iterate after each epoch."""
+        return tuple(
+            hinge_objective(*self.averaged(epoch), self.standardized, self.signs, c)
+            for epoch in range(len(self.snapshots))
+        )
 
 
 def epoch_orders(n: int, epochs: int, seed: int) -> np.ndarray:
@@ -107,7 +143,7 @@ def train_svm(
     The fitted parameters are the running average of the iterates: the
     raw iterate oscillates around the optimum by construction of the
     step schedule, while the averaged one settles, so its objective
-    (recorded per epoch on the model) decreases cleanly once past the
+    (`objective_history` on the model) decreases cleanly once past the
     early noisy epochs.
 
     `orders` is `epoch_orders(n, cfg.epochs, seed)`, built here when not
@@ -121,6 +157,8 @@ def train_svm(
         raise ValueError("cannot train on an empty dataset")
     if labels.shape != (n,):
         raise ValueError(f"labels {labels.shape} do not fit {n} rows")
+    if not np.isfinite(matrix).all():
+        raise ValueError("feature values must be finite")
     orders = epoch_orders(n, cfg.epochs, seed) if orders is None else np.asarray(orders)
     if orders.shape != (cfg.epochs, n):
         raise ValueError(f"epoch orders {orders.shape} do not fit {cfg.epochs} epochs of {n} rows")
@@ -136,23 +174,24 @@ def train_svm(
         log.warning("zero-variance features standardized to zero: %s", np.nonzero(flat)[0].tolist())
     scale = np.where(flat, 1.0, std)
     standardized = np.ascontiguousarray((matrix - mean) / scale)
-    weights, bias, history = _descend(
-        _HELPER, standardized, signs, np.ascontiguousarray(orders, dtype=np.int32), cfg.c
-    )
+    lam = 1.0 / (cfg.c * n)
+    orders = np.ascontiguousarray(orders, dtype=np.int32)
+    descent = Descent(standardized, signs, lam, _descend(_HELPER, standardized, signs, orders, lam))
+    weights, bias = descent.averaged(cfg.epochs - 1) if cfg.epochs else (np.zeros(d), 0.0)
     return SvmModel(
         config=cfg,
         weights=weights,
-        bias=bias,
+        bias=float(bias),
         mean=mean,
         scale=scale,
         feature_names=tuple(feature_names),
-        objective_history=tuple(history),
+        descent=descent,
     )
 
 
-def _descend(helper: _Helper | None, standardized, signs, orders, c: float):
-    """The averaged weights and bias after every epoch of `orders` over the
-    standardized rows, and the objective after each epoch. `orders` is a
+def _descend(helper: _Helper | None, standardized, signs, orders, lam: float) -> np.ndarray:
+    """The (epochs, 2 + d + n) snapshots of `Descent`: the state after each
+    epoch of `orders` over the standardized rows. `orders` is a
     C-contiguous int32 (epochs, n) array of rows in range(n): the compiled
     loop reads it, and the matrix, by address.
 
@@ -167,16 +206,15 @@ def _descend(helper: _Helper | None, standardized, signs, orders, c: float):
         (1/T) * sum_t v_t / t = (H_T * v_T - sum_k delta_k * H_{k-1}) / T,
 
     and sum_k delta_k * H_{k-1} is kept as one coefficient per training
-    row (the sum of H_{k-1} over that row's violating steps) and folded
-    in with one product against the matrix per epoch.
+    row (the sum of H_{k-1} over that row's violating steps), which
+    `Descent.averaged` folds in with one product against the matrix.
     """
     n, d = standardized.shape
-    lam = 1.0 / (c * n)
+    epochs = len(orders)
+    snapshots = np.empty((epochs, 2 + d + n))
     # scaled_sum = lambda * v_step, the sum of sign * row over the violating
     # steps; harmonic_sums[i] is the sum of H_{k-1} over row i's violating steps k
     scaled_sum = np.zeros(d)
-    # state: eta = 1 / (lambda * step), so w_step = eta * scaled_sum (w_0 = 0);
-    # then the bias, its running average and H_step.
     # A row that standardizes to all zeros (every row of an all-constant
     # matrix) adds exactly +0.0 to the dot product, the weight sum and the
     # folded harmonic term, so its step only reads and moves the bias.
@@ -185,38 +223,28 @@ def _descend(helper: _Helper | None, standardized, signs, orders, c: float):
         row_signs = signs.tolist()
         harmonic_sums = [0.0] * n
         state = [0.0, 0.0, 0.0, 0.0]
-
-        def run_epoch(epoch, step):
-            state[:] = _python_epoch(
-                rows, row_signs, orders[epoch], lam, step, state, scaled_sum, harmonic_sums
+        for epoch, order in enumerate(orders):
+            state = _python_epoch(
+                rows, row_signs, order, lam, epoch * n, state, scaled_sum, harmonic_sums
             )
+            snapshots[epoch, :2] = state[2:]
+            snapshots[epoch, 2 : 2 + d] = scaled_sum
+            snapshots[epoch, 2 + d :] = harmonic_sums
     else:
         zero_rows = (~standardized.any(axis=1)).astype(np.uint8)
         harmonic_sums = np.zeros(n)
-        state = np.zeros(4)
-        fixed = [a.ctypes.data for a in (standardized, signs, zero_rows)]
-        updated = [a.ctypes.data for a in (state, scaled_sum, harmonic_sums)]
-        orders_at, order_bytes = orders.ctypes.data, orders.strides[0]
-
-        def run_epoch(epoch, step):
-            order_at = orders_at + epoch * order_bytes
-            helper.lib.svm_epoch(helper.ddot, n, d, *fixed, order_at, lam, step, *updated)
-
-    avg_weights = np.zeros(d)
-    history = []
-    for epoch in range(len(orders)):
-        run_epoch(epoch, epoch * n)
-        step = (epoch + 1) * n
-        _, _, avg_bias, harmonic = state
-        folded = (signs * np.asarray(harmonic_sums)) @ standardized
-        avg_weights = (harmonic * scaled_sum - folded) / (lam * step)
-        history.append(hinge_objective(avg_weights, avg_bias, standardized, signs, c))
-    return avg_weights, float(state[2]), history
+        helper.lib.svm_fit(
+            helper.ddot, n, d, *[a.ctypes.data for a in (standardized, signs, zero_rows, orders)],
+            epochs, lam, *[a.ctypes.data for a in (scaled_sum, harmonic_sums, snapshots)],
+        )
+    return snapshots
 
 
 def _python_epoch(rows, row_signs, order, lam, step, state, scaled_sum, harmonic_sums):
-    """One epoch of steps, as the compiled `svm_epoch` takes them; `rows[i]`
-    is None for an all-zero row. Returns the new state."""
+    """One epoch of steps of the compiled `svm_fit`, starting after `step`
+    steps; `rows[i]` is None for an all-zero row. `state` is eta =
+    1 / (lambda * step), so w_step = eta * scaled_sum (w_0 = 0); then the
+    bias, its running average and H_step. Returns the new state."""
     eta, bias, avg_bias, harmonic = state
     for i in order.tolist():
         sign = row_signs[i]
@@ -305,6 +333,14 @@ def _library(build_dir: Path) -> Path:
         raise _Unavailable(f"cannot write {path}: {exc}") from None
     finally:
         Path(tmp).unlink(missing_ok=True)
+    # the libraries of earlier sources or build commands are never loaded
+    # again; another build's temporary file is left to that build
+    for stale in build_dir.glob("_epoch-*.so"):
+        if stale != path:
+            try:
+                stale.unlink()
+            except OSError:
+                pass
     return path
 
 
@@ -331,10 +367,10 @@ def load_helper(build_dir: Path) -> tuple[_Helper | None, dict]:
         pointer, count = ctypes.c_void_p, ctypes.c_int64
         lib.shuffle_orders.restype = count
         lib.shuffle_orders.argtypes = [pointer, count, pointer, count, count]
-        lib.svm_epoch.restype = None
-        lib.svm_epoch.argtypes = [
+        lib.svm_fit.restype = None
+        lib.svm_fit.argtypes = [
             pointer, count, count, pointer, pointer, pointer, pointer,
-            ctypes.c_double, count, pointer, pointer, pointer,
+            count, ctypes.c_double, pointer, pointer, pointer,
         ]
         helper = _Helper(lib, _numpy_ddot())
     except _Unavailable as exc:

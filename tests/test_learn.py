@@ -485,8 +485,9 @@ class TestSvm:
         assert model.objective_history == ()
 
 
-def reference_train_svm(x, y, cfg: SvmConfig, seed: int) -> SvmModel:
-    """The per-sample loop `train_svm` replaced, kept as an oracle.
+def reference_train_svm(x, y, cfg: SvmConfig, seed: int) -> tuple[SvmModel, tuple[float, ...]]:
+    """The per-sample loop `train_svm` replaced, kept as an oracle: the
+    model and the objective after each epoch.
 
     It rescales the whole weight vector and updates the running average
     of the iterates at every step.
@@ -521,10 +522,8 @@ def reference_train_svm(x, y, cfg: SvmConfig, seed: int) -> SvmModel:
             avg_weights += (weights - avg_weights) / step
             avg_bias += (bias - avg_bias) / step
         history.append(hinge_objective(avg_weights, avg_bias, standardized, signs, cfg.c))
-    return SvmModel(
-        config=cfg, weights=avg_weights, bias=avg_bias, mean=mean, scale=scale,
-        objective_history=tuple(history),
-    )
+    model = SvmModel(config=cfg, weights=avg_weights, bias=avg_bias, mean=mean, scale=scale)
+    return model, tuple(history)
 
 
 # title_polarity and event_importance train on constant columns only
@@ -557,16 +556,16 @@ def signal_features(tmp_path_factory):
 class TestSvmMatchesReferenceLoop:
     def assert_same_fit(self, x, y, cfg, seed):
         got = train_svm(x, y, cfg, seed=seed)
-        want = reference_train_svm(x, y, cfg, seed)
+        want, want_history = reference_train_svm(x, y, cfg, seed)
         assert np.array_equal(got.predict(x), want.predict(x))
         np.testing.assert_allclose(got.weights, want.weights, rtol=1e-9)
         np.testing.assert_allclose(got.bias, want.bias, rtol=1e-9)
-        np.testing.assert_allclose(got.objective_history, want.objective_history, rtol=1e-9)
+        np.testing.assert_allclose(got.objective_history, want_history, rtol=1e-9)
         if (np.asarray(x).std(axis=0) == 0.0).all():
             # only the bias moves, along the same recurrence in both loops
             assert got.bias == want.bias
             assert (got.weights == 0.0).all()
-            assert got.objective_history == want.objective_history
+            assert got.objective_history == want_history
 
     @pytest.mark.parametrize("seed", [0, 1, 5])
     def test_four_points(self, seed):
@@ -999,6 +998,9 @@ class TestCompiledEpochs:
 
     def test_step_loop_matches_python_loop(self, monkeypatch):
         cases = list(svm_fuzz_cases(31, 300))
+        rng = np.random.default_rng(32)
+        cases.append((rng.normal(size=(12, 5)), np.arange(12) % 2, SvmConfig(epochs=0), 4))
+        cases.append((rng.normal(size=(1, 7)), np.array([1]), SvmConfig(epochs=9), 5))
         compiled = [train_svm(x, y, cfg, seed=seed) for x, y, cfg, seed in cases]
         monkeypatch.setattr(svm, "_HELPER", None)
         for (x, y, cfg, seed), got in zip(cases, compiled):
@@ -1026,6 +1028,37 @@ class TestCompiledEpochs:
         with pytest.raises(ValueError, match=r"labels \(3,\) do not fit 4 rows"):
             train_svm(FOUR_X, FOUR_Y[:3], SvmConfig(epochs=3))
 
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, monkeypatch, compiled, bad):
+        if not compiled:
+            monkeypatch.setattr(svm, "_HELPER", None)
+        x = FOUR_X.copy()
+        x[2, 1] = bad
+        with pytest.raises(ValueError, match="^feature values must be finite$"):
+            train_svm(x, FOUR_Y, SvmConfig(epochs=3))
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
+    def test_history_computed_on_first_read(self, monkeypatch, compiled):
+        if not compiled:
+            monkeypatch.setattr(svm, "_HELPER", None)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return hinge_objective(*args)
+
+        monkeypatch.setattr(svm, "hinge_objective", counted)
+        model = train_svm(FOUR_X, FOUR_Y, SvmConfig(epochs=7), seed=3)
+        assert calls == []
+        history = model.objective_history
+        assert len(calls) == 7 and len(history) == 7
+        assert model.objective_history is history
+        assert len(calls) == 7
+        # the last epoch's objective is the one of the fitted parameters
+        last_weights, last_bias = calls[-1][:2]
+        assert last_weights.tobytes() == model.weights.tobytes() and last_bias == model.bias
+
 
 # Loads the helper from the build directory argv[1] with `cc` and every
 # subprocess made to fail, so only a cached library can load; then checks
@@ -1043,8 +1076,8 @@ subprocess.run = no_build
 shutil.which = lambda name: None
 helper, record = svm.load_helper(Path(sys.argv[1]))
 x, y = np.arange(40.0).reshape(10, 4) % 7, np.arange(10) % 2
-fits = [svm._descend(h, x, np.where(y == 1, 1.0, -1.0), svm.epoch_orders(10, 5, 3), 1.0) for h in (helper, None)]
-same = fits[0][0].tobytes() == fits[1][0].tobytes() and fits[0][1:] == fits[1][1:]
+fits = [svm._descend(h, x, np.where(y == 1, 1.0, -1.0), svm.epoch_orders(10, 5, 3), 0.1) for h in (helper, None)]
+same = fits[0].tobytes() == fits[1].tobytes()
 print(json.dumps({"record": record, "same": same}))
 """
 
@@ -1102,6 +1135,18 @@ class TestEpochHelperBuild:
         stamp = library.stat().st_mtime_ns
         assert self.cached_load(tmp_path)[0] == {"record": {"path": "compiled"}, "same": True}
         assert library.stat().st_mtime_ns == stamp
+
+    def test_stale_libraries_removed_after_a_build(self, tmp_path):
+        stale = tmp_path / "_epoch-deadbeef.so"
+        stale.write_bytes(b"an earlier build")
+        building = tmp_path / "_epoch-deadbeef-x1y2.tmp"  # another build in progress
+        building.write_bytes(b"")
+        library = svm._library(tmp_path)
+        assert sorted(tmp_path.iterdir()) == sorted([library, building])
+        # a cached library is only read: nothing else is removed
+        stale.write_bytes(b"an earlier build")
+        assert svm._library(tmp_path) == library
+        assert stale.exists()
 
     @pytest.mark.parametrize("damage", ["truncated", "overwritten"])
     def test_damaged_cache_is_rebuilt(self, tmp_path, damage):
