@@ -51,12 +51,12 @@ int64_t shuffle_orders(const uint32_t *words, int64_t m, int32_t *orders, int64_
  * orders[e * n .. e * n + n). x is the (n, d) standardized matrix,
  * row-major; zero_row[i] is set when row i is all zeros, which takes the
  * bias-only step. scaled_sum (d) and harmonic_sums (n) start at zero and
- * are updated in place. After epoch e, row e of the (epochs, 2 + d + n)
- * snap holds avg_bias, harmonic, scaled_sum and harmonic_sums.
+ * are updated in place; at the end, last[0] is avg_bias and last[1] the
+ * harmonic number H of the last step.
  */
 void svm_fit(ddot_fn ddot, int64_t n, int64_t d, const double *x, const double *signs,
              const uint8_t *zero_row, const int32_t *orders, int64_t epochs, double lam,
-             double *scaled_sum, double *harmonic_sums, double *snap) {
+             double *scaled_sum, double *harmonic_sums, double *last) {
     double eta = 0.0, bias = 0.0, avg_bias = 0.0, harmonic = 0.0;
     int64_t step = 0;
     for (int64_t e = 0; e < epochs; e++) {
@@ -89,10 +89,7 @@ void svm_fit(ddot_fn ddot, int64_t n, int64_t d, const double *x, const double *
             avg_bias += (bias - avg_bias) / (double)step;
             harmonic += 1.0 / (double)step;
         }
-        double *out = snap + e * (2 + d + n);
-        out[0] = avg_bias;
-        out[1] = harmonic;
-        for (int64_t j = 0; j < d; j++) out[2 + j] = scaled_sum[j];
-        for (int64_t i = 0; i < n; i++) out[2 + d + i] = harmonic_sums[i];
     }
+    last[0] = avg_bias;
+    last[1] = harmonic;
 }

@@ -70,7 +70,11 @@ class Dataset:
             label = int(row[-1])
             if label not in (0, 1):
                 raise DatasetError(f"{path}:{line_no}: labels must be 0 or 1")
-            rows.append([float(v) for v in cells])
+            values = [float(v) for v in cells]
+            # a plain decimal above the largest float reads as inf
+            if not all(map(math.isfinite, values)):
+                raise DatasetError(f"{path}:{line_no}: non-finite cell")
+            rows.append(values)
             labels.append(label)
         x = np.asarray(rows, dtype=np.float64).reshape(len(first_line), len(names))
         y = np.asarray(labels, dtype=np.int8)

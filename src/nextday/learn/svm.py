@@ -19,13 +19,13 @@ import shutil
 import sysconfig
 import tempfile
 import zlib
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from nextday.config import SvmConfig
+from nextday.learn.tree import as_labels
 
 log = logging.getLogger(__name__)
 
@@ -38,14 +38,6 @@ class SvmModel:
     mean: np.ndarray
     scale: np.ndarray
     feature_names: tuple[str, ...] = ()
-    descent: Descent | None = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def objective_history(self) -> tuple[float, ...]:
-        """The objective of the averaged iterate after each epoch. It is only
-        a diagnostic, so it is computed from the fit's snapshots when first
-        read."""
-        return () if self.descent is None else self.descent.objectives(self.config.c)
 
     def _standardize(self, x: np.ndarray) -> np.ndarray:
         return (x - self.mean) / self.scale
@@ -58,41 +50,6 @@ class SvmModel:
 
     def predict(self, x) -> np.ndarray:
         return (self.decision(x) > 0.0).astype(np.int8)
-
-
-def hinge_objective(weights: np.ndarray, bias: float, x: np.ndarray, signs: np.ndarray, c: float) -> float:
-    """0.5*||w||^2 + C * sum of hinge losses on (x, signs)."""
-    margins = signs * (x @ weights + bias)
-    hinge = np.maximum(0.0, 1.0 - margins)
-    return 0.5 * float(weights @ weights) + c * float(hinge.sum())
-
-
-@dataclass(frozen=True)
-class Descent:
-    """A fit's state after each epoch. Row e of `snapshots` is
-    [avg_bias, H, scaled_sum..., harmonic_sums...] after epoch e, as
-    `_descend` defines them."""
-
-    standardized: np.ndarray
-    signs: np.ndarray
-    lam: float
-    snapshots: np.ndarray
-
-    def averaged(self, epoch: int) -> tuple[np.ndarray, float]:
-        """The averaged weights and bias after epoch `epoch` (from 0)."""
-        n, d = self.standardized.shape
-        avg_bias, harmonic = self.snapshots[epoch, :2]
-        scaled_sum = self.snapshots[epoch, 2 : 2 + d]
-        harmonic_sums = self.snapshots[epoch, 2 + d :]
-        folded = (self.signs * harmonic_sums) @ self.standardized
-        return (harmonic * scaled_sum - folded) / (self.lam * ((epoch + 1) * n)), avg_bias
-
-    def objectives(self, c: float) -> tuple[float, ...]:
-        """The objective of the averaged iterate after each epoch."""
-        return tuple(
-            hinge_objective(*self.averaged(epoch), self.standardized, self.signs, c)
-            for epoch in range(len(self.snapshots))
-        )
 
 
 def epoch_orders(n: int, epochs: int, seed: int) -> np.ndarray:
@@ -143,18 +100,17 @@ def train_svm(
     The fitted parameters are the running average of the iterates: the
     raw iterate oscillates around the optimum by construction of the
     step schedule, while the averaged one settles, so its objective
-    (`objective_history` on the model) decreases cleanly once past the
-    early noisy epochs.
+    decreases cleanly once past the early noisy epochs.
 
     `orders` is `epoch_orders(n, cfg.epochs, seed)`, built here when not
     given; any integer (epochs, n) array of rows in range(n) is accepted.
     """
     cfg = cfg or SvmConfig()
     matrix = np.asarray(x, dtype=np.float64)
-    labels = np.asarray(y)
     n, d = matrix.shape
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
+    labels = as_labels(y)
     if labels.shape != (n,):
         raise ValueError(f"labels {labels.shape} do not fit {n} rows")
     if not np.isfinite(matrix).all():
@@ -176,24 +132,27 @@ def train_svm(
     standardized = np.ascontiguousarray((matrix - mean) / scale)
     lam = 1.0 / (cfg.c * n)
     orders = np.ascontiguousarray(orders, dtype=np.int32)
-    descent = Descent(standardized, signs, lam, _descend(_HELPER, standardized, signs, orders, lam))
-    weights, bias = descent.averaged(cfg.epochs - 1) if cfg.epochs else (np.zeros(d), 0.0)
+    if cfg.epochs:
+        scaled_sum, harmonic_sums, bias, harmonic = _descend(_HELPER, standardized, signs, orders, lam)
+        folded = (signs * harmonic_sums) @ standardized
+        weights = (harmonic * scaled_sum - folded) / (lam * (cfg.epochs * n))
+    else:
+        weights, bias = np.zeros(d), 0.0
     return SvmModel(
         config=cfg,
         weights=weights,
-        bias=float(bias),
+        bias=bias,
         mean=mean,
         scale=scale,
         feature_names=tuple(feature_names),
-        descent=descent,
     )
 
 
-def _descend(helper: _Helper | None, standardized, signs, orders, lam: float) -> np.ndarray:
-    """The (epochs, 2 + d + n) snapshots of `Descent`: the state after each
-    epoch of `orders` over the standardized rows. `orders` is a
-    C-contiguous int32 (epochs, n) array of rows in range(n): the compiled
-    loop reads it, and the matrix, by address.
+def _descend(helper: _Helper | None, standardized, signs, orders, lam: float):
+    """The state after all epochs of `orders` over the standardized rows:
+    (scaled_sum, harmonic_sums, avg_bias, H). `orders` is a C-contiguous
+    int32 (epochs, n) array of rows in range(n): the compiled loop reads
+    it, and the matrix, by address.
 
     Step t visits row x with sign s and updates
     w_t = (1 - 1/t) * w_{t-1} + [s * (x.w_{t-1} + b) < 1] * s * x / (lambda*t),
@@ -207,46 +166,40 @@ def _descend(helper: _Helper | None, standardized, signs, orders, lam: float) ->
 
     and sum_k delta_k * H_{k-1} is kept as one coefficient per training
     row (the sum of H_{k-1} over that row's violating steps), which
-    `Descent.averaged` folds in with one product against the matrix.
+    `train_svm` folds in with one product against the matrix.
     """
     n, d = standardized.shape
-    epochs = len(orders)
-    snapshots = np.empty((epochs, 2 + d + n))
-    # scaled_sum = lambda * v_step, the sum of sign * row over the violating
+    # scaled_sum = lambda * v_T, the sum of sign * row over the violating
     # steps; harmonic_sums[i] is the sum of H_{k-1} over row i's violating steps k
     scaled_sum = np.zeros(d)
+    harmonic_sums = np.zeros(n)
     # A row that standardizes to all zeros (every row of an all-constant
     # matrix) adds exactly +0.0 to the dot product, the weight sum and the
     # folded harmonic term, so its step only reads and moves the bias.
     if helper is None:
         rows = [row if row.any() else None for row in standardized]
-        row_signs = signs.tolist()
-        harmonic_sums = [0.0] * n
-        state = [0.0, 0.0, 0.0, 0.0]
-        for epoch, order in enumerate(orders):
-            state = _python_epoch(
-                rows, row_signs, order, lam, epoch * n, state, scaled_sum, harmonic_sums
-            )
-            snapshots[epoch, :2] = state[2:]
-            snapshots[epoch, 2 : 2 + d] = scaled_sum
-            snapshots[epoch, 2 + d :] = harmonic_sums
+        sums = [0.0] * n
+        avg_bias, harmonic = _python_fit(rows, signs.tolist(), orders, lam, scaled_sum, sums)
+        harmonic_sums[:] = sums
     else:
         zero_rows = (~standardized.any(axis=1)).astype(np.uint8)
-        harmonic_sums = np.zeros(n)
+        last = np.zeros(2)
         helper.lib.svm_fit(
             helper.ddot, n, d, *[a.ctypes.data for a in (standardized, signs, zero_rows, orders)],
-            epochs, lam, *[a.ctypes.data for a in (scaled_sum, harmonic_sums, snapshots)],
+            len(orders), lam, *[a.ctypes.data for a in (scaled_sum, harmonic_sums, last)],
         )
-    return snapshots
+        avg_bias, harmonic = last.tolist()
+    return scaled_sum, harmonic_sums, avg_bias, harmonic
 
 
-def _python_epoch(rows, row_signs, order, lam, step, state, scaled_sum, harmonic_sums):
-    """One epoch of steps of the compiled `svm_fit`, starting after `step`
-    steps; `rows[i]` is None for an all-zero row. `state` is eta =
-    1 / (lambda * step), so w_step = eta * scaled_sum (w_0 = 0); then the
-    bias, its running average and H_step. Returns the new state."""
-    eta, bias, avg_bias, harmonic = state
-    for i in order.tolist():
+def _python_fit(rows, row_signs, orders, lam, scaled_sum, harmonic_sums):
+    """Every epoch of steps of the compiled `svm_fit`; `rows[i]` is None for
+    an all-zero row. eta = 1 / (lambda * step), so w_step = eta * scaled_sum
+    (w_0 = 0). Updates scaled_sum and harmonic_sums in place and returns
+    the bias's running average and H of the last step."""
+    eta = bias = avg_bias = harmonic = 0.0
+    step = 0
+    for i in orders.ravel().tolist():
         sign = row_signs[i]
         row = rows[i]
         if row is None:
@@ -265,7 +218,7 @@ def _python_epoch(rows, row_signs, order, lam, step, state, scaled_sum, harmonic
                 harmonic_sums[i] += harmonic
         avg_bias += (bias - avg_bias) / step
         harmonic += 1.0 / step
-    return [eta, bias, avg_bias, harmonic]
+    return avg_bias, harmonic
 
 
 # The compiled epoch helper: building, caching and loading it.

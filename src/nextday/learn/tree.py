@@ -291,16 +291,18 @@ def _as_matrix(x) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(x, dtype=np.float64))
 
 
-def _as_labels(y) -> np.ndarray:
-    labels = np.asarray(y, dtype=np.int8)
+def as_labels(y) -> np.ndarray:
+    """The labels of a fit as int8. Every trainer takes only 0 and 1 (or
+    booleans), checked before the cast, which would read 0.5 as 0."""
+    labels = np.asarray(y)
     if labels.size and not np.isin(labels, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
-    return labels
+    return labels.astype(np.int8, copy=False)
 
 
 def _training_data(x, y) -> tuple[np.ndarray, np.ndarray]:
     matrix = _as_matrix(x)
-    labels = _as_labels(y)
+    labels = as_labels(y)
     if matrix.shape[0] == 0:
         raise ValueError("cannot train on an empty dataset")
     if not np.isfinite(matrix).all():
