@@ -158,13 +158,13 @@ def fold_plans(y, k: int, classifier_cfgs: dict, seed: int) -> list[FoldPlan]:
     return plans
 
 
-def _train(name: str, cfg, x, y, feature_names, seed: int, draws):
+def _train(name: str, cfg, x, y, seed: int, draws):
     if name == "cart":
-        return train_cart(x, y, cfg, feature_names)
+        return train_cart(x, y, cfg)
     if name == "random_forest":
-        return train_forest(x, y, cfg, feature_names, seed, draws)
+        return train_forest(x, y, cfg, seed, draws)
     if name == "linear_svm":
-        return train_svm(x, y, cfg, feature_names, seed, draws)
+        return train_svm(x, y, cfg, seed, draws)
     raise ValueError(f"unknown classifier {name!r}")
 
 
@@ -202,8 +202,7 @@ def kfold_cv(data: Dataset, classifier_cfgs: dict, plans: list[FoldPlan]) -> dic
         counts = []
         for plan in plans:
             model = _train(
-                name, cfg, data.x[plan.train], data.y[plan.train], data.feature_names,
-                plan.seed, plan.draws[name],
+                name, cfg, data.x[plan.train], data.y[plan.train], plan.seed, plan.draws[name]
             )
             counts.append(_confusion(data.y[plan.test], model.predict(data.x[plan.test])))
         folds = [{"fold": fold, **_with_metrics(c)} for fold, c in enumerate(counts)]

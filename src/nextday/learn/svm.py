@@ -37,7 +37,6 @@ class SvmModel:
     bias: float
     mean: np.ndarray
     scale: np.ndarray
-    feature_names: tuple[str, ...] = ()
 
     def _standardize(self, x: np.ndarray) -> np.ndarray:
         return (x - self.mean) / self.scale
@@ -88,9 +87,7 @@ def _orders(helper: _Helper | None, n: int, epochs: int, seed: int) -> np.ndarra
         words *= 2
 
 
-def train_svm(
-    x, y, cfg: SvmConfig | None = None, feature_names=(), seed: int = 0, orders=None
-) -> SvmModel:
+def train_svm(x, y, cfg: SvmConfig | None = None, seed: int = 0, orders=None) -> SvmModel:
     """Hinge-loss sub-gradient descent with a 1/(lambda*t) step schedule.
 
     Features are standardized from the training data itself (zero
@@ -138,14 +135,7 @@ def train_svm(
         weights = (harmonic * scaled_sum - folded) / (lam * (cfg.epochs * n))
     else:
         weights, bias = np.zeros(d), 0.0
-    return SvmModel(
-        config=cfg,
-        weights=weights,
-        bias=bias,
-        mean=mean,
-        scale=scale,
-        feature_names=tuple(feature_names),
-    )
+    return SvmModel(config=cfg, weights=weights, bias=bias, mean=mean, scale=scale)
 
 
 def _descend(helper: _Helper | None, standardized, signs, orders, lam: float):

@@ -9,13 +9,17 @@ search from every tree and scores them all in one call of `best_split`
 fixed set of numpy calls however many nodes it holds. The grower looks
 that name up in this module on every call, so instrumentation that
 wraps `nextday.learn.tree.best_split` sees every split search.
+
+The grower writes each node straight into flat arrays, one set for all
+trees of a fit, as scikit-learn's `Tree` does. Prediction moves every
+(row, tree) pair one level down per pass, in a fixed set of numpy calls.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -136,36 +140,6 @@ def parent_score(n0: int, n1: int) -> float:
     return (n0 * n0 + n1 * n1) / n
 
 
-@dataclass
-class Node:
-    """Internal split node or leaf; leaves carry the training class counts."""
-
-    feature: int = -1
-    threshold: float = 0.0
-    left: "Node | None" = None
-    right: "Node | None" = None
-    counts: tuple[int, int] = (0, 0)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    @property
-    def prediction(self) -> int:
-        return 1 if self.counts[1] > self.counts[0] else 0
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"counts": list(self.counts)}
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "counts": list(self.counts),
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-
 # `best_split` holds some 60 bytes per (row, column) pair of its nodes at
 # once. A round with more pairs than this is searched in several calls,
 # which caps that near 8 MB and changes no tree.
@@ -179,7 +153,7 @@ def _grow_trees(
     samples: list[np.ndarray],
     rngs: list[random.Random | None],
     width: int,
-) -> list[Node]:
+) -> dict:
     """One tree per entry of `samples` (int32 rows of `x`), grown in lockstep.
 
     A node is searched when it is shallower than `cfg.max_depth`, holds
@@ -189,20 +163,33 @@ def _grow_trees(
     comparison partitions every node of a round, and each child's rows
     are a slice of the round's left-going or right-going rows.
 
-    Each tree keeps a depth-first stack. A tree with an RNG and
-    `width < d` searches `sorted(rng.sample(range(d), width))` columns at
-    each node and gives one node per round, so it draws in the order a
-    recursive grower would. Any other tree draws nothing, searches every
-    column and gives every node on its stack.
+    Each tree keeps a depth-first stack of node indices. A tree with an
+    RNG and `width < d` searches `sorted(rng.sample(range(d), width))`
+    columns at each node and gives one node per round, so it draws in
+    the order a recursive grower would. Any other tree draws nothing,
+    searches every column and gives every node on its stack.
+
+    Returns the `TreeModel` fields but `config`; node t is tree t's root.
     """
     d = x.shape[1]
     codes, values = rank_columns(x, y)
     is_one = y.astype(bool)
     all_columns = list(range(d))
     min_leaf = cfg.min_samples_leaf
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []  # the right child is always left + 1
+    counts: list[tuple[int, int]] = []
 
-    def push(stack: list, tree: int, node: Node, depth: int, rows: np.ndarray) -> None:
-        n0, n1 = node.counts
+    def add(n0: int, n1: int) -> int:
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        counts.append((n0, n1))
+        return len(counts) - 1
+
+    def push(stack: list, tree: int, node: int, depth: int, rows: np.ndarray) -> None:
+        n0, n1 = counts[node]
         if depth < cfg.max_depth and n0 > 0 and n1 > 0 and n0 + n1 >= 2 * min_leaf:
             stack.append((tree, node, depth, rows))
 
@@ -218,7 +205,7 @@ def _grow_trees(
         split = [
             i
             for i, (best, entry) in enumerate(zip(found, batch))
-            if best is not None and best[2] > parent_score(*entry[1].counts)
+            if best is not None and best[2] > parent_score(*counts[entry[1]])
         ]
         if split:
             features = [0] * len(batch)
@@ -238,24 +225,22 @@ def _grow_trees(
                 n_right = lengths[i] - n_left
                 if n_left == 0 or n_right == 0:  # degenerate midpoint rounding
                     continue
-                n0, n1 = node.counts
+                n0, n1 = counts[node]
                 ones = left_ones[i]
-                node.feature, node.threshold = features[i], thresholds[i]
-                node.left = Node(counts=(n_left - ones, ones))
-                node.right = Node(counts=(n0 - n_left + ones, n1 - ones))
+                feature[node], threshold[node] = features[i], thresholds[i]
+                left[node] = add(n_left - ones, ones)
+                right = add(n0 - n_left + ones, n1 - ones)
                 # the left child on top: each tree grows depth first, left first
                 a = left_at[i]
                 b = offsets[i] - a
-                push(stacks[tree], tree, node.right, depth + 1, right_rows[b : b + n_right])
-                push(stacks[tree], tree, node.left, depth + 1, left_rows[a : a + n_left])
+                push(stacks[tree], tree, right, depth + 1, right_rows[b : b + n_right])
+                push(stacks[tree], tree, left[node], depth + 1, left_rows[a : a + n_left])
 
-    roots = []
     stacks: list[list] = []
     for tree, rows in enumerate(samples):
         n1 = int(np.count_nonzero(is_one[rows]))
-        roots.append(Node(counts=(len(rows) - n1, n1)))
         stacks.append([])
-        push(stacks[tree], tree, roots[tree], 0, rows)
+        push(stacks[tree], tree, add(len(rows) - n1, n1), 0, rows)
     samples_columns = [rng is not None and width < d for rng in rngs]
     live = [tree for tree, stack in enumerate(stacks) if stack]
     while live:
@@ -278,13 +263,15 @@ def _grow_trees(
             pairs += len(entry[3]) * len(columns[i])
         search(batch[start:], columns[start:])
         live = [tree for tree in live if stacks[tree]]
-    return roots
-
-
-def _predict_node(node: Node, row: np.ndarray) -> int:
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node.prediction
+    left_child = np.array(left, dtype=np.int32)
+    return {
+        "n_trees": len(samples),
+        "feature": np.array(feature, dtype=np.int32),
+        "threshold": np.array(threshold),
+        "left": left_child,
+        "right": np.where(left_child < 0, left_child, left_child + 1),
+        "counts": np.array(counts, dtype=np.int32),
+    }
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -311,40 +298,52 @@ def _training_data(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
-class CartModel:
-    config: CartConfig
-    root: Node
-    feature_names: tuple[str, ...] = ()
+class TreeModel:
+    """A fit's trees as parallel node arrays, as in scikit-learn's `Tree`.
+
+    Node i sends a row to node `left[i]` when `row[feature[i]] <=
+    threshold[i]` and to `right[i]` otherwise; both are -1 at a leaf.
+    `counts[i]` holds the class 0 and class 1 training rows that reached
+    node i. Nodes 0 to `n_trees - 1` are the trees' roots.
+    """
+
+    config: CartConfig | ForestConfig
+    n_trees: int
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray
 
     def predict(self, x) -> np.ndarray:
+        """The trees' majority vote on each row of `x`, a tie going to 0. Each
+        pass moves every (row, tree) pair still at a split one level down."""
         matrix = _as_matrix(x)
-        return np.array([_predict_node(self.root, row) for row in matrix], dtype=np.int8)
+        rows = np.repeat(np.arange(len(matrix)), self.n_trees)
+        node = np.tile(np.arange(self.n_trees, dtype=np.int32), len(matrix))
+        walking = np.flatnonzero(self.left[node] >= 0)
+        while len(walking):
+            at = node[walking]
+            goes_left = matrix[rows[walking], self.feature[at]] <= self.threshold[at]
+            at = np.where(goes_left, self.left[at], self.right[at])
+            node[walking] = at
+            walking = walking[self.left[at] >= 0]
+        ones = (self.counts[:, 1] > self.counts[:, 0])[node]
+        votes = ones.reshape(len(matrix), self.n_trees).sum(axis=1)
+        return (2 * votes > self.n_trees).astype(np.int8)
 
 
 @dataclass
-class ForestModel:
+class CartModel(TreeModel):
+    config: CartConfig
+
+
+@dataclass
+class ForestModel(TreeModel):
     config: ForestConfig
-    roots: list[Node]
-    feature_names: tuple[str, ...] = ()
-
-    def predict_row(self, row) -> int:
-        values = np.asarray(row, dtype=np.float64)
-        votes = sum(_predict_node(root, values) for root in self.roots)
-        return 1 if 2 * votes > len(self.roots) else 0
-
-    def predict(self, x) -> np.ndarray:
-        matrix = _as_matrix(x)
-        return np.array([self.predict_row(row) for row in matrix], dtype=np.int8)
-
-    def to_dict(self) -> dict:
-        return {
-            "config": asdict(self.config),
-            "feature_names": list(self.feature_names),
-            "trees": [root.to_dict() for root in self.roots],
-        }
 
 
-def train_cart(x, y, cfg: CartConfig | None = None, feature_names=()) -> CartModel:
+def train_cart(x, y, cfg: CartConfig | None = None) -> CartModel:
     """Grow a CART tree by greedy Gini-impurity reduction.
 
     Single-class data produces a depth-0 majority leaf; prediction ties
@@ -353,8 +352,8 @@ def train_cart(x, y, cfg: CartConfig | None = None, feature_names=()) -> CartMod
     cfg = cfg or CartConfig()
     matrix, labels = _training_data(x, y)
     n, d = matrix.shape
-    (root,) = _grow_trees(matrix, labels, cfg, [np.arange(n, dtype=np.int32)], [None], d)
-    return CartModel(config=cfg, root=root, feature_names=tuple(feature_names))
+    trees = _grow_trees(matrix, labels, cfg, [np.arange(n, dtype=np.int32)], [None], d)
+    return CartModel(config=cfg, **trees)
 
 
 def bootstrap_rows(rng: random.Random, n: int) -> tuple[np.ndarray, int]:
@@ -406,9 +405,7 @@ def tree_draws(n: int, cfg: ForestConfig, seed: int) -> tuple[np.ndarray, list[i
     return rows, used
 
 
-def train_forest(
-    x, y, cfg: ForestConfig | None = None, feature_names=(), seed: int = 0, draws=None
-) -> ForestModel:
+def train_forest(x, y, cfg: ForestConfig | None = None, seed: int = 0, draws=None) -> ForestModel:
     """Bagged CART ensemble with per-node feature subsampling.
 
     Each node searches `cfg.max_features` columns drawn at random (capped
@@ -436,5 +433,5 @@ def train_forest(
     rngs = [random.Random(f"tree:{seed}:{index}") for index in range(cfg.n_trees)]
     for rng, words in zip(rngs, used):
         rng.getrandbits(32 * words)
-    roots = _grow_trees(matrix, labels, cfg, list(rows), rngs, max_features)
-    return ForestModel(config=cfg, roots=roots, feature_names=tuple(feature_names))
+    trees = _grow_trees(matrix, labels, cfg, list(rows), rngs, max_features)
+    return ForestModel(config=cfg, **trees)

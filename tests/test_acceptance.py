@@ -158,7 +158,7 @@ def test_criterion_5_classifier_unit_properties():
         table = exact_split_table(EIGHT_ROWS, 0) + exact_split_table(EIGHT_ROWS, 1)
         best = max(table, key=lambda row: row[2])
         model = train_cart(EIGHT_X, EIGHT_Y, CartConfig(max_depth=3, min_samples_leaf=1))
-        assert (model.root.feature, model.root.threshold) == (best[0], best[1])
+        assert (model.feature[0], model.threshold[0]) == (best[0], best[1])
         assert list(model.predict(EIGHT_X)) == list(EIGHT_Y)
 
         rng = np.random.default_rng(17)

@@ -32,7 +32,7 @@ from nextday.learn.cv import fold_plans
 from nextday.learn import svm
 from nextday.learn.svm import SvmModel, epoch_orders
 from nextday.learn.tree import (
-    Node,
+    TreeModel,
     best_split,
     bootstrap_rows,
     parent_score,
@@ -166,13 +166,16 @@ def reference_node_split(x, y, min_leaf):
 
 
 def reference_grow(x, y, depth, cfg, rng, max_features):
-    """The recursive grower the lockstep one replaced, kept as an oracle."""
+    """The recursive grower the lockstep one replaced, kept as an oracle.
+
+    A leaf is {"counts": [n0, n1]}; a split node adds "feature",
+    "threshold", "left" and "right"."""
     n = x.shape[0]
     n1 = int(y.sum())
     n0 = n - n1
-    counts = (n0, n1)
+    leaf = {"counts": [n0, n1]}
     if depth >= cfg.max_depth or n0 == 0 or n1 == 0 or n < 2 * cfg.min_samples_leaf:
-        return Node(counts=counts)
+        return leaf
     d = x.shape[1]
     if max_features is not None and max_features < d and rng is not None:
         columns = sorted(rng.sample(range(d), max_features))
@@ -184,14 +187,55 @@ def reference_grow(x, y, depth, cfg, rng, max_features):
     else:
         found = reference_node_split(x, y, cfg.min_samples_leaf)
     if found is None or found[2] <= parent_score(n0, n1):
-        return Node(counts=counts)
+        return leaf
     feature, threshold, _ = found
     mask = x[:, feature] <= threshold
     if not mask.any() or mask.all():
-        return Node(counts=counts)
+        return leaf
     left = reference_grow(x[mask], y[mask], depth + 1, cfg, rng, max_features)
     right = reference_grow(x[~mask], y[~mask], depth + 1, cfg, rng, max_features)
-    return Node(feature=feature, threshold=threshold, left=left, right=right, counts=counts)
+    return {"feature": feature, "threshold": threshold, **leaf, "left": left, "right": right}
+
+
+def tree_dicts(model: TreeModel) -> list[dict]:
+    """Each tree of a fit in `reference_grow`'s nested-dict shape."""
+
+    def node(i):
+        leaf = {"counts": model.counts[i].tolist()}
+        if model.left[i] < 0:
+            return leaf
+        return {
+            "feature": int(model.feature[i]),
+            "threshold": float(model.threshold[i]),
+            **leaf,
+            "left": node(model.left[i]),
+            "right": node(model.right[i]),
+        }
+
+    return [node(root) for root in range(model.n_trees)]
+
+
+def reference_votes(trees: list[dict], x) -> list[int]:
+    """Each row of `x` walked through each nested-dict tree: the number
+    of trees whose leaf holds more ones than zeros."""
+    votes = []
+    for row in np.asarray(x, dtype=np.float64):
+        ones = 0
+        for tree in trees:
+            while "left" in tree:
+                tree = tree["left"] if row[tree["feature"]] <= tree["threshold"] else tree["right"]
+            n0, n1 = tree["counts"]
+            ones += n1 > n0
+        votes.append(ones)
+    return votes
+
+
+def split_nodes(tree: dict):
+    """The split nodes of a nested-dict tree, depth first."""
+    if "left" in tree:
+        yield tree
+        yield from split_nodes(tree["left"])
+        yield from split_nodes(tree["right"])
 
 
 def fuzz_split_cases(seed, count=300):
@@ -282,24 +326,24 @@ class TestKernels:
 class TestCart:
     def test_separable_pair(self):
         model = train_cart([[0.0], [1.0]], [0, 1], CartConfig(min_samples_leaf=1))
-        assert model.root.feature == 0
-        assert model.root.threshold == 0.5
+        assert model.feature[0] == 0
+        assert model.threshold[0] == 0.5
         assert list(model.predict([[0.0], [1.0]])) == [0, 1]
 
     def test_identical_rows_majority_leaf(self):
         model = train_cart([[1.0, 2.0]] * 4, [0, 1, 1, 1], CartConfig())
-        assert model.root.is_leaf
-        assert model.root.prediction == 1
+        assert tree_dicts(model) == [{"counts": [1, 3]}]
+        assert list(model.predict([[1.0, 2.0], [0.0, 9.0]])) == [1, 1]
 
     def test_majority_tie_predicts_zero(self):
         model = train_cart([[1.0]] * 4, [0, 0, 1, 1], CartConfig())
-        assert model.root.is_leaf
-        assert model.root.prediction == 0
+        assert tree_dicts(model) == [{"counts": [2, 2]}]
+        assert list(model.predict([[1.0], [3.0]])) == [0, 0]
 
     def test_single_class_depth_zero(self):
         model = train_cart([[0.0], [1.0], [2.0]], [1, 1, 1], CartConfig())
-        assert model.root.is_leaf
-        assert model.root.prediction == 1
+        assert tree_dicts(model) == [{"counts": [0, 3]}]
+        assert list(model.predict([[0.0], [5.0]])) == [1, 1]
 
     def test_eight_row_gini_table(self):
         table = exact_split_table(EIGHT_ROWS, 0) + exact_split_table(EIGHT_ROWS, 1)
@@ -325,7 +369,8 @@ class TestCart:
 
     def test_eight_row_tree_structure(self):
         model = train_cart(EIGHT_X, EIGHT_Y, CartConfig(max_depth=3, min_samples_leaf=1))
-        assert model.root.to_dict() == {
+        (tree,) = tree_dicts(model)
+        assert tree == {
             "feature": 1,
             "threshold": 3.5,
             "counts": [4, 4],
@@ -339,22 +384,25 @@ class TestCart:
             },
         }
         assert list(model.predict(EIGHT_X)) == list(EIGHT_Y)
+        # a value equal to a threshold goes left
+        assert list(model.predict([[0.0, 3.5], [0.0, 8.5]])) == [1, 0]
 
     def test_split_sequence_matches_exact_oracle(self):
         # every internal node's split must be the exact-arithmetic argmax
         model = train_cart(EIGHT_X, EIGHT_Y, CartConfig(max_depth=3, min_samples_leaf=1))
 
         def check(node, rows):
-            if node.is_leaf:
+            if "left" not in node:
                 return
             table = exact_split_table(rows, 0) + exact_split_table(rows, 1)
             best_decrease = max(d for _, _, d in table)
             winners = [(f, t) for f, t, d in table if d == best_decrease]
-            assert (node.feature, node.threshold) == min(winners)
-            check(node.left, [r for r in rows if r[node.feature] <= node.threshold])
-            check(node.right, [r for r in rows if r[node.feature] > node.threshold])
+            feature, threshold = node["feature"], node["threshold"]
+            assert (feature, threshold) == min(winners)
+            check(node["left"], [r for r in rows if r[feature] <= threshold])
+            check(node["right"], [r for r in rows if r[feature] > threshold])
 
-        check(model.root, EIGHT_ROWS)
+        check(tree_dicts(model)[0], EIGHT_ROWS)
 
     def test_partition_impurity_decreases_at_every_split(self):
         rng = np.random.default_rng(3)
@@ -369,19 +417,18 @@ class TestCart:
             return 1.0 - (counts[0] / n) ** 2 - (counts[1] / n) ** 2
 
         def check(node):
-            if node.is_leaf:
+            if "left" not in node:
                 return
-            n = sum(node.counts)
-            left_n = sum(node.left.counts)
-            right_n = sum(node.right.counts)
-            weighted = (left_n / n) * gini(node.left.counts) + (right_n / n) * gini(
-                node.right.counts
-            )
-            assert weighted < gini(node.counts)
-            check(node.left)
-            check(node.right)
+            left, right = node["left"], node["right"]
+            n = sum(node["counts"])
+            left_n = sum(left["counts"])
+            right_n = sum(right["counts"])
+            weighted = (left_n / n) * gini(left["counts"]) + (right_n / n) * gini(right["counts"])
+            assert weighted < gini(node["counts"])
+            check(left)
+            check(right)
 
-        check(model.root)
+        check(tree_dicts(model)[0])
 
 
 class TestForest:
@@ -395,7 +442,7 @@ class TestForest:
         )
         probe = rng.normal(size=(1000, 5))
         assert np.array_equal(cart.predict(probe), forest.predict(probe))
-        assert forest.roots[0].to_dict() == cart.root.to_dict()
+        assert tree_dicts(forest) == tree_dicts(cart)
 
     def test_same_seed_identical_serialization(self):
         rng = np.random.default_rng(9)
@@ -403,9 +450,9 @@ class TestForest:
         y = rng.integers(0, 2, size=40)
         a = train_forest(x, y, ForestConfig(n_trees=5), seed=42)
         b = train_forest(x, y, ForestConfig(n_trees=5), seed=42)
-        assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
+        assert json.dumps(tree_dicts(a)) == json.dumps(tree_dicts(b))
         c = train_forest(x, y, ForestConfig(n_trees=5), seed=43)
-        assert json.dumps(a.to_dict()) != json.dumps(c.to_dict())
+        assert json.dumps(tree_dicts(a)) != json.dumps(tree_dicts(c))
 
     @pytest.mark.parametrize("max_features", range(1, 9))
     def test_each_node_searches_max_features_columns(self, monkeypatch, max_features):
@@ -422,19 +469,44 @@ class TestForest:
         train_forest(x, y, ForestConfig(n_trees=3, max_features=max_features))
         assert widths and set(widths) == {max_features}
 
-    def test_majority_vote(self):
-        leaves = [Node(counts=(0, 5)), Node(counts=(0, 5)), Node(counts=(5, 0))]
-        from nextday.learn.tree import ForestModel
-
-        model = ForestModel(config=ForestConfig(n_trees=3), roots=leaves)
-        assert model.predict_row([0.0]) == 1
-
-    def test_tie_votes_zero(self):
-        leaves = [Node(counts=(0, 5)), Node(counts=(5, 0))]
-        from nextday.learn.tree import ForestModel
-
-        model = ForestModel(config=ForestConfig(n_trees=2), roots=leaves)
-        assert model.predict_row([0.0]) == 0
+    def test_walk_matches_per_row_oracle(self):
+        ties = outvoted = 0
+        for case, (x, y, leaf, depth, rng) in enumerate(fuzz_fit_cases(24, 200)):
+            if case % 5 == 0:  # every column constant: each tree is one leaf
+                x = np.full_like(x, x[0, 0])
+            n, d = x.shape
+            cfg = ForestConfig(
+                n_trees=2 + case % 4,  # even counts can tie
+                max_features=int(rng.integers(1, d + 1)),
+                max_depth=depth,
+                min_samples_leaf=leaf,
+            )
+            cart_cfg = CartConfig(max_depth=depth, min_samples_leaf=leaf)
+            seed = int(rng.integers(0, 1000))
+            forest_trees = reference_forest(x, y, cfg, seed)
+            cart_tree = reference_grow(x, np.asarray(y, dtype=np.int8), 0, cart_cfg, None, None)
+            # the fit's rows, rows on every threshold (they go left), fresh rows
+            on_threshold = []
+            for tree in [cart_tree, *forest_trees]:
+                for node in split_nodes(tree):
+                    row = x[len(on_threshold) % n].copy()
+                    row[node["feature"]] = node["threshold"]
+                    on_threshold.append(row)
+            probe = np.vstack([x, *on_threshold, 2.0 * rng.normal(size=(10, d))])
+            for model, trees in (
+                (train_forest(x, y, cfg, seed=seed), forest_trees),
+                (train_cart(x, y, cart_cfg), [cart_tree]),
+            ):
+                assert tree_dicts(model) == trees
+                votes = reference_votes(trees, probe)
+                want = [int(2 * v > len(trees)) for v in votes]
+                assert model.predict(probe).tolist() == want
+                assert model.predict(np.empty((0, d))).shape == (0,)
+                ties += sum(2 * v == len(trees) for v in votes)
+                outvoted += sum(len(trees) > v > len(trees) / 2 for v in votes)
+            if case % 5 == 0:
+                assert all("left" not in tree for tree in [cart_tree, *forest_trees])
+        assert ties and outvoted
 
 
 FOUR_X = np.array([[-2.0, -1.0], [-2.0, 1.0], [2.0, -1.0], [2.0, 1.0]])
@@ -902,10 +974,11 @@ def reference_forest(x, y, cfg: ForestConfig, seed: int) -> list[dict]:
     for index in range(cfg.n_trees):
         rng = random.Random(f"tree:{seed}:{index}")
         chosen = [rng.randrange(n) for _ in range(n)] if cfg.bootstrap else list(range(n))
-        root = reference_grow(
-            np.ascontiguousarray(x[chosen]), labels[chosen], 0, cfg, rng, cfg.max_features
+        trees.append(
+            reference_grow(
+                np.ascontiguousarray(x[chosen]), labels[chosen], 0, cfg, rng, cfg.max_features
+            )
         )
-        trees.append(root.to_dict())
     return trees
 
 
@@ -981,8 +1054,8 @@ class TestSharedDraws:
         if not bootstrap:
             assert (rows == np.arange(70)).all()
         given = train_forest(x, y, cfg, seed=8, draws=draws)
-        assert given.to_dict() == train_forest(x, y, cfg, seed=8).to_dict()
-        assert given.to_dict()["trees"] == reference_forest(x, y, cfg, 8)
+        assert tree_dicts(given) == tree_dicts(train_forest(x, y, cfg, seed=8))
+        assert tree_dicts(given) == reference_forest(x, y, cfg, 8)
 
     def test_draws_of_another_shape_rejected(self):
         with pytest.raises(ValueError, match="epoch orders"):
@@ -1141,7 +1214,7 @@ class TestCompiledEpochs:
         if not compiled:
             monkeypatch.setattr(svm, "_HELPER", None)
         model = train_svm(FOUR_X, FOUR_Y, SvmConfig(epochs=7), seed=3)
-        assert list(vars(model)) == ["config", "weights", "bias", "mean", "scale", "feature_names"]
+        assert list(vars(model)) == ["config", "weights", "bias", "mean", "scale"]
 
     def test_source_compiles_without_warnings(self):
         # a build's diagnostics are captured and dropped, so check them here
@@ -1281,7 +1354,7 @@ def fuzz_fit_cases(seed, count):
 
 
 def searched_nodes(tree: dict, cfg, depth: int = 0) -> int:
-    """Nodes of a `to_dict()` tree that passed the grower's stopping rules."""
+    """Nodes of a `tree_dicts` tree that passed the grower's stopping rules."""
     n0, n1 = tree["counts"]
     here = depth < cfg.max_depth and n0 > 0 and n1 > 0 and n0 + n1 >= 2 * cfg.min_samples_leaf
     if "left" not in tree:
@@ -1298,7 +1371,7 @@ class TestLockstepGrower:
         for x, y, leaf, depth, _ in fuzz_fit_cases(21, 400):
             cfg = CartConfig(max_depth=depth, min_samples_leaf=leaf)
             want = reference_grow(x, np.asarray(y, dtype=np.int8), 0, cfg, None, None)
-            assert train_cart(x, y, cfg).root.to_dict() == want.to_dict()
+            assert tree_dicts(train_cart(x, y, cfg)) == [want]
 
     def test_forest_matches_recursion(self):
         for x, y, leaf, depth, rng in fuzz_fit_cases(22, 150):
@@ -1310,7 +1383,7 @@ class TestLockstepGrower:
                 min_samples_leaf=leaf,
             )
             seed = int(rng.integers(0, 1000))
-            got = train_forest(x, y, cfg, seed=seed).to_dict()["trees"]
+            got = tree_dicts(train_forest(x, y, cfg, seed=seed))
             assert got == reference_forest(x, y, cfg, seed)
 
     def test_rounds_searched_in_several_calls(self, monkeypatch):
@@ -1318,9 +1391,9 @@ class TestLockstepGrower:
         for x, y, leaf, depth, rng in fuzz_fit_cases(23, 60):
             cart = CartConfig(max_depth=depth, min_samples_leaf=leaf)
             want = reference_grow(x, np.asarray(y, dtype=np.int8), 0, cart, None, None)
-            assert train_cart(x, y, cart).root.to_dict() == want.to_dict()
+            assert tree_dicts(train_cart(x, y, cart)) == [want]
             forest = ForestConfig(n_trees=5, max_features=1, max_depth=depth, min_samples_leaf=leaf)
-            assert train_forest(x, y, forest, seed=4).to_dict()["trees"] == reference_forest(
+            assert tree_dicts(train_forest(x, y, forest, seed=4)) == reference_forest(
                 x, y, forest, 4
             )
 
@@ -1358,6 +1431,5 @@ class TestLockstepGrower:
         assert len(fitted) == 60
         searched = 0
         for model in fitted:
-            roots = model.roots if hasattr(model, "roots") else [model.root]
-            searched += sum(searched_nodes(root.to_dict(), model.config) for root in roots)
+            searched += sum(searched_nodes(tree, model.config) for tree in tree_dicts(model))
         assert searched == 2_010
