@@ -508,6 +508,30 @@ class TestForest:
                 assert all("left" not in tree for tree in [cart_tree, *forest_trees])
         assert ties and outvoted
 
+    @staticmethod
+    def leaf_forest(counts):
+        """A forest of single-leaf trees, one per (n0, n1) in `counts`."""
+        from nextday.learn.tree import ForestModel
+
+        n = len(counts)
+        return ForestModel(
+            config=ForestConfig(n_trees=n),
+            n_trees=n,
+            feature=np.full(n, -1, dtype=np.int32),
+            threshold=np.zeros(n),
+            left=np.full(n, -1, dtype=np.int32),
+            right=np.full(n, -1, dtype=np.int32),
+            counts=np.array(counts, dtype=np.int32),
+        )
+
+    def test_majority_vote(self):
+        model = self.leaf_forest([(0, 5), (0, 5), (5, 0)])
+        assert model.predict([[0.0]]).tolist() == [1]
+
+    def test_tie_votes_zero(self):
+        model = self.leaf_forest([(0, 5), (5, 0)])
+        assert model.predict([[0.0]]).tolist() == [0]
+
 
 FOUR_X = np.array([[-2.0, -1.0], [-2.0, 1.0], [2.0, -1.0], [2.0, 1.0]])
 FOUR_Y = np.array([0, 0, 1, 1])
