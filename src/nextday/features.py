@@ -169,7 +169,7 @@ def involvement_indices(
     if corpus_max_tweets < 1 or corpus_max_tweets < count:
         raise ValueError("corpus_max_tweets must be >= max(1, association size)")
     article = corpus.article_by_id[assoc.article_id]
-    tweets = [corpus.tweet_by_id[t] for t in sorted(assoc.expanded_tweet_ids)]
+    tweets = [corpus.tweet_by_id[t] for t in assoc.expanded_tweet_ids]
 
     retweets = sum(t.retweet_count for t in tweets)
     favorites = sum(t.favorite_count for t in tweets)
@@ -218,7 +218,7 @@ def reaction_indices(
     pc = 0
     nc = 0
     counts = dict.fromkeys(EMOTION_CATEGORIES, 0)
-    for tweet_id in sorted(assoc.expanded_tweet_ids):
+    for tweet_id in assoc.expanded_tweet_ids:
         sentiment, dominant = memo.tweet_reaction(corpus.tweet_by_id[tweet_id])
         if sentiment is Sentiment.POSITIVE:
             pc += 1
@@ -287,8 +287,29 @@ def _finish_run(run: list[str], run_start: int, confirmed: set[str]) -> list[str
     return [" ".join(run)] if run else []
 
 
-def _polarity_values(text: str, lex: SentimentLexicon) -> dict[str, float]:
+def text_blocks(
+    article: NewsArticle, field: str, lex: SentimentLexicon
+) -> dict[str, dict[str, float]]:
+    """The content and polarity blocks of the article's `field` ("title"
+    or "body"), keyed `<field>_content` and `<field>_polarity`, from one
+    tokenization of that text. The body's content block also carries
+    the publication weekday."""
+    text = getattr(article, field)
     tokens = tokenize(text)
+    total = len(tokens)
+    stopwords = default_stopwords()
+    non_stop = sum(1 for t in tokens if t not in stopwords)
+    content = {
+        "word_count": float(total),
+        "non_stop_rate": non_stop / total if total else 0.0,
+    }
+    if field == "body":
+        weekday = article.published_at.weekday()
+        content["day_of_week"] = float(weekday)
+        content["weekend"] = 1.0 if weekday >= 5 else 0.0
+    content["entity_count"] = float(len(extract_entities(text)))
+    content["mean_word_length"] = sum(len(t) for t in tokens) / total if total else 0.0
+
     positives = []
     negatives = []
     for token in tokens:
@@ -299,9 +320,8 @@ def _polarity_values(text: str, lex: SentimentLexicon) -> dict[str, float]:
             positives.append(valence)
         elif valence < 0:
             negatives.append(valence)
-    total = len(tokens)
     polar = len(positives) + len(negatives)
-    return {
+    polarity = {
         "polarity_score": score_sentiment(text, lex),
         "positive_word_rate": 100.0 * len(positives) / total if total else 0.0,
         "negative_word_rate": 100.0 * len(negatives) / total if total else 0.0,
@@ -314,51 +334,18 @@ def _polarity_values(text: str, lex: SentimentLexicon) -> dict[str, float]:
         "min_negative_polarity": min(negatives) if negatives else 0.0,
         "max_negative_polarity": max(negatives) if negatives else 0.0,
     }
-
-
-def _content_values(text: str) -> dict[str, float]:
-    tokens = tokenize(text)
-    total = len(tokens)
-    stopwords = default_stopwords()
-    non_stop = sum(1 for t in tokens if t not in stopwords)
-    return {
-        "word_count": float(total),
-        "non_stop_rate": non_stop / total if total else 0.0,
-        "entity_count": float(len(extract_entities(text))),
-        "mean_word_length": sum(len(t) for t in tokens) / total if total else 0.0,
-    }
-
-
-def _body_content_values(article: NewsArticle) -> dict[str, float]:
-    content = _content_values(article.body)
-    weekday = article.published_at.weekday()
-    return {
-        "word_count": content["word_count"],
-        "non_stop_rate": content["non_stop_rate"],
-        "day_of_week": float(weekday),
-        "weekend": 1.0 if weekday >= 5 else 0.0,
-        "entity_count": content["entity_count"],
-        "mean_word_length": content["mean_word_length"],
-    }
-
-
-# How each text block is computed from one article and the run's lexicons.
-TEXT_BLOCKS = {
-    "body_content": lambda article, lexicons: _body_content_values(article),
-    "body_polarity": lambda article, lexicons: _polarity_values(article.body, lexicons.sentiment),
-    "title_content": lambda article, lexicons: _content_values(article.title),
-    "title_polarity": lambda article, lexicons: _polarity_values(article.title, lexicons.sentiment),
-}
+    return {f"{field}_content": content, f"{field}_polarity": polarity}
 
 
 class TextMemo:
     """Text-derived values that the schemes of one `features` run share.
 
-    Each article's text blocks (`TEXT_BLOCKS`), and the sentiment label
-    and dominant emotion of each tweet, are computed on first use and
-    kept for the life of the memo. Build one per run, with that run's
-    lexicons (None when no scheme of the run scores text); entries are
-    keyed by article and tweet id, which are unique within a corpus.
+    Each article's text blocks, and the sentiment and dominant emotion
+    of each tweet, are computed on first use and kept for the life of
+    the memo; the first use of either block of a text stores both
+    (`text_blocks`). Build one per run, with that run's lexicons (None
+    when no scheme of the run scores text); entries are keyed by
+    article and tweet id, which are unique within a corpus.
     """
 
     def __init__(self, lexicons: Lexicons | None):
@@ -371,16 +358,20 @@ class TextMemo:
         key = (name, article.id)
         values = self._blocks.get(key)
         if values is None:
-            values = self._blocks[key] = TEXT_BLOCKS[name](article, self.lexicons)
+            field = name.partition("_")[0]
+            blocks = text_blocks(article, field, self.lexicons.sentiment)
+            for block, block_values in blocks.items():
+                self._blocks[block, article.id] = block_values
+            values = self._blocks[key]
         return values
 
     def tweet_reaction(self, tweet: Tweet) -> tuple[Sentiment, str | None]:
-        """The tweet's sentiment label and dominant emotion."""
+        """The tweet's sentiment and dominant emotion."""
         reaction = self._reactions.get(tweet.id)
         if reaction is None:
-            label = classify_sentiment(score_sentiment(tweet.text, self.lexicons.sentiment))
+            sentiment = classify_sentiment(score_sentiment(tweet.text, self.lexicons.sentiment))
             emotions = tag_emotions(tweet.text, self.lexicons.emotions)
-            reaction = (label.sentiment, dominant_emotion(emotions))
+            reaction = (sentiment, dominant_emotion(emotions))
             self._reactions[tweet.id] = reaction
         return reaction
 

@@ -42,12 +42,6 @@ class Sentiment(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SentimentLabel:
-    sentiment: Sentiment
-    compound: float
-
-
-@dataclass(frozen=True)
 class SentimentLexicon:
     entries: dict[str, float]
     negators: frozenset[str]
@@ -79,18 +73,18 @@ def score_sentiment(text: str, lex: SentimentLexicon) -> float:
     Negator tokens themselves are never scored as lexicon entries.
     """
     tokens = tokenize_cased(text)
+    keys = [_lexicon_key(token) for token in tokens]
     total = 0.0
-    for i, token in enumerate(tokens):
-        key = _lexicon_key(token)
+    for i, (token, key) in enumerate(zip(tokens, keys)):
         if key in lex.negators or key not in lex.entries:
             continue
         valence = lex.entries[key]
-        window = tokens[max(0, i - MODIFIER_WINDOW) : i]
+        window = keys[max(0, i - MODIFIER_WINDOW) : i]
         for prior in window:
-            if _lexicon_key(prior) in lex.negators:
+            if prior in lex.negators:
                 valence *= NEGATION_SCALAR
         for prior in window:
-            increment = lex.boosters.get(_lexicon_key(prior))
+            increment = lex.boosters.get(prior)
             if increment is not None:
                 valence += _toward_sign(valence, increment)
         if token.isupper() and any(c.isalpha() for c in token):
@@ -109,13 +103,13 @@ def _toward_sign(valence: float, increment: float) -> float:
     return 0.0
 
 
-def classify_sentiment(compound: float) -> SentimentLabel:
+def classify_sentiment(compound: float) -> Sentiment:
     """Map a compound score to positive/negative/neutral (thresholds +-0.05)."""
     if compound >= POSITIVE_THRESHOLD:
-        return SentimentLabel(Sentiment.POSITIVE, compound)
+        return Sentiment.POSITIVE
     if compound <= NEGATIVE_THRESHOLD:
-        return SentimentLabel(Sentiment.NEGATIVE, compound)
-    return SentimentLabel(Sentiment.NEUTRAL, compound)
+        return Sentiment.NEGATIVE
+    return Sentiment.NEUTRAL
 
 
 def tag_emotions(text: str, lex: EmotionLexicon) -> dict[str, int]:
@@ -162,7 +156,7 @@ def parse_sentiment_lexicon(
     for line_no, cols in _data_lines(text):
         if len(cols) < 2:
             raise LexiconError(f"{path}:{line_no}: expected token<TAB>valence")
-        token = cols[0].strip().lower()
+        token = _lexicon_key(cols[0].strip())
         try:
             valence = float(cols[1])
         except ValueError:
@@ -195,9 +189,9 @@ def parse_emotion_lexicon(text: str, path="<string>") -> EmotionLexicon:
 def parse_negators(text: str) -> frozenset[str]:
     words = set()
     for line in text.splitlines():
-        line = line.strip().lower()
+        line = line.strip()
         if line and not line.startswith("#"):
-            words.add(line.replace("'", ""))
+            words.add(_lexicon_key(line))
     return frozenset(words)
 
 
@@ -207,9 +201,12 @@ def parse_boosters(text: str, path="<string>") -> dict[str, float]:
         if len(cols) < 2:
             raise LexiconError(f"{path}:{line_no}: expected token<TAB>increment")
         try:
-            boosters[cols[0].strip().lower()] = float(cols[1])
+            increment = float(cols[1])
         except ValueError:
-            raise LexiconError(f"{path}:{line_no}: bad increment {cols[1]!r}") from None
+            increment = math.nan
+        if not math.isfinite(increment):
+            raise LexiconError(f"{path}:{line_no}: bad increment {cols[1]!r}")
+        boosters[_lexicon_key(cols[0].strip())] = increment
     return boosters
 
 
@@ -222,29 +219,17 @@ def _lexicon_text(path, bundled: str) -> tuple[str, str]:
     return resources.files("nextday.data").joinpath(bundled).read_text("utf-8"), bundled
 
 
-def _sentiment_lexicon(sentiment=None, negators=None, boosters=None) -> SentimentLexicon:
-    text, name = _lexicon_text(sentiment, "sentiment.tsv")
-    return parse_sentiment_lexicon(
-        text,
-        parse_negators(_lexicon_text(negators, "negators.txt")[0]),
-        parse_boosters(*_lexicon_text(boosters, "boosters.tsv")),
-        path=name,
-    )
-
-
-def default_sentiment_lexicon() -> SentimentLexicon:
-    return _sentiment_lexicon()
-
-
-def default_lexicons() -> Lexicons:
-    return lexicons_from_paths()
-
-
 def lexicons_from_paths(
     sentiment=None, emotions=None, negators=None, boosters=None
 ) -> Lexicons:
     """Load lexicons, falling back to the bundled files for unset paths."""
+    text, name = _lexicon_text(sentiment, "sentiment.tsv")
     return Lexicons(
-        _sentiment_lexicon(sentiment, negators, boosters),
+        parse_sentiment_lexicon(
+            text,
+            parse_negators(_lexicon_text(negators, "negators.txt")[0]),
+            parse_boosters(*_lexicon_text(boosters, "boosters.tsv")),
+            path=name,
+        ),
         parse_emotion_lexicon(*_lexicon_text(emotions, "emotions.tsv")),
     )

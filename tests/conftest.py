@@ -29,9 +29,9 @@ def golden_associations(golden_corpus):
 
 @pytest.fixture(scope="session")
 def lexicons():
-    from nextday.lexicons import default_lexicons
+    from nextday.lexicons import lexicons_from_paths
 
-    return default_lexicons()
+    return lexicons_from_paths()
 
 
 @pytest.fixture()

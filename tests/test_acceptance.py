@@ -20,7 +20,7 @@ from nextday.cli import main
 from nextday.config import CartConfig, ForestConfig, RelevanceParams, SvmConfig
 from nextday.features import emotion_variance, sentiment_variance
 from nextday.learn import f_score, stratified_folds, train_cart, train_forest, train_svm
-from nextday.lexicons import SentimentLexicon, default_sentiment_lexicon, score_sentiment
+from nextday.lexicons import SentimentLexicon, lexicons_from_paths, score_sentiment
 from nextday.relevance import association_to_dict, classify_hashtags
 
 from signal_corpus import write_signal_corpus
@@ -219,7 +219,7 @@ def test_criterion_6_pipeline_determinism(tmp_path, golden_dir):
 
 def test_criterion_7_sentiment_scorer_contract():
     with criterion(7, "sentiment scorer bounds and symmetries", 10.0):
-        lexicon = default_sentiment_lexicon()
+        lexicon = lexicons_from_paths().sentiment
         mirrored = SentimentLexicon(
             entries={k: -v for k, v in lexicon.entries.items()},
             negators=lexicon.negators,

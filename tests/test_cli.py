@@ -612,6 +612,19 @@ class TestBadInputs:
         assert_one_error_line(err, f"'paths.{key}'")
         assert repr(str(path)) in err
 
+    @pytest.mark.parametrize("value", ["nan", "1e400"])
+    def test_non_finite_booster_exit_three(self, capsys, golden_config, tmp_path, value):
+        cfg = golden_config()
+        boosters = tmp_path / "boosters.tsv"
+        boosters.write_text(f"very\t0.293\nso\t{value}\n")
+        code, _, err = run(
+            capsys, "features", "--config", str(cfg), "--scheme", "proposed",
+            "--set", f"paths.boosters={boosters}",
+        )
+        assert code == 3
+        assert_one_error_line(err, f"{boosters}:2: bad increment '{value}'")
+        assert not (tmp_path / "out" / "features_proposed.csv").exists()
+
     @pytest.mark.parametrize(
         "target, line, code",
         [

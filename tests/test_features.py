@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from unittest import mock
 
 import pytest
@@ -22,13 +23,19 @@ from nextday.features import (
     write_feature_csv,
 )
 from nextday.lexicons import (
+    CAPS_INCREMENT,
     EMOTION_CATEGORIES,
+    MODIFIER_WINDOW,
+    NEGATION_SCALAR,
+    NORMALIZATION_ALPHA,
+    SentimentLexicon,
     classify_sentiment,
     dominant_emotion,
     score_sentiment,
     tag_emotions,
 )
 from nextday.relevance import ArticleAssociation
+from nextday.text import default_stopwords, tokenize, tokenize_cased
 
 from signal_corpus import write_signal_corpus
 from util import article, corpus_of, tweet, user, utc
@@ -227,9 +234,9 @@ class TestReaction:
             counts = dict.fromkeys(EMOTION_CATEGORIES, 0)
             for tid in sorted(assoc_.expanded_tweet_ids):
                 text = golden_corpus.tweet_by_id[tid].text
-                label = classify_sentiment(score_sentiment(text, lexicons.sentiment))
-                pc += label.sentiment.value == "positive"
-                nc += label.sentiment.value == "negative"
+                sentiment = classify_sentiment(score_sentiment(text, lexicons.sentiment))
+                pc += sentiment.value == "positive"
+                nc += sentiment.value == "negative"
                 top = dominant_emotion(tag_emotions(text, lexicons.emotions))
                 if top:
                     counts[top] += 1
@@ -313,6 +320,182 @@ class TestTitleFeatures:
         polarity = block(lexicons, "title_polarity", article(title="great terrible win awful"))
         assert polarity["min_positive_polarity"] <= polarity["max_positive_polarity"]
         assert polarity["min_negative_polarity"] <= polarity["max_negative_polarity"]
+
+
+def reference_score_sentiment(text, lex):
+    """Reference for `score_sentiment`: the same rules, with every window
+    token keyed again where it is read."""
+    tokens = tokenize_cased(text)
+    total = 0.0
+    for i, token in enumerate(tokens):
+        key = token.lower().replace("'", "")
+        if key in lex.negators or key not in lex.entries:
+            continue
+        valence = lex.entries[key]
+        window = tokens[max(0, i - MODIFIER_WINDOW) : i]
+        for prior in window:
+            if prior.lower().replace("'", "") in lex.negators:
+                valence *= NEGATION_SCALAR
+        for prior in window:
+            increment = lex.boosters.get(prior.lower().replace("'", ""))
+            if increment is not None:
+                valence += reference_toward_sign(valence, increment)
+        if token.isupper() and any(c.isalpha() for c in token):
+            valence += reference_toward_sign(valence, CAPS_INCREMENT)
+        total += valence
+    if total == 0.0:
+        return 0.0
+    return total / math.sqrt(total * total + NORMALIZATION_ALPHA)
+
+
+def reference_toward_sign(valence, increment):
+    if valence > 0:
+        return increment
+    if valence < 0:
+        return -increment
+    return 0.0
+
+
+def reference_polarity_values(text, lex):
+    """Reference for a polarity block, from its own tokenization of `text`."""
+    tokens = tokenize(text)
+    positives = []
+    negatives = []
+    for token in tokens:
+        valence = lex.entries.get(token)
+        if valence is None:
+            continue
+        if valence > 0:
+            positives.append(valence)
+        elif valence < 0:
+            negatives.append(valence)
+    total = len(tokens)
+    polar = len(positives) + len(negatives)
+    return {
+        "polarity_score": reference_score_sentiment(text, lex),
+        "positive_word_rate": 100.0 * len(positives) / total if total else 0.0,
+        "negative_word_rate": 100.0 * len(negatives) / total if total else 0.0,
+        "positive_rate_nonneutral": len(positives) / polar if polar else 0.0,
+        "negative_rate_nonneutral": len(negatives) / polar if polar else 0.0,
+        "mean_positive_polarity": sum(positives) / len(positives) if positives else 0.0,
+        "mean_negative_polarity": sum(negatives) / len(negatives) if negatives else 0.0,
+        "min_positive_polarity": min(positives) if positives else 0.0,
+        "max_positive_polarity": max(positives) if positives else 0.0,
+        "min_negative_polarity": min(negatives) if negatives else 0.0,
+        "max_negative_polarity": max(negatives) if negatives else 0.0,
+    }
+
+
+def reference_content_values(text):
+    """Reference for the title content block, from its own tokenization."""
+    tokens = tokenize(text)
+    total = len(tokens)
+    stopwords = default_stopwords()
+    non_stop = sum(1 for t in tokens if t not in stopwords)
+    return {
+        "word_count": float(total),
+        "non_stop_rate": non_stop / total if total else 0.0,
+        "entity_count": float(len(extract_entities(text))),
+        "mean_word_length": sum(len(t) for t in tokens) / total if total else 0.0,
+    }
+
+
+def reference_body_content_values(art):
+    content = reference_content_values(art.body)
+    weekday = art.published_at.weekday()
+    return {
+        "word_count": content["word_count"],
+        "non_stop_rate": content["non_stop_rate"],
+        "day_of_week": float(weekday),
+        "weekend": 1.0 if weekday >= 5 else 0.0,
+        "entity_count": content["entity_count"],
+        "mean_word_length": content["mean_word_length"],
+    }
+
+
+def bits(values):
+    """Column names in order, each with its value's exact bits."""
+    return [(name, float(v).hex()) for name, v in values.items()]
+
+
+# "\u212a" is the Kelvin sign: lower() maps it to ASCII "k", which the
+# cased tokenizer never matches; "İ" lowercases to "i" plus a combining dot.
+ORACLE_WORDS = [
+    "good", "GOOD", "Good", "awful", "AWFUL", "not", "NOT", "never", "don't", "DON'T",
+    "can't", "CAN'T", "very", "VERY", "kind'a", "kinda", "\u212aelvin", "Kelvin",
+    "İstanbul", "ISTANBUL", "Senate", "The", "the", "budget", "x1", "3", "_", "'", "''",
+]
+ORACLE_LEX = SentimentLexicon(
+    entries={
+        "good": 1.9, "awful": -2.5, "cant": -2.0, "kelvin": 1.2, "elvin": -0.7,
+        "stanbul": 2.2, "i": 0.5, "don": -0.6, "t": 0.4, "budget": -0.3,
+    },
+    negators=frozenset({"not", "never", "dont"}),
+    boosters={"very": 0.293, "kinda": -0.293},
+)
+
+
+@st.composite
+def oracle_texts(draw):
+    words = draw(
+        st.lists(
+            st.one_of(st.sampled_from(ORACLE_WORDS), st.text(max_size=6)), max_size=16
+        )
+    )
+    separators = draw(
+        st.lists(
+            st.sampled_from([" ", "  ", ", ", ". ", "! ", "\n", "-", "'"]),
+            min_size=len(words),
+            max_size=len(words),
+        )
+    )
+    return "".join(w + sep for w, sep in zip(words, separators))
+
+
+class TestTextBlocksOracle:
+    @given(
+        title=st.one_of(oracle_texts(), st.text(max_size=80)),
+        body=st.one_of(oracle_texts(), st.text(max_size=200)),
+        day=st.integers(1, 7),
+        toy=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(title="I can't", body="not very GOOD \u212aelvin İstanbul", day=6, toy=True)
+    @example(title="DON'T kind'a AWFUL", body="The Senate can't. Senate won", day=1, toy=False)
+    def test_blocks_and_scorer_match_reference(self, lexicons, title, body, day, toy):
+        lex = ORACLE_LEX if toy else lexicons.sentiment
+        art = article(title=title, body=body, when=utc(2016, 8, day))
+        title_blocks = features.text_blocks(art, "title", lex)
+        body_blocks = features.text_blocks(art, "body", lex)
+        assert list(title_blocks) == ["title_content", "title_polarity"]
+        assert list(body_blocks) == ["body_content", "body_polarity"]
+        assert bits(title_blocks["title_content"]) == bits(reference_content_values(title))
+        assert bits(title_blocks["title_polarity"]) == bits(reference_polarity_values(title, lex))
+        assert bits(body_blocks["body_content"]) == bits(reference_body_content_values(art))
+        assert bits(body_blocks["body_polarity"]) == bits(reference_polarity_values(body, lex))
+        for text in (title, body):
+            got = score_sentiment(text, lex)
+            assert float(got).hex() == float(reference_score_sentiment(text, lex)).hex()
+
+    def test_first_block_use_stores_both(self, monkeypatch, lexicons):
+        calls = []
+        real = features.text_blocks
+
+        def counted(art, field, lex):
+            calls.append(field)
+            return real(art, field, lex)
+
+        monkeypatch.setattr(features, "text_blocks", counted)
+        memo = TextMemo(lexicons)
+        art = article()
+        polarity = memo.block("title_polarity", art)
+        content = memo.block("title_content", art)
+        assert calls == ["title"]
+        assert content == reference_content_values(art.title)
+        assert polarity == reference_polarity_values(art.title, lexicons.sentiment)
+        memo.block("body_content", art)
+        memo.block("body_polarity", art)
+        assert calls == ["title", "body"]
 
 
 class TestEventImportance:
@@ -535,14 +718,14 @@ class TestMatrix:
                 assert tuple(vector.values) == matrix.columns
 
     def test_wrong_columns_rejected(self, monkeypatch, golden_corpus, lexicons):
-        real = features.TEXT_BLOCKS["title_content"]
+        real = features.text_blocks
 
-        def one_column_short(article, lexicons):
-            values = real(article, lexicons)
-            del values["entity_count"]
-            return values
+        def one_column_short(article, field, lex):
+            blocks = real(article, field, lex)
+            del blocks["title_content"]["entity_count"]
+            return blocks
 
-        monkeypatch.setitem(features.TEXT_BLOCKS, "title_content", one_column_short)
+        monkeypatch.setattr(features, "text_blocks", one_column_short)
         with pytest.raises(ValueError, match="scheme 'title_content_polarity' emitted columns"):
             assemble_matrix(
                 golden_corpus, [], "title_content_polarity", TextMemo(lexicons), FeatureParams()

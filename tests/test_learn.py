@@ -39,7 +39,7 @@ from nextday.learn.tree import (
     rank_columns,
     tree_draws,
 )
-from nextday.lexicons import default_lexicons
+from nextday.lexicons import lexicons_from_paths
 from nextday.relevance import associate_all
 from signal_corpus import write_signal_corpus
 from util import child_env
@@ -692,7 +692,7 @@ SIGNAL_SCHEMES = ("proposed", "article_content_polarity", "title_polarity", "eve
 @pytest.fixture(scope="module")
 def signal_features(tmp_path_factory):
     """Feature matrices of small generated signal corpora, read back from CSV."""
-    lexicons = default_lexicons()
+    lexicons = lexicons_from_paths()
     matrices = {}
     for seed in (1, 2, 3):
         root = tmp_path_factory.mktemp(f"signal{seed}")

@@ -11,9 +11,8 @@ from nextday.lexicons import (
     Sentiment,
     SentimentLexicon,
     classify_sentiment,
-    default_lexicons,
-    default_sentiment_lexicon,
     dominant_emotion,
+    lexicons_from_paths,
     parse_boosters,
     parse_emotion_lexicon,
     parse_negators,
@@ -80,16 +79,16 @@ class TestScoreSentiment:
 
 class TestClassifySentiment:
     def test_zero_is_neutral(self):
-        assert classify_sentiment(0.0).sentiment is Sentiment.NEUTRAL
+        assert classify_sentiment(0.0) is Sentiment.NEUTRAL
 
     def test_boundary_inclusive(self):
-        assert classify_sentiment(0.05).sentiment is Sentiment.POSITIVE
-        assert classify_sentiment(-0.05).sentiment is Sentiment.NEGATIVE
-        assert classify_sentiment(0.049).sentiment is Sentiment.NEUTRAL
+        assert classify_sentiment(0.05) is Sentiment.POSITIVE
+        assert classify_sentiment(-0.05) is Sentiment.NEGATIVE
+        assert classify_sentiment(0.049) is Sentiment.NEUTRAL
 
     def test_negative_example(self):
         compound = score_sentiment("not good", GOOD)
-        assert classify_sentiment(compound).sentiment is Sentiment.NEGATIVE
+        assert classify_sentiment(compound) is Sentiment.NEGATIVE
 
 
 TOY_EMOTIONS = EmotionLexicon(
@@ -171,8 +170,25 @@ class TestParsers:
             "slightly": -0.293,
         }
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "lots"])
+    def test_booster_increment_must_be_finite(self, value):
+        with pytest.raises(LexiconError, match=rf"^b.tsv:2: bad increment '{value}'$"):
+            parse_boosters(f"very\t0.293\nso\t{value}\n", path="b.tsv")
+
+    def test_sentiment_entries_keyed_like_lookups(self):
+        parsed = parse_sentiment_lexicon("Can't\t-2.0\n")
+        assert parsed.entries == {"cant": -2.0}
+        assert score_sentiment("I can't", parsed) == score_sentiment("I cant", parsed) < 0
+
+    def test_boosters_keyed_like_lookups(self):
+        boosters = parse_boosters("Kind'a\t-0.293\n")
+        assert boosters == {"kinda": -0.293}
+        damped = parse_sentiment_lexicon("good\t1.9\n", boosters=boosters)
+        assert score_sentiment("kind'a good", damped) == score_sentiment("kinda good", damped)
+        assert score_sentiment("kind'a good", damped) < score_sentiment("good", damped)
+
     def test_bundled_lexicons_load(self):
-        bundle = default_lexicons()
+        bundle = lexicons_from_paths()
         assert len(bundle.sentiment.entries) > 100
         assert "not" in bundle.sentiment.negators
         assert bundle.sentiment.boosters["very"] == 0.293
@@ -222,5 +238,5 @@ class TestScorerProperties:
     @given(st.text(max_size=200))
     @settings(max_examples=200, deadline=None)
     def test_arbitrary_text_bounded(self, text):
-        bundle = default_sentiment_lexicon()
+        bundle = lexicons_from_paths().sentiment
         assert -1.0 < score_sentiment(text, bundle) < 1.0
