@@ -236,10 +236,11 @@ def _run_jobs(jobs: list[tuple], parallel: bool) -> list:
 
 def cmd_evaluate(config: PipelineConfig, args) -> int:
     from nextday.learn.cv import Dataset, build_report, fold_plans
-    from nextday.learn.svm import EPOCH_PATH
+    from nextday.learn import native
 
-    # "compiled", or "python" with the reason the epoch helper is not used
-    args.run_meta = {"svm_epochs": EPOCH_PATH}
+    # "compiled", or "python" with the reason the helper is not used: SVM
+    # epochs and tree growth take the same path
+    args.run_meta = {"svm_epochs": native.EPOCH_PATH}
 
     schemes = _resolve_schemes(args.scheme)
     out = config.output_dir()

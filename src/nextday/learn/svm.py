@@ -1,33 +1,22 @@
 """Linear SVM trained by deterministic primal sub-gradient descent.
 
-The epoch shuffles and the whole step loop of a fit run in `_epoch.c`
-when it can be built: importing this module compiles it with `cc` into
-`__pycache__/` on first use and loads it with ctypes. The dot product
+The epoch shuffles and the whole step loop of a fit run in the compiled
+helper (`nextday.learn.native`) when it has loaded. The dot product
 there is the `cblas_ddot` that `ndarray.dot` itself calls, so a fit gives
-the same bits on either path. When the library cannot be built or
-loaded, one warning says why and the Python loops below run instead;
-they are also the compiled path's test oracles.
+the same bits on either path. Without the helper the Python loops below
+run instead; they are also the compiled path's test oracles.
 """
 
 from __future__ import annotations
 
-import ctypes
-import logging
-import os
 import random
-import shutil
-import sysconfig
-import tempfile
-import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from nextday.config import SvmConfig
+from nextday.learn import native
 from nextday.learn.tree import as_labels
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -58,7 +47,7 @@ def epoch_orders(n: int, epochs: int, seed: int) -> np.ndarray:
     range(n). The orders depend only on (n, epochs, seed), so fits of
     several feature matrices with the same labels and fold can share them.
     """
-    return _orders(_HELPER, n, epochs, seed)
+    return _orders(native.HELPER, n, epochs, seed)
 
 
 def _shuffle_words(n: int, epochs: int) -> int:
@@ -67,7 +56,7 @@ def _shuffle_words(n: int, epochs: int) -> int:
     return 2 * n * epochs + 64
 
 
-def _orders(helper: _Helper | None, n: int, epochs: int, seed: int) -> np.ndarray:
+def _orders(helper: native.Helper | None, n: int, epochs: int, seed: int) -> np.ndarray:
     orders = np.empty((epochs, n), dtype=np.int32)
     if helper is None:
         rng = random.Random(f"svm:{seed}")
@@ -124,13 +113,17 @@ def train_svm(x, y, cfg: SvmConfig | None = None, seed: int = 0, orders=None) ->
     std = matrix.std(axis=0)
     flat = std == 0.0
     if flat.any():
-        log.warning("zero-variance features standardized to zero: %s", np.nonzero(flat)[0].tolist())
+        import logging  # only to warn, as in `native.load_helper`
+
+        logging.getLogger(__name__).warning(
+            "zero-variance features standardized to zero: %s", np.nonzero(flat)[0].tolist()
+        )
     scale = np.where(flat, 1.0, std)
     standardized = np.ascontiguousarray((matrix - mean) / scale)
     lam = 1.0 / (cfg.c * n)
     orders = np.ascontiguousarray(orders, dtype=np.int32)
     if cfg.epochs:
-        scaled_sum, harmonic_sums, bias, harmonic = _descend(_HELPER, standardized, signs, orders, lam)
+        scaled_sum, harmonic_sums, bias, harmonic = _descend(native.HELPER, standardized, signs, orders, lam)
         folded = (signs * harmonic_sums) @ standardized
         weights = (harmonic * scaled_sum - folded) / (lam * (cfg.epochs * n))
     else:
@@ -138,7 +131,7 @@ def train_svm(x, y, cfg: SvmConfig | None = None, seed: int = 0, orders=None) ->
     return SvmModel(config=cfg, weights=weights, bias=bias, mean=mean, scale=scale)
 
 
-def _descend(helper: _Helper | None, standardized, signs, orders, lam: float):
+def _descend(helper: native.Helper | None, standardized, signs, orders, lam: float):
     """The state after all epochs of `orders` over the standardized rows:
     (scaled_sum, harmonic_sums, avg_bias, H). `orders` is a C-contiguous
     int32 (epochs, n) array of rows in range(n): the compiled loop reads
@@ -209,117 +202,3 @@ def _python_fit(rows, row_signs, orders, lam, scaled_sum, harmonic_sums):
         avg_bias += (bias - avg_bias) / step
         harmonic += 1.0 / step
     return avg_bias, harmonic
-
-
-# The compiled epoch helper: building, caching and loading it.
-
-_SOURCE = Path(__file__).with_name("_epoch.c")
-_BUILD = ["cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC"]
-_BUILD_TIMEOUT_S = 120
-_DDOT = "scipy_cblas_ddot64_"  # numpy's bundled OpenBLAS, 64-bit ints
-
-
-class _Unavailable(Exception):
-    """Why the compiled epoch helper cannot be used."""
-
-
-@dataclass(frozen=True)
-class _Helper:
-    lib: ctypes.CDLL
-    ddot: int  # the address of numpy's ddot
-
-
-def _library(build_dir: Path) -> Path:
-    """The cached library of this source, build command and platform in
-    `build_dir`, built first if it is missing or fails its checksum.
-
-    The file is the library's bytes followed by their CRC-32, so a cut or
-    damaged copy is rebuilt rather than mapped. A build writes a temporary
-    file and renames it into place, so concurrent builds are safe. (CRC-32
-    rather than hashlib's sha256: hashlib would load OpenSSL into every
-    `evaluate` process, some 3.5 MB of resident memory.)
-    """
-    key = _SOURCE.read_bytes() + "\0".join([*_BUILD, sysconfig.get_platform()]).encode()
-    path = build_dir / f"_epoch-{zlib.crc32(key):08x}.so"
-    try:
-        data = path.read_bytes()
-        if len(data) > 4 and data[-4:] == zlib.crc32(data[:-4]).to_bytes(4, "little"):
-            return path
-    except OSError:
-        pass
-    compiler = shutil.which(_BUILD[0])
-    if compiler is None:
-        raise _Unavailable(f"no C compiler {_BUILD[0]!r} on PATH")
-    try:
-        build_dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=f"{path.stem}-", suffix=".tmp", dir=build_dir)
-        os.close(fd)
-    except OSError as exc:
-        raise _Unavailable(f"cannot write {build_dir}: {exc}") from None
-    import subprocess  # only a build needs it
-
-    try:
-        try:
-            subprocess.run(
-                [compiler, *_BUILD[1:], "-o", tmp, str(_SOURCE)],
-                check=True, capture_output=True, timeout=_BUILD_TIMEOUT_S,
-            )
-        except subprocess.CalledProcessError as exc:
-            detail = exc.stderr.decode(errors="replace").strip().splitlines()
-            raise _Unavailable(f"build failed: {detail[-1] if detail else exc}") from None
-        except (OSError, subprocess.TimeoutExpired) as exc:
-            raise _Unavailable(f"build failed: {exc}") from None
-        data = Path(tmp).read_bytes()
-        Path(tmp).write_bytes(data + zlib.crc32(data).to_bytes(4, "little"))
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise _Unavailable(f"cannot write {path}: {exc}") from None
-    finally:
-        Path(tmp).unlink(missing_ok=True)
-    # the libraries of earlier sources or build commands are never loaded
-    # again; another build's temporary file is left to that build
-    for stale in build_dir.glob("_epoch-*.so"):
-        if stale != path:
-            try:
-                stale.unlink()
-            except OSError:
-                pass
-    return path
-
-
-def _numpy_ddot() -> int:
-    """The address of the `cblas_ddot` that numpy's `DOUBLE_dot` calls,
-    looked up from numpy's core extension and the libraries it links."""
-    try:
-        from numpy._core import _multiarray_umath
-
-        function = getattr(ctypes.CDLL(_multiarray_umath.__file__), _DDOT)
-    except (ImportError, OSError, AttributeError):
-        raise _Unavailable(f"numpy's BLAS has no {_DDOT}") from None
-    return ctypes.cast(function, ctypes.c_void_p).value
-
-
-def load_helper(build_dir: Path) -> tuple[_Helper | None, dict]:
-    """The compiled helper from `build_dir`, or None after one warning;
-    and a record of the path the epochs take, for run metadata."""
-    try:
-        try:
-            lib = ctypes.CDLL(str(_library(build_dir)))
-        except OSError as exc:
-            raise _Unavailable(f"cannot load the library: {exc}") from None
-        pointer, count = ctypes.c_void_p, ctypes.c_int64
-        lib.shuffle_orders.restype = count
-        lib.shuffle_orders.argtypes = [pointer, count, pointer, count, count]
-        lib.svm_fit.restype = None
-        lib.svm_fit.argtypes = [
-            pointer, count, count, pointer, pointer, pointer, pointer,
-            count, ctypes.c_double, pointer, pointer, pointer,
-        ]
-        helper = _Helper(lib, _numpy_ddot())
-    except _Unavailable as exc:
-        log.warning("SVM epochs run in Python: %s", exc)
-        return None, {"path": "python", "reason": str(exc)}
-    return helper, {"path": "compiled"}
-
-
-_HELPER, EPOCH_PATH = load_helper(Path(__file__).parent / "__pycache__")

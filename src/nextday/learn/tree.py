@@ -10,6 +10,12 @@ fixed set of numpy calls however many nodes it holds. The grower looks
 that name up in this module on every call, so instrumentation that
 wraps `nextday.learn.tree.best_split` sees every split search.
 
+When the compiled helper has loaded (`nextday.learn.native`), its
+`grow_trees` grows all trees of a fit in one call instead and writes the
+same node arrays bit for bit; `best_split` is then not called. The
+lockstep grower here is the fallback and the compiled grower's test
+oracle.
+
 The grower writes each node straight into flat arrays, one set for all
 trees of a fit, as scikit-learn's `Tree` does. Prediction moves every
 (row, tree) pair one level down per pass, in a fixed set of numpy calls.
@@ -25,6 +31,7 @@ from itertools import accumulate
 import numpy as np
 
 from nextday.config import CartConfig, ForestConfig
+from nextday.learn import grow, native
 
 
 def rank_columns(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,6 +154,24 @@ _SEARCH_PAIRS = 1 << 17
 
 
 def _grow_trees(
+    x: np.ndarray,
+    y: np.ndarray,
+    cfg: CartConfig | ForestConfig,
+    samples: np.ndarray,
+    rngs: list[random.Random | None],
+    width: int,
+) -> dict:
+    """One tree per row of `samples` (rows of `x` in range(n)): grown by the
+    compiled helper when it has loaded, else by `_grow_lockstep`. `rngs`
+    are all None or all generators. Returns the `TreeModel` fields but
+    `config`; node t is tree t's root."""
+    helper = native.HELPER
+    if helper is None:
+        return _grow_lockstep(x, y, cfg, list(samples), rngs, width)
+    return grow.grow_compiled(helper, x, y, *rank_columns(x, y), cfg, samples, rngs, width)
+
+
+def _grow_lockstep(
     x: np.ndarray,
     y: np.ndarray,
     cfg: CartConfig | ForestConfig,
@@ -352,7 +377,7 @@ def train_cart(x, y, cfg: CartConfig | None = None) -> CartModel:
     cfg = cfg or CartConfig()
     matrix, labels = _training_data(x, y)
     n, d = matrix.shape
-    trees = _grow_trees(matrix, labels, cfg, [np.arange(n, dtype=np.int32)], [None], d)
+    trees = _grow_trees(matrix, labels, cfg, np.arange(n, dtype=np.int32)[np.newaxis], [None], d)
     return CartModel(config=cfg, **trees)
 
 
@@ -421,8 +446,12 @@ def train_forest(x, y, cfg: ForestConfig | None = None, seed: int = 0, draws=Non
     matrix, labels = _training_data(x, y)
     n, d = matrix.shape
     rows, used = tree_draws(n, cfg, seed) if draws is None else draws
+    rows = np.asarray(rows)
     if rows.shape != (cfg.n_trees, n) or any((words > 0) != cfg.bootstrap for words in used):
         raise ValueError(f"bootstrap draws do not fit {cfg.n_trees} trees on {n} rows")
+    # the compiled grower reads rows by these values
+    if rows.dtype.kind not in "iu" or (rows.size and (rows.min() < 0 or rows.max() >= n)):
+        raise ValueError(f"bootstrap rows must be integer rows in range({n})")
     max_features = cfg.max_features
     if max_features is None:
         max_features = math.isqrt(d)
@@ -433,5 +462,5 @@ def train_forest(x, y, cfg: ForestConfig | None = None, seed: int = 0, draws=Non
     rngs = [random.Random(f"tree:{seed}:{index}") for index in range(cfg.n_trees)]
     for rng, words in zip(rngs, used):
         rng.getrandbits(32 * words)
-    trees = _grow_trees(matrix, labels, cfg, list(rows), rngs, max_features)
+    trees = _grow_trees(matrix, labels, cfg, rows, rngs, max_features)
     return ForestModel(config=cfg, **trees)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from nextday.corpus import LexiconError
-from nextday.text import decode_utf8, tokenize, tokenize_cased
+from nextday.text import decode_utf8, is_token, tokenize, tokenize_cased
 
 NEGATION_SCALAR = -0.74
 CAPS_INCREMENT = 0.733
@@ -61,6 +61,16 @@ class Lexicons:
 
 def _lexicon_key(token: str) -> str:
     return token.lower().replace("'", "")
+
+
+def _entry_key(entry: str, keyed, path, line_no: int) -> str:
+    """`keyed(entry)`, the stripped entry as its file keys it, when that is
+    one token."""
+    entry = entry.strip()
+    key = keyed(entry)
+    if not is_token(key):
+        raise LexiconError(f"{path}:{line_no}: entry {entry!r} is not one token")
+    return key
 
 
 def score_sentiment(text: str, lex: SentimentLexicon) -> float:
@@ -156,7 +166,7 @@ def parse_sentiment_lexicon(
     for line_no, cols in _data_lines(text):
         if len(cols) < 2:
             raise LexiconError(f"{path}:{line_no}: expected token<TAB>valence")
-        token = _lexicon_key(cols[0].strip())
+        token = _entry_key(cols[0], _lexicon_key, path, line_no)
         try:
             valence = float(cols[1])
         except ValueError:
@@ -175,23 +185,24 @@ def parse_emotion_lexicon(text: str, path="<string>") -> EmotionLexicon:
         if len(cols) != 3:
             raise LexiconError(f"{path}:{line_no}: expected token<TAB>category<TAB>flag")
         token, category, flag = (c.strip() for c in cols)
+        token = _entry_key(token, str.lower, path, line_no)
         if category not in EMOTION_CATEGORIES:
             raise LexiconError(f"{path}:{line_no}: unknown category {category!r}")
         if flag not in ("0", "1"):
             raise LexiconError(f"{path}:{line_no}: flag must be 0 or 1")
         if flag == "1":
-            collected.setdefault(token.lower(), set()).add(category)
+            collected.setdefault(token, set()).add(category)
     return EmotionLexicon(
         entries={token: frozenset(cats) for token, cats in collected.items()}
     )
 
 
-def parse_negators(text: str) -> frozenset[str]:
+def parse_negators(text: str, path="<string>") -> frozenset[str]:
     words = set()
-    for line in text.splitlines():
+    for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if line and not line.startswith("#"):
-            words.add(_lexicon_key(line))
+            words.add(_entry_key(line, _lexicon_key, path, line_no))
     return frozenset(words)
 
 
@@ -206,7 +217,7 @@ def parse_boosters(text: str, path="<string>") -> dict[str, float]:
             increment = math.nan
         if not math.isfinite(increment):
             raise LexiconError(f"{path}:{line_no}: bad increment {cols[1]!r}")
-        boosters[_lexicon_key(cols[0].strip())] = increment
+        boosters[_entry_key(cols[0], _lexicon_key, path, line_no)] = increment
     return boosters
 
 
@@ -227,7 +238,7 @@ def lexicons_from_paths(
     return Lexicons(
         parse_sentiment_lexicon(
             text,
-            parse_negators(_lexicon_text(negators, "negators.txt")[0]),
+            parse_negators(*_lexicon_text(negators, "negators.txt")),
             parse_boosters(*_lexicon_text(boosters, "boosters.tsv")),
             path=name,
         ),

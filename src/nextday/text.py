@@ -26,6 +26,11 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+def is_token(word: str) -> bool:
+    """Whether `tokenize` can yield `word`: the only lookup key it can match."""
+    return _TOKEN_RE.fullmatch(word) is not None
+
+
 def tokenize_cased(text: str) -> list[str]:
     """Tokens with original casing kept (for ALL-CAPS detection)."""
     return _CASED_TOKEN_RE.findall(text)

@@ -327,8 +327,8 @@ class TestEvaluate:
         assert json.loads((out / "run_meta.json").read_text())["svm_epochs"] == {"path": "compiled"}
         report = (out / "report.json").read_bytes()
         fallback = {"path": "python", "reason": "no C compiler 'cc' on PATH"}
-        monkeypatch.setattr("nextday.learn.svm._HELPER", None)
-        monkeypatch.setattr("nextday.learn.svm.EPOCH_PATH", fallback)
+        monkeypatch.setattr("nextday.learn.native.HELPER", None)
+        monkeypatch.setattr("nextday.learn.native.EPOCH_PATH", fallback)
         assert run(capsys, "evaluate", "--config", str(prepared), "--scheme", "proposed")[0] == 0
         assert json.loads((out / "run_meta.json").read_text())["svm_epochs"] == fallback
         assert (out / "report.json").read_bytes() == report
@@ -626,6 +626,32 @@ class TestBadInputs:
         assert not (tmp_path / "out" / "features_proposed.csv").exists()
 
     @pytest.mark.parametrize(
+        "key, bundled, line",
+        [
+            ("sentiment_lexicon", "sentiment.tsv", "give up\t1.5"),
+            ("emotion_lexicon", "emotions.tsv", "can't\tanger\t1"),
+            ("negators", "negators.txt", "no way"),
+            ("boosters", "boosters.tsv", "naïve\t0.293"),
+        ],
+        ids=["sentiment", "emotion", "negators", "boosters"],
+    )
+    def test_lexicon_entry_of_two_tokens_exit_three(
+        self, capsys, golden_config, tmp_path, key, bundled, line
+    ):
+        cfg = golden_config()
+        path = tmp_path / bundled
+        text = (BUNDLED_DATA / bundled).read_text(encoding="utf-8")
+        path.write_text(text + line + "\n", encoding="utf-8")
+        code, _, err = run(
+            capsys, "features", "--config", str(cfg), "--scheme", "title_polarity",
+            "--set", f"paths.{key}={json.dumps(str(path))}",
+        )
+        assert code == 3
+        entry = line.split("\t")[0]
+        assert_one_error_line(err, f"{path}:{len(text.splitlines()) + 1}: entry {entry!r} is not one token")
+        assert not (tmp_path / "out" / "features_title_polarity.csv").exists()
+
+    @pytest.mark.parametrize(
         "target, line, code",
         [
             ("articles", 3, 3),
@@ -806,7 +832,7 @@ class TestColdStart:
         assert metrics["learn.train_svm.calls"] == 30
         assert metrics["learn.train_forest.calls"] == 30
         assert metrics["learn.svm.steps"] == 124_800
-        # one call per lockstep round, not per node: the 2,010 searched
-        # nodes are recounted from the trees in test_learn.py
-        assert metrics["learn.best_split.calls"] == 220
-        assert metrics["learn.best_split.self_s"] > 0
+        # the compiled grower searches no node in `best_split`; the Python
+        # grower's 220 rounds and 2,010 searched nodes are counted in test_learn.py
+        assert metrics["learn.best_split.calls"] == 0
+        assert metrics["learn.best_split.self_s"] == 0

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nextday.config import (
     ALL_SCHEMES,
@@ -29,7 +31,7 @@ from nextday.learn import (
     train_svm,
 )
 from nextday.learn.cv import fold_plans
-from nextday.learn import svm
+from nextday.learn import grow, native, svm
 from nextday.learn.svm import SvmModel, epoch_orders
 from nextday.learn.tree import (
     TreeModel,
@@ -43,6 +45,18 @@ from nextday.lexicons import lexicons_from_paths
 from nextday.relevance import associate_all
 from signal_corpus import write_signal_corpus
 from util import child_env
+
+def on_each_grower(monkeypatch):
+    """Yields "compiled" and then "python" with `native.HELPER` set to match,
+    so that a tree oracle test checks both growers under its own name."""
+    helper = native.HELPER
+    assert helper is not None  # a C compiler is part of the test environment
+    for path in ("compiled", "python"):
+        monkeypatch.setattr(native, "HELPER", helper if path == "compiled" else None)
+        yield path
+    monkeypatch.setattr(native, "HELPER", helper)
+
+
 
 # two features, eight rows; the second feature separates cleanly at 3.5
 EIGHT_ROWS = [
@@ -367,7 +381,12 @@ class TestCart:
         best = max(table, key=lambda row: row[2])
         assert (best[0], best[1]) == (1, 3.5)
 
-    def test_eight_row_tree_structure(self):
+    def test_eight_row_tree_structure(self, monkeypatch):
+        for _ in on_each_grower(monkeypatch):
+            self.check_eight_row_tree()
+
+    @staticmethod
+    def check_eight_row_tree():
         model = train_cart(EIGHT_X, EIGHT_Y, CartConfig(max_depth=3, min_samples_leaf=1))
         (tree,) = tree_dicts(model)
         assert tree == {
@@ -387,9 +406,12 @@ class TestCart:
         # a value equal to a threshold goes left
         assert list(model.predict([[0.0, 3.5], [0.0, 8.5]])) == [1, 0]
 
-    def test_split_sequence_matches_exact_oracle(self):
+    def test_split_sequence_matches_exact_oracle(self, monkeypatch):
         # every internal node's split must be the exact-arithmetic argmax
-        model = train_cart(EIGHT_X, EIGHT_Y, CartConfig(max_depth=3, min_samples_leaf=1))
+        models = [
+            train_cart(EIGHT_X, EIGHT_Y, CartConfig(max_depth=3, min_samples_leaf=1))
+            for _ in on_each_grower(monkeypatch)
+        ]
 
         def check(node, rows):
             if "left" not in node:
@@ -402,7 +424,8 @@ class TestCart:
             check(node["left"], [r for r in rows if r[feature] <= threshold])
             check(node["right"], [r for r in rows if r[feature] > threshold])
 
-        check(tree_dicts(model)[0], EIGHT_ROWS)
+        for model in models:
+            check(tree_dicts(model)[0], EIGHT_ROWS)
 
     def test_partition_impurity_decreases_at_every_split(self):
         rng = np.random.default_rng(3)
@@ -456,6 +479,8 @@ class TestForest:
 
     @pytest.mark.parametrize("max_features", range(1, 9))
     def test_each_node_searches_max_features_columns(self, monkeypatch, max_features):
+        # the Python grower calls `best_split`; the compiled one does not
+        monkeypatch.setattr(native, "HELPER", None)
         widths = []
 
         def counting(codes, values, rows, bounds, columns, min_leaf):
@@ -469,7 +494,12 @@ class TestForest:
         train_forest(x, y, ForestConfig(n_trees=3, max_features=max_features))
         assert widths and set(widths) == {max_features}
 
-    def test_walk_matches_per_row_oracle(self):
+    def test_walk_matches_per_row_oracle(self, monkeypatch):
+        for _ in on_each_grower(monkeypatch):
+            self.check_walk_matches_per_row_oracle()
+
+    @staticmethod
+    def check_walk_matches_per_row_oracle():
         ties = outvoted = 0
         for case, (x, y, leaf, depth, rng) in enumerate(fuzz_fit_cases(24, 200)):
             if case % 5 == 0:  # every column constant: each tree is one leaf
@@ -597,7 +627,7 @@ class TestTrainerLabels:
     @pytest.fixture(params=sorted(TRAINERS))
     def trainer(self, request, monkeypatch):
         if request.param == "svm-python":
-            monkeypatch.setattr(svm, "_HELPER", None)
+            monkeypatch.setattr(native, "HELPER", None)
         return TRAINERS[request.param]
 
     @pytest.mark.parametrize(
@@ -1142,14 +1172,14 @@ def svm_fuzz_cases(seed, count):
 
 def final_state(x, y, cfg: SvmConfig, seed: int) -> bytes:
     """The bytes of `_descend`'s final state in `train_svm`'s fit of (x, y),
-    on the path `svm._HELPER` selects."""
+    on the path `native.HELPER` selects."""
     matrix = np.asarray(x, dtype=np.float64)
     std = matrix.std(axis=0)
     standardized = (matrix - matrix.mean(axis=0)) / np.where(std == 0.0, 1.0, std)
     signs = np.where(np.asarray(y) == 1, 1.0, -1.0)
     orders = epoch_orders(len(matrix), cfg.epochs, seed)
     lam = 1.0 / (cfg.c * len(matrix))
-    return np.hstack(svm._descend(svm._HELPER, standardized, signs, orders, lam)).tobytes()
+    return np.hstack(svm._descend(native.HELPER, standardized, signs, orders, lam)).tobytes()
 
 
 class TestCompiledEpochs:
@@ -1157,8 +1187,8 @@ class TestCompiledEpochs:
 
     def test_built_here(self):
         # a C compiler is part of the test environment, so both paths run
-        assert svm.EPOCH_PATH == {"path": "compiled"}
-        assert svm._HELPER is not None
+        assert native.EPOCH_PATH == {"path": "compiled"}
+        assert native.HELPER is not None
 
     @pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 2399, 2400, 4096, 4097])
     def test_shuffle_replays_random_shuffle(self, n):
@@ -1170,7 +1200,7 @@ class TestCompiledEpochs:
     def test_shuffle_draws_again_when_words_run_out(self, monkeypatch):
         words = np.zeros(1, dtype=np.uint32)
         orders = np.empty((1, 3), dtype=np.int32)
-        assert svm._HELPER.lib.shuffle_orders(words.ctypes.data, 1, orders.ctypes.data, 3, 1) == -1
+        assert native.HELPER.lib.shuffle_orders(words.ctypes.data, 1, orders.ctypes.data, 3, 1) == -1
         monkeypatch.setattr(svm, "_shuffle_words", lambda n, epochs: 1)
         for n, epochs in ((3, 1), (129, 4), (2400, 2)):
             assert epoch_orders(n, epochs, 11).tolist() == python_shuffles(n, epochs, 11)
@@ -1179,7 +1209,7 @@ class TestCompiledEpochs:
     def test_orders_of_fewer_epochs_are_a_prefix(self, monkeypatch, path):
         # the test-side objective history fits e epochs over orders[:e]
         if path == "python":
-            monkeypatch.setattr(svm, "_HELPER", None)
+            monkeypatch.setattr(native, "HELPER", None)
         elif path == "redraw":
             monkeypatch.setattr(svm, "_shuffle_words", lambda n, epochs: 1)
         for n, seed, epochs in ((1, 0, 5), (2, 3, 6), (129, 20160803, 6), (2400, 7, 4)):
@@ -1196,7 +1226,7 @@ class TestCompiledEpochs:
             (train_svm(x, y, cfg, seed=seed), final_state(x, y, cfg, seed))
             for x, y, cfg, seed in cases
         ]
-        monkeypatch.setattr(svm, "_HELPER", None)
+        monkeypatch.setattr(native, "HELPER", None)
         for (x, y, cfg, seed), (model, state) in zip(cases, compiled):
             assert bit_identical_svm(model, train_svm(x, y, cfg, seed=seed)), (x.shape, cfg, seed)
             assert state == final_state(x, y, cfg, seed), (x.shape, cfg, seed)
@@ -1209,7 +1239,7 @@ class TestCompiledEpochs:
     )
     def test_bad_orders_rejected(self, monkeypatch, compiled, index, value, dtype):
         if not compiled:
-            monkeypatch.setattr(svm, "_HELPER", None)
+            monkeypatch.setattr(native, "HELPER", None)
         orders = epoch_orders(4, 3, 0).astype(dtype)
         if index is not None:
             orders[index] = value
@@ -1219,7 +1249,7 @@ class TestCompiledEpochs:
     @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
     def test_labels_of_another_length_rejected(self, monkeypatch, compiled):
         if not compiled:
-            monkeypatch.setattr(svm, "_HELPER", None)
+            monkeypatch.setattr(native, "HELPER", None)
         with pytest.raises(ValueError, match=r"labels \(3,\) do not fit 4 rows"):
             train_svm(FOUR_X, FOUR_Y[:3], SvmConfig(epochs=3))
 
@@ -1227,7 +1257,7 @@ class TestCompiledEpochs:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_values_rejected(self, monkeypatch, compiled, bad):
         if not compiled:
-            monkeypatch.setattr(svm, "_HELPER", None)
+            monkeypatch.setattr(native, "HELPER", None)
         x = FOUR_X.copy()
         x[2, 1] = bad
         with pytest.raises(ValueError, match="^feature values must be finite$"):
@@ -1236,14 +1266,14 @@ class TestCompiledEpochs:
     @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
     def test_model_keeps_no_epoch_state(self, monkeypatch, compiled):
         if not compiled:
-            monkeypatch.setattr(svm, "_HELPER", None)
+            monkeypatch.setattr(native, "HELPER", None)
         model = train_svm(FOUR_X, FOUR_Y, SvmConfig(epochs=7), seed=3)
         assert list(vars(model)) == ["config", "weights", "bias", "mean", "scale"]
 
     def test_source_compiles_without_warnings(self):
         # a build's diagnostics are captured and dropped, so check them here
         result = subprocess.run(
-            [*svm._BUILD, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(svm._SOURCE)],
+            [*native._BUILD, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(native._SOURCE)],
             capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 0, result.stderr
@@ -1256,14 +1286,14 @@ CACHED_LOAD_PROBE = """
 import json, shutil, subprocess, sys
 from pathlib import Path
 import numpy as np
-from nextday.learn import svm
+from nextday.learn import native, svm
 
 def no_build(*args, **kwargs):
     raise AssertionError("cc ran")
 
 subprocess.run = no_build
 shutil.which = lambda name: None
-helper, record = svm.load_helper(Path(sys.argv[1]))
+helper, record = native.load_helper(Path(sys.argv[1]))
 x, y = np.arange(40.0).reshape(10, 4) % 7, np.arange(10) % 2
 fits = [svm._descend(h, x, np.where(y == 1, 1.0, -1.0), svm.epoch_orders(10, 5, 3), 0.1) for h in (helper, None)]
 same = np.hstack(fits[0]).tobytes() == np.hstack(fits[1]).tobytes()
@@ -1287,38 +1317,38 @@ class TestEpochHelperBuild:
         y = np.arange(30) % 3 == 0
         cfg = SvmConfig(epochs=12)
         compiled = train_svm(x, y, cfg, seed=2), epoch_orders(50, 6, 2)
-        monkeypatch.setattr(svm.shutil, "which", lambda name: None)
-        with caplog.at_level("WARNING", logger="nextday.learn.svm"):
-            helper, record = svm.load_helper(tmp_path / "build")
+        monkeypatch.setattr(native.shutil, "which", lambda name: None)
+        with caplog.at_level("WARNING", logger="nextday.learn.native"):
+            helper, record = native.load_helper(tmp_path / "build")
         assert helper is None
         assert record == {"path": "python", "reason": "no C compiler 'cc' on PATH"}
         assert [r.getMessage() for r in caplog.records] == [
-            "SVM epochs run in Python: no C compiler 'cc' on PATH"
+            "SVM epochs and tree growth run in Python: no C compiler 'cc' on PATH"
         ]
-        monkeypatch.setattr(svm, "_HELPER", helper)
+        monkeypatch.setattr(native, "HELPER", helper)
         assert bit_identical_svm(compiled[0], train_svm(x, y, cfg, seed=2))
         assert epoch_orders(50, 6, 2).tobytes() == compiled[1].tobytes()
 
     def test_failed_build_falls_back(self, monkeypatch, caplog, tmp_path):
-        monkeypatch.setattr(svm, "_BUILD", ["false", *svm._BUILD[1:]])
-        with caplog.at_level("WARNING", logger="nextday.learn.svm"):
-            helper, record = svm.load_helper(tmp_path)
+        monkeypatch.setattr(native, "_BUILD", ["false", *native._BUILD[1:]])
+        with caplog.at_level("WARNING", logger="nextday.learn.native"):
+            helper, record = native.load_helper(tmp_path)
         assert helper is None and record["reason"].startswith("build failed")
         assert len(caplog.records) == 1
         assert list(tmp_path.iterdir()) == []  # no temporary file left behind
 
     def test_missing_ddot_falls_back(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(svm, "_DDOT", "no_such_ddot")
-        helper, record = svm.load_helper(tmp_path)
+        monkeypatch.setattr(native, "_DDOT", "no_such_ddot")
+        helper, record = native.load_helper(tmp_path)
         assert helper is None and record["reason"] == "numpy's BLAS has no no_such_ddot"
 
     def test_unwritable_build_dir_falls_back(self, tmp_path):
         (tmp_path / "file").write_text("")
-        helper, record = svm.load_helper(tmp_path / "file" / "build")
+        helper, record = native.load_helper(tmp_path / "file" / "build")
         assert helper is None and record["reason"].startswith("cannot write")
 
     def test_cached_library_reused_without_cc(self, tmp_path):
-        helper, record = svm.load_helper(tmp_path)
+        helper, record = native.load_helper(tmp_path)
         assert helper is not None and record == {"path": "compiled"}
         (library,) = tmp_path.iterdir()
         stamp = library.stat().st_mtime_ns
@@ -1330,18 +1360,18 @@ class TestEpochHelperBuild:
         stale.write_bytes(b"an earlier build")
         building = tmp_path / "_epoch-deadbeef-x1y2.tmp"  # another build in progress
         building.write_bytes(b"")
-        library = svm._library(tmp_path)
+        library = native._library(tmp_path)
         assert sorted(tmp_path.iterdir()) == sorted([library, building])
         # a cached library is only read: nothing else is removed
         stale.write_bytes(b"an earlier build")
-        assert svm._library(tmp_path) == library
+        assert native._library(tmp_path) == library
         assert stale.exists()
 
     @pytest.mark.parametrize("damage", ["truncated", "overwritten"])
     def test_damaged_cache_is_rebuilt(self, tmp_path, damage):
         # only child processes map the library: a mapped file damaged in
         # place would fault in the process that maps it
-        library = svm._library(tmp_path)
+        library = native._library(tmp_path)
         good = library.read_bytes()
         if damage == "truncated":
             library.write_bytes(good[: len(good) // 2])
@@ -1350,8 +1380,8 @@ class TestEpochHelperBuild:
         # without cc the damaged copy is not loaded: the probe falls back
         probe, err = self.cached_load(tmp_path)
         assert probe == {"record": {"path": "python", "reason": "no C compiler 'cc' on PATH"}, "same": True}
-        assert "SVM epochs run in Python" in err
-        assert svm._library(tmp_path) == library
+        assert "SVM epochs and tree growth run in Python" in err
+        assert native._library(tmp_path) == library
         assert library.read_bytes() == good
         assert self.cached_load(tmp_path)[0] == {"record": {"path": "compiled"}, "same": True}
 
@@ -1391,13 +1421,14 @@ def searched_nodes(tree: dict, cfg, depth: int = 0) -> int:
 class TestLockstepGrower:
     """Trees grown in lockstep equal the recursive grower's, node for node."""
 
-    def test_cart_matches_recursion(self):
+    def test_cart_matches_recursion(self, monkeypatch):
         for x, y, leaf, depth, _ in fuzz_fit_cases(21, 400):
             cfg = CartConfig(max_depth=depth, min_samples_leaf=leaf)
             want = reference_grow(x, np.asarray(y, dtype=np.int8), 0, cfg, None, None)
-            assert tree_dicts(train_cart(x, y, cfg)) == [want]
+            for path in on_each_grower(monkeypatch):
+                assert tree_dicts(train_cart(x, y, cfg)) == [want], path
 
-    def test_forest_matches_recursion(self):
+    def test_forest_matches_recursion(self, monkeypatch):
         for x, y, leaf, depth, rng in fuzz_fit_cases(22, 150):
             cfg = ForestConfig(
                 n_trees=int(rng.integers(1, 7)),
@@ -1407,10 +1438,13 @@ class TestLockstepGrower:
                 min_samples_leaf=leaf,
             )
             seed = int(rng.integers(0, 1000))
-            got = tree_dicts(train_forest(x, y, cfg, seed=seed))
-            assert got == reference_forest(x, y, cfg, seed)
+            want = reference_forest(x, y, cfg, seed)
+            for path in on_each_grower(monkeypatch):
+                assert tree_dicts(train_forest(x, y, cfg, seed=seed)) == want, path
 
     def test_rounds_searched_in_several_calls(self, monkeypatch):
+        # only the Python grower searches in `best_split` calls
+        monkeypatch.setattr(native, "HELPER", None)
         monkeypatch.setattr("nextday.learn.tree._SEARCH_PAIRS", 40)
         for x, y, leaf, depth, rng in fuzz_fit_cases(23, 60):
             cart = CartConfig(max_depth=depth, min_samples_leaf=leaf)
@@ -1457,3 +1491,223 @@ class TestLockstepGrower:
         for model in fitted:
             searched += sum(searched_nodes(tree, model.config) for tree in tree_dicts(model))
         assert searched == 2_010
+
+    def test_golden_run_takes_220_rounds_in_python(self, golden_datasets, monkeypatch):
+        # the traced golden run's fits, grown in Python: one `best_split`
+        # call per lockstep round
+        monkeypatch.setattr(native, "HELPER", None)
+        rounds = []
+
+        def counting(*args):
+            rounds.append(len(args[3]) - 1)
+            return best_split(*args)
+
+        monkeypatch.setattr("nextday.learn.tree.best_split", counting)
+        cfgs = {"random_forest": ForestConfig(n_trees=25), "cart": CartConfig()}
+        plans = fold_plans(golden_datasets[0].y, 5, cfgs, 2016)
+        for data in golden_datasets:
+            kfold_cv(data, cfgs, plans)
+        assert len(rounds) == 220
+        assert sum(rounds) == 2_010
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
+    @pytest.mark.parametrize(
+        "index, value, dtype",
+        [((0, 3), -3, np.int32), ((1, 0), -10, np.int64), ((0, 9), 10, np.int32), (None, None, float)],
+        ids=["minus-3", "minus-10", "n", "float"],
+    )
+    def test_bad_bootstrap_rows_rejected(self, monkeypatch, compiled, index, value, dtype):
+        if not compiled:
+            monkeypatch.setattr(native, "HELPER", None)
+        grown = []
+        monkeypatch.setattr(
+            "nextday.learn.tree._grow_trees", lambda *args: grown.append(args)
+        )
+        x = np.arange(20.0).reshape(10, 2)
+        y = np.array([0, 1] * 5)
+        cfg = ForestConfig(n_trees=2)
+        rows, used = tree_draws(10, cfg, 0)
+        rows = rows.astype(dtype)
+        if index is not None:
+            rows[index] = value
+        with pytest.raises(ValueError, match=r"^bootstrap rows must be integer rows in range\(10\)$"):
+            train_forest(x, y, cfg, draws=(rows, used))
+        assert grown == []
+
+
+# (BELOW_ONE + 1.0) / 2.0 rounds onto 1.0, so a split between them sends
+# every row left and leaves the node a leaf
+BELOW_ONE = float(np.nextafter(1.0, 0.0))
+GROWER_VALUES = [-0.0, 0.0, BELOW_ONE, 1.0, 2.5, -3.0]
+
+
+@st.composite
+def grower_cases(draw):
+    """A fit for both growers: tied, signed-zero and adjacent values, some
+    constant columns, sometimes one class, any min_samples_leaf up to n,
+    depths from 0, widths up to d + 1, and word blocks of 1 or 64."""
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 5))
+    cell = st.sampled_from(GROWER_VALUES) | st.floats(-4.0, 4.0, allow_subnormal=False)
+    x = np.array(draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=n, max_size=n)))
+    for col, constant in enumerate(draw(st.lists(st.booleans(), min_size=d, max_size=d))):
+        if constant:
+            x[:, col] = x[0, col]
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        y[:] = y[0]
+    depth = draw(st.integers(0, 6))
+    leaf = draw(st.integers(1, n))
+    forest = ForestConfig(
+        n_trees=draw(st.integers(1, 4)),
+        bootstrap=draw(st.booleans()),
+        max_features=draw(st.integers(1, d + 1)),
+        max_depth=depth,
+        min_samples_leaf=leaf,
+    )
+    cart = CartConfig(max_depth=depth, min_samples_leaf=leaf)
+    return x, y, forest, cart, draw(st.integers(0, 999)), draw(st.sampled_from([1, 64]))
+
+
+def node_arrays(model: TreeModel) -> list[np.ndarray]:
+    return [model.feature, model.threshold, model.left, model.right, model.counts]
+
+
+def tree_depth(model: TreeModel) -> int:
+    """The depth of the deepest leaf of any tree of `model`."""
+    level, depth = list(range(model.n_trees)), 0
+    while True:
+        level = [child for node in level if model.left[node] >= 0
+                 for child in (model.left[node], model.right[node])]
+        if not level:
+            return depth
+        depth += 1
+
+
+def assert_same_nodes(compiled: TreeModel, python: TreeModel) -> None:
+    assert compiled.n_trees == python.n_trees
+    for a, b in zip(node_arrays(compiled), node_arrays(python)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert a.tobytes() == b.tobytes()  # signed zeros too
+
+
+class TestCompiledGrower:
+    """The compiled grower writes the Python lockstep grower's node arrays."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grower_cases())
+    def test_node_arrays_match_python(self, case):
+        x, y, forest, cart, seed, block = case
+        helper, first_block = native.HELPER, grow._FIRST_BLOCK
+        fits = []
+        try:
+            grow._FIRST_BLOCK = block
+            for path in (helper, None):
+                native.HELPER = path
+                fits.append((train_forest(x, y, forest, seed=seed), train_cart(x, y, cart)))
+        finally:
+            native.HELPER, grow._FIRST_BLOCK = helper, first_block
+        for compiled, python in zip(*fits):
+            assert_same_nodes(compiled, python)
+
+    def test_deep_chain_matches_python(self, monkeypatch):
+        # alternating labels on 0..99 (twice, for the forest's column
+        # draws): every split cuts off an end row, so each tree is a chain
+        # 99 levels deep
+        x = np.column_stack([np.arange(100.0), np.arange(100.0)])
+        y = np.arange(100) % 2
+        cart = CartConfig(max_depth=100, min_samples_leaf=1)
+        forest = ForestConfig(
+            n_trees=2, bootstrap=False, max_features=1, max_depth=1000, min_samples_leaf=1
+        )
+        fits = []
+        for path in (native.HELPER, None):
+            monkeypatch.setattr(native, "HELPER", path)
+            fits.append((train_cart(x, y, cart), train_forest(x, y, forest, seed=1)))
+        for compiled, python in zip(*fits):
+            assert_same_nodes(compiled, python)
+        assert [tree_depth(model) for model in fits[0]] == [99, 99]
+
+    def test_words_of_a_block_of_one_are_redrawn(self, monkeypatch):
+        # every column-sampling tree runs out at once and takes the same words
+        x = np.round(np.random.default_rng(6).normal(size=(90, 9)), 1)
+        y = (x[:, 0] + x[:, 5] > 0).astype(int)
+        cfg = ForestConfig(n_trees=7, max_features=3)
+        want = tree_dicts(train_forest(x, y, cfg, seed=3))
+        monkeypatch.setattr(grow, "_FIRST_BLOCK", 1)
+        assert tree_dicts(train_forest(x, y, cfg, seed=3)) == want
+        assert want == reference_forest(x, y, cfg, 3)
+
+    def test_set_branch_of_sample(self):
+        # 30 columns and a width of 2 take `Random.sample`'s set branch
+        x = np.round(np.random.default_rng(8).normal(size=(60, 30)), 1)
+        y = (x[:, 4] - x[:, 17] > 0).astype(int)
+        cfg = ForestConfig(n_trees=4, max_features=2)
+        assert tree_dicts(train_forest(x, y, cfg, seed=5)) == reference_forest(x, y, cfg, 5)
+
+    def test_best_split_not_called(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("best_split called")
+
+        monkeypatch.setattr("nextday.learn.tree.best_split", fail)
+        train_forest(EIGHT_X, EIGHT_Y, ForestConfig(n_trees=3, max_features=1))
+        train_cart(EIGHT_X, EIGHT_Y)
+
+
+# Loads the helper built with sanitizers from argv[1] and checks each entry
+# point against its Python oracle on short cases; the caller preloads ASan.
+SANITIZED_PROBE = """
+import sys
+from pathlib import Path
+import numpy as np
+from nextday.config import CartConfig, ForestConfig, SvmConfig
+from nextday.learn import grow, native, svm, tree
+
+native._BUILD = [*native._BUILD, *sys.argv[2:]]
+helper, record = native.load_helper(Path(sys.argv[1]))
+assert record == {"path": "compiled"}, record
+svm._shuffle_words = lambda n, epochs: 7  # some shuffles run out and draw again
+grow._FIRST_BLOCK = 1  # every sampling tree runs out and is grown again
+rng = np.random.default_rng(0)
+for case in range(40):
+    n, d = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+    x = np.round(rng.normal(size=(n, d)), int(rng.integers(0, 3)))
+    y = rng.integers(0, 2, size=n)
+    forest = ForestConfig(n_trees=3, bootstrap=bool(case % 2), min_samples_leaf=1 + case % 3)
+    fits = []
+    for path in (helper, None):
+        native.HELPER = path
+        fits.append((
+            svm.epoch_orders(n, 3, case).tobytes(),
+            svm.train_svm(x, y, SvmConfig(epochs=3), seed=case).weights.tobytes(),
+            [a.tobytes() for a in tree.train_forest(x, y, forest, seed=case).__dict__.values()
+             if isinstance(a, np.ndarray)],
+            [a.tobytes() for a in tree.train_cart(x, y, CartConfig()).__dict__.values()
+             if isinstance(a, np.ndarray)],
+        ))
+    assert fits[0] == fits[1], case
+print("ok")
+"""
+
+SANITIZE = ["-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+
+
+def test_helper_runs_clean_under_sanitizers(monkeypatch, tmp_path):
+    """Every entry point of `_epoch.c`, built with ASan and UBSan, matches
+    its Python oracle on short cases without a sanitizer report."""
+    runtime = subprocess.run(
+        ["cc", "-print-file-name=libasan.so"], capture_output=True, text=True, timeout=60
+    ).stdout.strip()
+    if not runtime.startswith("/"):
+        pytest.skip("the compiler ships no ASan runtime")
+    monkeypatch.setattr(native, "_BUILD", [*native._BUILD, *SANITIZE])
+    native._library(tmp_path)
+    env = child_env()
+    env.update(LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0")
+    result = subprocess.run(
+        [sys.executable, "-c", SANITIZED_PROBE, str(tmp_path), *SANITIZE],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr[-3000:]
+    assert result.stdout == "ok\n"
+    assert "Sanitizer" not in result.stderr and "runtime error" not in result.stderr

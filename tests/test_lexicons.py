@@ -187,6 +187,30 @@ class TestParsers:
         assert score_sentiment("kind'a good", damped) == score_sentiment("kinda good", damped)
         assert score_sentiment("kind'a good", damped) < score_sentiment("good", damped)
 
+    @pytest.mark.parametrize(
+        "parse, line",
+        [
+            (lambda text: parse_sentiment_lexicon(text, path="f"), "{}\t-2.0"),
+            (lambda text: parse_emotion_lexicon(text, path="f"), "{}\tanger\t1"),
+            (lambda text: parse_emotion_lexicon(text, path="f"), "{}\tanger\t0"),
+            (lambda text: parse_negators(text, path="f"), "{}"),
+            (lambda text: parse_boosters(text, path="f"), "{}\t0.293"),
+        ],
+        ids=["sentiment", "emotion", "emotion-flag-0", "negators", "boosters"],
+    )
+    @pytest.mark.parametrize("entry", ["give up", "naïve", "a-b"])
+    def test_entry_of_more_than_one_token_rejected(self, parse, line, entry):
+        text = "# header\n" + line.format("ok") + "\n" + line.format(entry) + "\n"
+        with pytest.raises(LexiconError, match=f"^f:3: entry {entry!r} is not one token$"):
+            parse(text)
+
+    def test_emotion_entry_with_apostrophe_rejected(self):
+        # emotion entries are looked up by `tokenize` tokens, which hold no apostrophe
+        with pytest.raises(LexiconError, match='^f:1: entry "Can\'t" is not one token$'):
+            parse_emotion_lexicon("Can't\tanger\t1\n", path="f")
+        # sentiment, negator and booster keys drop apostrophes, as lookups do
+        assert parse_negators("Don't\n", path="f") == {"dont"}
+
     def test_bundled_lexicons_load(self):
         bundle = lexicons_from_paths()
         assert len(bundle.sentiment.entries) > 100
