@@ -99,25 +99,23 @@ void svm_fit(ddot_fn ddot, int64_t n, int64_t d, const double *x, const double *
 
 /* ---- Tree growth, for nextday.learn.tree ----
  *
- * `grow_trees` grows every tree of a fit as `tree._grow_lockstep` does and
- * writes the same node arrays. Each tree keeps, for every column, its
- * sample rows sorted by rank (SLIQ's attribute lists); a node owns the
- * same slice of every list, and a split partitions each slice stably, so
- * a node's split search is one pass over each searched column's slice.
+ * `grow_trees` grows the trees of a fit one after another, each depth
+ * first and left child first, as `tree._grow_python` does, and writes the
+ * same node arrays. Each tree keeps, for every column, its sample rows
+ * sorted by rank (SLIQ's attribute lists); a node owns the same slice of
+ * every list, and a split partitions each slice stably, so a node's split
+ * search is one pass over each searched column's slice.
  *
- * The trees grow one after another, each in its own lockstep order: a
- * column-sampling tree takes one node per round off its stack; any other
- * tree takes its whole stack. Each split records its round, and at the
- * end the nodes are renumbered in the lockstep grower's order: round by
- * round, tree by tree, children appended in the order of their splits.
+ * A tree's nodes are contiguous: its root first, and its k-th split (in
+ * depth-first order) appends the left and right children as the tree's
+ * nodes 2k + 1 and 2k + 2.
  */
 
 typedef struct {
     int32_t start; /* the node's slice of every attribute list */
     int32_t length;
     int32_t depth;
-    int32_t node; /* the tree's own node number: the root is 0, and
-                   * split k makes nodes 2k + 1 and 2k + 2 */
+    int32_t node;  /* its index in the outputs */
 } Pending;
 
 typedef struct {
@@ -139,13 +137,13 @@ typedef struct {
     uint8_t *goes_left; /* (n) */
     uint8_t *chosen;  /* (d) */
     int32_t *columns; /* (d) */
-    Pending *stack, *next; /* (per_tree) each */
+    Pending *stack;   /* (per_tree) */
     int64_t used;      /* words of the tree's block drawn */
     const uint32_t *tree_words;
-    /* the tree's slice of the outputs */
-    int32_t *feature, *left, *counts, *rounds;
+    /* the outputs, and the number of nodes written so far */
+    int32_t *feature, *left, *counts;
     double *threshold;
-    int64_t nodes, splits;
+    int64_t nodes;
 } Grower;
 
 /* CPython's `_randbelow(m)`: -1 when the tree's words run out. */
@@ -209,11 +207,11 @@ static int32_t add_node(Grower *g, int64_t n0, int64_t n1) {
 
 /* Search node p over `width` columns (g->columns) and split it when the
  * best split beats the parent's score and sends rows both ways; its
- * searchable children go to `out`, right first. Until the root splits,
- * the attribute lists are not built: the root reads each column's rows
- * in rank order with their multiplicity in the sample instead. */
-static void split_node(Grower *g, const Pending *p, int64_t width, int64_t round, Pending *out,
-                       int64_t *out_count) {
+ * searchable children go on the stack, right first. Until the root
+ * splits, the attribute lists are not built: the root reads each
+ * column's rows in rank order with their multiplicity in the sample
+ * instead. */
+static void split_node(Grower *g, const Pending *p, int64_t width, int64_t *stacked) {
     int root = !g->built;
     int64_t len = p->length, entries = root ? g->n : len;
     const int32_t *multiplicity = root ? g->multiplicity : NULL;
@@ -270,7 +268,6 @@ static void split_node(Grower *g, const Pending *p, int64_t width, int64_t round
     int32_t lc = add_node(g, n_left - left_ones, left_ones);
     int32_t rc = add_node(g, n0 - n_left + left_ones, n1 - left_ones);
     g->left[p->node] = lc;
-    g->rounds[g->splits++] = (int32_t)round;
     int32_t depth = p->depth + 1;
     int sl = searchable(g, lc, depth), sr = searchable(g, rc, depth);
     if (!sl && !sr) return; /* no list is read below this node again */
@@ -298,11 +295,12 @@ static void split_node(Grower *g, const Pending *p, int64_t width, int64_t round
         }
     }
     g->built = 1;
-    if (sr) out[(*out_count)++] = (Pending){(int32_t)(p->start + n_left), (int32_t)(len - n_left), depth, rc};
-    if (sl) out[(*out_count)++] = (Pending){p->start, (int32_t)n_left, depth, lc};
+    if (sr) g->stack[(*stacked)++] = (Pending){(int32_t)(p->start + n_left), (int32_t)(len - n_left), depth, rc};
+    if (sl) g->stack[(*stacked)++] = (Pending){p->start, (int32_t)n_left, depth, lc};
 }
 
-/* Grow one tree from its m sample rows; -1 when its words run out. */
+/* Grow one tree from its m sample rows into the outputs, one node at a
+ * time off the stack; -1 when its words run out. */
 static int grow_tree(Grower *g, const int32_t *sample) {
     int64_t ones = 0;
     for (int64_t i = 0; i < g->n; i++) g->multiplicity[i] = 0;
@@ -312,7 +310,7 @@ static int grow_tree(Grower *g, const int32_t *sample) {
     }
     g->sample = sample;
     g->built = 0;
-    g->nodes = g->splits = g->used = 0;
+    g->used = 0;
     int32_t root = add_node(g, g->m - ones, ones);
     int64_t stacked = 0;
     if (searchable(g, root, 0)) g->stack[stacked++] = (Pending){0, (int32_t)g->m, 0, root};
@@ -320,38 +318,26 @@ static int grow_tree(Grower *g, const int32_t *sample) {
     if (!sampling) {
         for (int64_t c = 0; c < g->d; c++) g->columns[c] = (int32_t)c;
     }
-    for (int64_t round = 0; stacked > 0; round++) {
-        if (sampling) {
-            Pending p = g->stack[--stacked];
-            if (sample_columns(g) < 0) return -1;
-            split_node(g, &p, g->width, round, g->stack, &stacked);
-        } else {
-            int64_t batch = stacked;
-            Pending *swap = g->stack;
-            g->stack = g->next;
-            g->next = swap;
-            stacked = 0;
-            for (int64_t i = 0; i < batch; i++) {
-                split_node(g, &g->next[i], g->d, round, g->stack, &stacked);
-            }
-        }
+    while (stacked > 0) {
+        Pending p = g->stack[--stacked];
+        if (sampling && sample_columns(g) < 0) return -1;
+        split_node(g, &p, sampling ? g->width : g->d, &stacked);
     }
     return 0;
 }
 
-/* Grow trees progress[0].. of a fit into the outputs and, once all are
- * grown, renumber their nodes into the lockstep order.
+/* Grow trees progress[0].. of a fit into the outputs.
  *
  * codes (n, d) and values (d, stride) are `rank_columns(x, y)`, labels
- * y (n) as 0 and 1; x is the (n, d) matrix; samples (n_trees, m) each tree's rows, all in range(n).
- * words is NULL when no tree samples columns, or (n_trees, block)
- * 32-bit Mersenne Twister words, the stream each tree's `rng.sample`
- * calls would read; set_branch says which branch of `Random.sample` a
- * draw of `width` of d columns takes. per_tree bounds one tree's nodes.
- * The outputs (feature, threshold, left, counts (.., 2)) hold n_trees *
- * per_tree nodes and rounds half as many splits; splits holds each tree's
- * split count. progress is {trees grown, nodes written, splits written},
- * all 0 on the first call.
+ * y (n) as 0 and 1; x is the (n, d) matrix; samples (n_trees, m) each
+ * tree's rows, all in range(n). words is NULL when no tree samples
+ * columns, or (n_trees, block) 32-bit Mersenne Twister words, the stream
+ * each tree's `rng.sample` calls would read; set_branch says which branch
+ * of `Random.sample` a draw of `width` of d columns takes. per_tree
+ * bounds one tree's nodes. The outputs (feature, threshold, left, counts
+ * (.., 2)) hold n_trees * per_tree nodes; roots (n_trees) gets each
+ * tree's first node. progress is {trees grown, nodes written}, both 0 on
+ * the first call.
  *
  * Returns the number of nodes. When it returns -1, tree progress[0]'s
  * words ran out: it is not grown, the trees before it are kept, and the
@@ -362,11 +348,13 @@ int64_t grow_trees(int64_t n, int64_t d, const int32_t *codes, const uint8_t *la
                    const double *values, int64_t stride, const double *x, int64_t n_trees, int64_t m,
                    const int32_t *samples, const uint32_t *words, int64_t block,
                    int64_t set_branch, int64_t width, int64_t min_leaf, int64_t max_depth,
-                   int64_t per_tree, int64_t *progress, int64_t *splits, int32_t *rounds,
-                   int32_t *feature, double *threshold, int32_t *left, int32_t *counts) {
+                   int64_t per_tree, int64_t *progress, int32_t *roots, int32_t *feature,
+                   double *threshold, int32_t *left, int32_t *counts) {
     Grower g = {.n = n, .d = d, .m = m, .stride = stride, .min_leaf = min_leaf < 1 ? 1 : min_leaf,
                 .max_depth = max_depth, .width = width, .label = labels, .values = values,
-                .x = x, .words = words, .block = block, .set_branch = set_branch};
+                .x = x, .words = words, .block = block, .set_branch = set_branch,
+                .feature = feature, .threshold = threshold, .left = left, .counts = counts,
+                .nodes = progress[1]};
     int64_t status = -2;
     /* every size is one more than it needs, so that none is 0 */
     int32_t *ranks = malloc(sizeof(int32_t) * (size_t)(n * d + 1));
@@ -378,10 +366,8 @@ int64_t grow_trees(int64_t n, int64_t d, const int32_t *codes, const uint8_t *la
     g.chosen = calloc((size_t)d + 1, 1);
     g.columns = malloc(sizeof(int32_t) * (size_t)(d + 1));
     g.stack = malloc(sizeof(Pending) * (size_t)(per_tree + 1));
-    g.next = malloc(sizeof(Pending) * (size_t)(per_tree + 1));
-    int64_t *first = malloc(sizeof(int64_t) * (size_t)(n_trees + 1));
     if (!ranks || !order || !g.multiplicity || !g.lists || !g.spill || !g.goes_left || !g.chosen ||
-        !g.columns || !g.stack || !g.next || !first)
+        !g.columns || !g.stack)
         goto done;
     g.ranks = ranks;
     g.order = order;
@@ -404,72 +390,15 @@ int64_t grow_trees(int64_t n, int64_t d, const int32_t *codes, const uint8_t *la
     }
     for (int64_t t = progress[0]; t < n_trees; t++) {
         g.tree_words = words ? words + t * block : NULL;
-        g.feature = feature + progress[1];
-        g.threshold = threshold + progress[1];
-        g.left = left + progress[1];
-        g.counts = counts + 2 * progress[1];
-        g.rounds = rounds + progress[2];
+        roots[t] = (int32_t)g.nodes;
         if (grow_tree(&g, samples + t * m) < 0) {
             status = -1;
             goto done;
         }
-        splits[t] = g.splits;
         progress[0] = t + 1;
-        progress[1] += g.nodes;
-        progress[2] += g.splits;
+        progress[1] = g.nodes;
     }
-    /* renumber: roots first, then each round's children tree by tree */
-    int64_t total = progress[1], all_splits = progress[2];
-    int32_t *base = malloc(sizeof(int32_t) * (size_t)(all_splits + 1));
-    int64_t *cursor = malloc(sizeof(int64_t) * (size_t)(n_trees + 1));
-    int32_t *old = malloc(sizeof(int32_t) * (size_t)(4 * total));
-    double *old_threshold = malloc(sizeof(double) * (size_t)total);
-    if (!base || !cursor || !old || !old_threshold) {
-        free(base);
-        free(cursor);
-        free(old);
-        free(old_threshold);
-        goto done;
-    }
-    first[0] = 0;
-    for (int64_t t = 0; t < n_trees; t++) {
-        first[t + 1] = first[t] + splits[t];
-        cursor[t] = first[t];
-    }
-    int32_t next = (int32_t)n_trees;
-    for (int64_t round = 0, pending = all_splits; pending > 0; round++) {
-        for (int64_t t = 0; t < n_trees; t++) {
-            while (cursor[t] < first[t + 1] && rounds[cursor[t]] == round) {
-                base[cursor[t]++] = next;
-                next += 2;
-                pending--;
-            }
-        }
-    }
-    for (int64_t i = 0; i < total; i++) {
-        old[4 * i] = feature[i];
-        old[4 * i + 1] = left[i];
-        old[4 * i + 2] = counts[2 * i];
-        old[4 * i + 3] = counts[2 * i + 1];
-        old_threshold[i] = threshold[i];
-    }
-    for (int64_t t = 0, i = 0; t < n_trees; t++) {
-        int64_t nodes = 1 + 2 * splits[t];
-        for (int64_t local = 0; local < nodes; local++, i++) {
-            int64_t at = local == 0 ? t : base[first[t] + (local - 1) / 2] + (local - 1) % 2;
-            int32_t child = old[4 * i + 1];
-            feature[at] = old[4 * i];
-            threshold[at] = old_threshold[i];
-            left[at] = child < 0 ? -1 : base[first[t] + (child - 1) / 2];
-            counts[2 * at] = old[4 * i + 2];
-            counts[2 * at + 1] = old[4 * i + 3];
-        }
-    }
-    free(base);
-    free(cursor);
-    free(old);
-    free(old_threshold);
-    status = total;
+    status = g.nodes;
 done:
     free(ranks);
     free(order);
@@ -480,7 +409,5 @@ done:
     free(g.chosen);
     free(g.columns);
     free(g.stack);
-    free(g.next);
-    free(first);
     return status;
 }

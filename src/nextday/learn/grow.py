@@ -1,8 +1,10 @@
 """The Python side of the compiled tree grower, `grow_trees` in `_epoch.c`.
 
-`nextday.learn.tree` calls it when the helper has loaded. It is a module
-of its own because CPython's compiler needs memory in proportion to the
-module it compiles: a process that imports the package without a
+`nextday.learn.tree` calls it when the helper has loaded. The helper
+grows the trees one after another, each depth first and left child
+first, and writes `tree._grow_python`'s node arrays and `roots`. It is
+a module of its own because CPython's compiler needs memory in
+proportion to the module it compiles: a process that imports the package without a
 bytecode cache compiled one larger `tree.py` at a higher peak RSS.
 """
 
@@ -41,7 +43,7 @@ def grow_compiled(
     rngs: list[random.Random | None],
     width: int,
 ) -> dict:
-    """`tree._grow_lockstep`'s trees from the helper's `grow_trees`; `codes`
+    """`tree._grow_python`'s trees from the helper's `grow_trees`; `codes`
     and `values` are `tree.rank_columns(x, y)`. Each column-sampling
     tree's `rng.sample` draws are replayed there from a block of its
     generator's next words. The words a tree reads do not depend on the
@@ -59,10 +61,9 @@ def grow_compiled(
     setsize = 21
     if width > 5:
         setsize += 4 ** math.ceil(math.log(width * 3, 4))
-    progress = np.zeros(3, dtype=np.int64)
-    splits = np.zeros(trees, dtype=np.int64)
+    progress = np.zeros(2, dtype=np.int64)
+    roots = np.empty(trees, dtype=np.int32)
     capacity = trees * per_tree  # only the pages written become resident
-    rounds = np.empty(capacity // 2 + 1, dtype=np.int32)
     feature = np.empty(capacity, dtype=np.int32)
     threshold = np.empty(capacity)
     left = np.empty(capacity, dtype=np.int32)
@@ -74,7 +75,7 @@ def grow_compiled(
             x.ctypes.data, trees, m, samples.ctypes.data,
             words.ctypes.data if sampling else None, block, d > setsize, width,
             min(max(cfg.min_samples_leaf, 1), m + 1), max_depth, per_tree,
-            progress.ctypes.data, splits.ctypes.data, rounds.ctypes.data,
+            progress.ctypes.data, roots.ctypes.data,
             feature.ctypes.data, threshold.ctypes.data, left.ctypes.data, counts.ctypes.data,
         )
         if total >= 0:
@@ -88,7 +89,7 @@ def grow_compiled(
         block *= 2
     left_child = left[:total].copy()
     return {
-        "n_trees": trees,
+        "roots": roots,
         "feature": feature[:total].copy(),
         "threshold": threshold[:total].copy(),
         "left": left_child,

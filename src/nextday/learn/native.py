@@ -1,11 +1,13 @@
 """The compiled helper `_epoch.c`: building, caching and loading it.
 
 It runs the SVM's epoch shuffles and step loop (`nextday.learn.svm`) and
-grows the trees of a CART or forest fit (`nextday.learn.tree`). Importing
-this module compiles it with `cc` into `__pycache__/` on first use and
-loads it with ctypes. When the library cannot be built or loaded, one
-warning says why and both trainers run their Python code instead, which
-gives the same bits and serves as the compiled code's test oracle.
+grows the trees of a CART or forest fit (`nextday.learn.tree`), one after
+another and each depth first, into the node arrays and `roots` that the
+Python grower writes. Importing this module compiles it with `cc` into
+`__pycache__/` on first use and loads it with ctypes. When the library
+cannot be built or loaded, one warning says why and both trainers run
+their Python code instead, which gives the same bits and serves as the
+compiled code's test oracle.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ def load_helper(build_dir: Path) -> tuple[Helper | None, dict]:
         lib.grow_trees.restype = count
         lib.grow_trees.argtypes = [
             count, count, pointer, pointer, pointer, count, pointer, count, count, pointer,
-            pointer, count, count, count, count, count, count, *[pointer] * 7,
+            pointer, count, count, count, count, count, count, *[pointer] * 6,
         ]
         helper = Helper(lib, _numpy_ddot())
     except _Unavailable as exc:

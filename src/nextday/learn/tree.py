@@ -3,22 +3,21 @@
 One grower builds every tree of a fit, CART's single tree and each tree
 of a forest alike. It ranks each column's values once per fit, as SLIQ's
 presorted attribute lists do (Mehta, Agrawal & Rissanen, EDBT 1996), and
-then grows all trees in lockstep. Each round takes the next node to
-search from every tree and scores them all in one call of `best_split`
-(a round too large to hold at once takes several), so a round costs a
-fixed set of numpy calls however many nodes it holds. The grower looks
-that name up in this module on every call, so instrumentation that
-wraps `nextday.learn.tree.best_split` sees every split search.
+then grows the trees one after another, each depth first and left child
+first. A forest tree draws a node's columns when it takes the node off
+its stack, so its draws are those of a recursive grower.
 
 When the compiled helper has loaded (`nextday.learn.native`), its
-`grow_trees` grows all trees of a fit in one call instead and writes the
-same node arrays bit for bit; `best_split` is then not called. The
-lockstep grower here is the fallback and the compiled grower's test
-oracle.
+`grow_trees` grows the trees instead and writes the same node arrays bit
+for bit. Otherwise `_grow_python` does, one `best_split` call per
+searched node; it looks that name up in this module on every call, so
+instrumentation that wraps `nextday.learn.tree.best_split` sees every
+split search. The Python grower is the compiled grower's test oracle.
 
-The grower writes each node straight into flat arrays, one set for all
-trees of a fit, as scikit-learn's `Tree` does. Prediction moves every
-(row, tree) pair one level down per pass, in a fixed set of numpy calls.
+Both write each node straight into flat arrays, one set for all trees of
+a fit, as scikit-learn's `Tree` does (see `TreeModel` for the layout).
+Prediction moves every (row, tree) pair one level down per pass, in a
+fixed set of numpy calls.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -60,83 +58,54 @@ def best_split(
     codes: np.ndarray,
     values: np.ndarray,
     rows: np.ndarray,
-    bounds: np.ndarray,
     columns: np.ndarray,
     min_leaf: int,
-) -> list[tuple[int, float, float] | None]:
-    """Best (column, threshold, score) of each node of a round, or None.
+) -> tuple[int, float, float] | None:
+    """The best (column, threshold, score) of one node, or None.
 
-    `codes` and `values` are `rank_columns(x, y)`. Node i holds the rows
-    `rows[bounds[i]:bounds[i + 1]]` of `x` (a row may repeat) and
-    searches the columns `columns[i]`, in ascending order. Candidate
-    thresholds are midpoints between consecutive distinct values of a
-    column within the node leaving at least `min_leaf` rows on each side.
-    The score is the split quality sum((l0^2+l1^2)/l, (r0^2+r1^2)/r),
-    which orders splits exactly like Gini impurity decrease; exact ties
-    keep the earliest candidate (lower column, then lower threshold).
+    `codes` and `values` are `rank_columns(x, y)`. The node holds the
+    rows `rows` of `x` (a row may repeat) and searches the columns
+    `columns`, in ascending order. Candidate thresholds are midpoints
+    between consecutive distinct values of a column within the node
+    leaving at least `min_leaf` rows on each side. The score is the split
+    quality sum((l0^2+l1^2)/l, (r0^2+r1^2)/r), which orders splits exactly
+    like Gini impurity decrease; exact ties keep the earliest candidate
+    (lower column, then lower threshold).
 
-    Every (node, column) pair is a segment of one integer key
-    `segment * 2 * stride + code`, and one sort of the keys orders every
-    segment by value at once. The labels ride in the key's low bit, so
-    one cumulative sum, less each segment's base, counts the ones left
-    of every boundary. Ties between equal values sort zeros first; the
-    class counts at a boundary between distinct values do not depend on
-    that order.
+    One sort orders every searched column's codes at once. The labels
+    ride in the codes' low bit, so one cumulative sum counts the ones
+    left of every boundary. Ties between equal values sort zeros first;
+    the class counts at a boundary between distinct values do not depend
+    on that order.
     """
-    nodes, width = columns.shape
-    stride = values.shape[1]
+    n = len(rows)
     min_leaf = max(min_leaf, 1)
-    lengths = np.diff(bounds)
-    # node i's segments are w contiguous runs of lengths[i] sorted keys
-    segment_length = np.repeat(lengths, width)
-    segment_start = (
-        width * bounds[:-1, np.newaxis] + lengths[:, np.newaxis] * np.arange(width)
-    ).ravel()
-    dtype = np.int32 if 2 * nodes * width * stride < 2**31 else np.int64
-    node_of = np.repeat(np.arange(nodes, dtype=dtype), lengths)
-    segment = node_of[:, np.newaxis] * width + np.arange(width, dtype=dtype)
-    key = segment * (2 * stride) + codes[rows[:, np.newaxis], columns[node_of]]
-    key = np.sort(key, axis=None)
-    ones = np.zeros(len(key) + 1, dtype=np.int64)
-    np.cumsum(key & 1, out=ones[1:])
-    key >>= 1  # segment * stride + rank
-    # split after sorted position p when the next key in its segment is larger
-    at = np.flatnonzero(key[1:] > key[:-1])
-    segment = key[at] // stride
-    start = segment_start[segment]
-    length = segment_length[segment]
-    left = at + 1 - start
-    right = length - left
-    keep = (left >= min_leaf) & (right >= min_leaf)
-    at, segment, start, length, left, right = (
-        a[keep] for a in (at, segment, start, length, left, right)
-    )
-    base = ones[start]
-    left_ones = ones[at + 1] - base
-    right_ones = ones[start + length] - base - left_ones
+    if n < 2 * min_leaf or not len(columns):
+        return None
+    code = np.sort(codes[rows[:, np.newaxis], columns], axis=0)
+    ones = np.cumsum(code & 1, axis=0, dtype=np.int64)
+    rank = code >> 1
+    # a boundary after sorted position i leaves i + 1 rows on the left
+    low = rank[min_leaf - 1 : n - min_leaf]
+    high = rank[min_leaf : n - min_leaf + 1]
+    left_ones = ones[min_leaf - 1 : n - min_leaf]
+    left = np.arange(min_leaf, n - min_leaf + 1, dtype=np.int64)[:, np.newaxis]
+    right = n - left
     left_zeros = left - left_ones
+    right_ones = ones[-1] - left_ones
     right_zeros = right - right_ones
     quality = (left_zeros * left_zeros + left_ones * left_ones) / left + (
         right_zeros * right_zeros + right_ones * right_ones
     ) / right
-    found: list[tuple[int, float, float] | None] = [None] * nodes
-    if not len(quality):
-        return found
-    # candidates run in (node, column, threshold) order: the first maximum
-    # of each node's run is its earliest best candidate
-    node = segment // width
-    first = np.flatnonzero(np.concatenate(([True], node[1:] != node[:-1])))
-    best = np.maximum.reduceat(quality, first)
-    hits = np.flatnonzero(quality == np.repeat(best, np.diff(first, append=len(quality))))
-    win = hits[np.searchsorted(hits, first)]
-    winner = node[first]
-    col = columns[winner, segment[win] % width]
-    low = key[at[win]] % stride
-    high = key[at[win] + 1] % stride
-    threshold = (values[col, low] + values[col, high]) / 2.0
-    for i, c, t, s in zip(winner.tolist(), col.tolist(), threshold.tolist(), best.tolist()):
-        found[i] = (c, t, s)
-    return found
+    quality[high == low] = -math.inf
+    # argmax of the (column, boundary) view: the earliest best candidate
+    at, k = divmod(int(quality.T.argmax()), len(quality))
+    score = float(quality[k, at])
+    if score == -math.inf:
+        return None
+    col = int(columns[at])
+    threshold = (values[col, low[k, at]] + values[col, high[k, at]]) / 2.0
+    return col, float(threshold), score
 
 
 def parent_score(n0: int, n1: int) -> float:
@@ -145,12 +114,6 @@ def parent_score(n0: int, n1: int) -> float:
     if n == 0:
         return 0.0
     return (n0 * n0 + n1 * n1) / n
-
-
-# `best_split` holds some 60 bytes per (row, column) pair of its nodes at
-# once. A round with more pairs than this is searched in several calls,
-# which caps that near 8 MB and changes no tree.
-_SEARCH_PAIRS = 1 << 17
 
 
 def _grow_trees(
@@ -162,45 +125,42 @@ def _grow_trees(
     width: int,
 ) -> dict:
     """One tree per row of `samples` (rows of `x` in range(n)): grown by the
-    compiled helper when it has loaded, else by `_grow_lockstep`. `rngs`
+    compiled helper when it has loaded, else by `_grow_python`. `rngs`
     are all None or all generators. Returns the `TreeModel` fields but
-    `config`; node t is tree t's root."""
+    `config`."""
     helper = native.HELPER
     if helper is None:
-        return _grow_lockstep(x, y, cfg, list(samples), rngs, width)
+        return _grow_python(x, y, cfg, samples, rngs, width)
     return grow.grow_compiled(helper, x, y, *rank_columns(x, y), cfg, samples, rngs, width)
 
 
-def _grow_lockstep(
+def _grow_python(
     x: np.ndarray,
     y: np.ndarray,
     cfg: CartConfig | ForestConfig,
-    samples: list[np.ndarray],
+    samples: np.ndarray,
     rngs: list[random.Random | None],
     width: int,
 ) -> dict:
-    """One tree per entry of `samples` (int32 rows of `x`), grown in lockstep.
+    """One tree per row of `samples`, each grown alone from an explicit
+    stack: depth first, left child first.
 
     A node is searched when it is shallower than `cfg.max_depth`, holds
     both classes and at least `2 * cfg.min_samples_leaf` rows, which its
     class counts tell without a look at its labels. It splits when the
-    best split beats `parent_score` and sends rows both ways. One
-    comparison partitions every node of a round, and each child's rows
-    are a slice of the round's left-going or right-going rows.
+    best split beats `parent_score` and sends rows both ways. A tree with
+    an RNG and `width < d` searches `sorted(rng.sample(range(d), width))`
+    columns, drawn when the node is taken off the stack; any other tree
+    searches every column.
 
-    Each tree keeps a depth-first stack of node indices. A tree with an
-    RNG and `width < d` searches `sorted(rng.sample(range(d), width))`
-    columns at each node and gives one node per round, so it draws in
-    the order a recursive grower would. Any other tree draws nothing,
-    searches every column and gives every node on its stack.
-
-    Returns the `TreeModel` fields but `config`; node t is tree t's root.
+    Returns the `TreeModel` fields but `config`.
     """
     d = x.shape[1]
     codes, values = rank_columns(x, y)
     is_one = y.astype(bool)
-    all_columns = list(range(d))
+    all_columns = np.arange(d)
     min_leaf = cfg.min_samples_leaf
+    roots: list[int] = []
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []  # the right child is always left + 1
@@ -213,89 +173,44 @@ def _grow_lockstep(
         counts.append((n0, n1))
         return len(counts) - 1
 
-    def push(stack: list, tree: int, node: int, depth: int, rows: np.ndarray) -> None:
+    def push(stack: list, node: int, depth: int, rows: np.ndarray) -> None:
         n0, n1 = counts[node]
         if depth < cfg.max_depth and n0 > 0 and n1 > 0 and n0 + n1 >= 2 * min_leaf:
-            stack.append((tree, node, depth, rows))
+            stack.append((node, depth, rows))
 
-    def search(batch: list, columns: list) -> None:
-        """One `best_split` call over `batch`, then its nodes' splits."""
-        lengths = [len(entry[3]) for entry in batch]
-        offsets = list(accumulate(lengths, initial=0))
-        bounds = np.array(offsets)
-        rows = np.concatenate([entry[3] for entry in batch])
-        found = best_split(
-            codes, values, rows, bounds, np.array(columns, dtype=np.intp), min_leaf
-        )
-        split = [
-            i
-            for i, (best, entry) in enumerate(zip(found, batch))
-            if best is not None and best[2] > parent_score(*counts[entry[1]])
-        ]
-        if split:
-            features = [0] * len(batch)
-            thresholds = [-math.inf] * len(batch)  # sends no row of an unsplit node left
-            for i in split:
-                features[i], thresholds[i], _ = found[i]
-            node_of = np.repeat(np.arange(len(batch)), lengths)
-            goes_left = x[rows, np.array(features)[node_of]] <= np.array(thresholds)[node_of]
-            left_n = np.add.reduceat(goes_left, bounds[:-1]).tolist()
-            left_ones = np.add.reduceat(goes_left & is_one[rows], bounds[:-1]).tolist()
-            left_rows = rows[goes_left]
-            right_rows = rows[~goes_left]
-            left_at = list(accumulate(left_n, initial=0))
-            for i in split:
-                tree, node, depth, _ = batch[i]
-                n_left = left_n[i]
-                n_right = lengths[i] - n_left
-                if n_left == 0 or n_right == 0:  # degenerate midpoint rounding
-                    continue
-                n0, n1 = counts[node]
-                ones = left_ones[i]
-                feature[node], threshold[node] = features[i], thresholds[i]
-                left[node] = add(n_left - ones, ones)
-                right = add(n0 - n_left + ones, n1 - ones)
-                # the left child on top: each tree grows depth first, left first
-                a = left_at[i]
-                b = offsets[i] - a
-                push(stacks[tree], tree, right, depth + 1, right_rows[b : b + n_right])
-                push(stacks[tree], tree, left[node], depth + 1, left_rows[a : a + n_left])
-
-    stacks: list[list] = []
-    for tree, rows in enumerate(samples):
+    for rows, rng in zip(samples, rngs):
+        sampling = rng is not None and width < d
         n1 = int(np.count_nonzero(is_one[rows]))
-        stacks.append([])
-        push(stacks[tree], tree, add(len(rows) - n1, n1), 0, rows)
-    samples_columns = [rng is not None and width < d for rng in rngs]
-    live = [tree for tree, stack in enumerate(stacks) if stack]
-    while live:
-        batch = []
-        columns = []
-        for tree in live:
-            stack = stacks[tree]
-            if samples_columns[tree]:
-                batch.append(stack.pop())
-                columns.append(sorted(rngs[tree].sample(all_columns, width)))
-            else:
-                batch += stack
-                columns += [all_columns] * len(stack)
-                stack.clear()
-        start = pairs = 0
-        for i, entry in enumerate(batch):
-            if pairs and pairs + len(entry[3]) * len(columns[i]) > _SEARCH_PAIRS:
-                search(batch[start:i], columns[start:i])
-                start, pairs = i, 0
-            pairs += len(entry[3]) * len(columns[i])
-        search(batch[start:], columns[start:])
-        live = [tree for tree in live if stacks[tree]]
+        roots.append(len(counts))
+        stack: list = []
+        push(stack, add(len(rows) - n1, n1), 0, rows)
+        while stack:
+            node, depth, rows = stack.pop()
+            columns = np.array(sorted(rng.sample(range(d), width))) if sampling else all_columns
+            found = best_split(codes, values, rows, columns, min_leaf)
+            if found is None or found[2] <= parent_score(*counts[node]):
+                continue
+            col, cut, _ = found
+            goes_left = x[rows, col] <= cut
+            left_rows, right_rows = rows[goes_left], rows[~goes_left]
+            if not len(left_rows) or not len(right_rows):  # degenerate midpoint rounding
+                continue
+            n0, n1 = counts[node]
+            ones = int(np.count_nonzero(is_one[left_rows]))
+            feature[node], threshold[node] = col, cut
+            left[node] = add(len(left_rows) - ones, ones)
+            right = add(n0 - len(left_rows) + ones, n1 - ones)
+            # the left child on top, so it is searched first
+            push(stack, right, depth + 1, right_rows)
+            push(stack, left[node], depth + 1, left_rows)
     left_child = np.array(left, dtype=np.int32)
     return {
-        "n_trees": len(samples),
+        "roots": np.array(roots, dtype=np.int32),
         "feature": np.array(feature, dtype=np.int32),
         "threshold": np.array(threshold),
         "left": left_child,
         "right": np.where(left_child < 0, left_child, left_child + 1),
-        "counts": np.array(counts, dtype=np.int32),
+        "counts": np.array(counts, dtype=np.int32).reshape(-1, 2),
     }
 
 
@@ -327,13 +242,16 @@ class TreeModel:
     """A fit's trees as parallel node arrays, as in scikit-learn's `Tree`.
 
     Node i sends a row to node `left[i]` when `row[feature[i]] <=
-    threshold[i]` and to `right[i]` otherwise; both are -1 at a leaf.
-    `counts[i]` holds the class 0 and class 1 training rows that reached
-    node i. Nodes 0 to `n_trees - 1` are the trees' roots.
+    threshold[i]` and to `right[i] = left[i] + 1` otherwise; both are -1
+    at a leaf. `counts[i]` holds the class 0 and class 1 training rows
+    that reached node i. Each tree's nodes are contiguous: tree t owns
+    the nodes from `roots[t]` up to `roots[t + 1]` (the last tree up to
+    the end), its root first, and its k-th split in depth-first order
+    (0-based) makes the nodes `roots[t] + 2k + 1` and `roots[t] + 2k + 2`.
     """
 
     config: CartConfig | ForestConfig
-    n_trees: int
+    roots: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
@@ -344,8 +262,9 @@ class TreeModel:
         """The trees' majority vote on each row of `x`, a tie going to 0. Each
         pass moves every (row, tree) pair still at a split one level down."""
         matrix = _as_matrix(x)
-        rows = np.repeat(np.arange(len(matrix)), self.n_trees)
-        node = np.tile(np.arange(self.n_trees, dtype=np.int32), len(matrix))
+        n_trees = len(self.roots)
+        rows = np.repeat(np.arange(len(matrix)), n_trees)
+        node = np.tile(self.roots, len(matrix))
         walking = np.flatnonzero(self.left[node] >= 0)
         while len(walking):
             at = node[walking]
@@ -354,8 +273,8 @@ class TreeModel:
             node[walking] = at
             walking = walking[self.left[at] >= 0]
         ones = (self.counts[:, 1] > self.counts[:, 0])[node]
-        votes = ones.reshape(len(matrix), self.n_trees).sum(axis=1)
-        return (2 * votes > self.n_trees).astype(np.int8)
+        votes = ones.reshape(len(matrix), n_trees).sum(axis=1)
+        return (2 * votes > n_trees).astype(np.int8)
 
 
 @dataclass
@@ -447,7 +366,11 @@ def train_forest(x, y, cfg: ForestConfig | None = None, seed: int = 0, draws=Non
     n, d = matrix.shape
     rows, used = tree_draws(n, cfg, seed) if draws is None else draws
     rows = np.asarray(rows)
-    if rows.shape != (cfg.n_trees, n) or any((words > 0) != cfg.bootstrap for words in used):
+    if (
+        rows.shape != (cfg.n_trees, n)
+        or len(used) != cfg.n_trees
+        or any((words > 0) != cfg.bootstrap for words in used)
+    ):
         raise ValueError(f"bootstrap draws do not fit {cfg.n_trees} trees on {n} rows")
     # the compiled grower reads rows by these values
     if rows.dtype.kind not in "iu" or (rows.size and (rows.min() < 0 or rows.max() >= n)):

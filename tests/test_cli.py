@@ -833,6 +833,6 @@ class TestColdStart:
         assert metrics["learn.train_forest.calls"] == 30
         assert metrics["learn.svm.steps"] == 124_800
         # the compiled grower searches no node in `best_split`; the Python
-        # grower's 220 rounds and 2,010 searched nodes are counted in test_learn.py
+        # grower's 2,010 calls, one per searched node, are counted in test_learn.py
         assert metrics["learn.best_split.calls"] == 0
         assert metrics["learn.best_split.self_s"] == 0

@@ -146,8 +146,8 @@ def reference_best_split(x, y, min_leaf):
 
 
 def reference_node_split(x, y, min_leaf):
-    """The per-node one-pass split search `best_split` batched, kept as an
-    oracle: every column of one node sorted and swept at once."""
+    """A per-node one-pass split search over the node's own values, kept
+    as an oracle: every column of one node sorted and swept at once."""
     n, m = x.shape
     if n < 2 or m == 0 or n < 2 * min_leaf:
         return None
@@ -180,7 +180,7 @@ def reference_node_split(x, y, min_leaf):
 
 
 def reference_grow(x, y, depth, cfg, rng, max_features):
-    """The recursive grower the lockstep one replaced, kept as an oracle.
+    """A recursive grower, kept as an oracle.
 
     A leaf is {"counts": [n0, n1]}; a split node adds "feature",
     "threshold", "left" and "right"."""
@@ -226,7 +226,7 @@ def tree_dicts(model: TreeModel) -> list[dict]:
             "right": node(model.right[i]),
         }
 
-    return [node(root) for root in range(model.n_trees)]
+    return [node(root) for root in model.roots]
 
 
 def reference_votes(trees: list[dict], x) -> list[int]:
@@ -269,56 +269,55 @@ def fuzz_split_cases(seed, count=300):
         yield np.ascontiguousarray(grid), y, int(rng.integers(1, 4))
 
 
-def batched_split(cases, min_leaf):
-    """`best_split` over the (x, y) cases of one width, one node each.
+def split_each_node(cases, min_leaf):
+    """`best_split` on each (x, y) case of one width as a node of one fit.
 
-    The cases' rows are stacked into one matrix, ranked together, and
-    handed over in a shuffled order within each node.
+    The cases' rows are stacked into one matrix and ranked together, as a
+    fit ranks all its rows, and each node's rows are handed over in a
+    shuffled order.
     """
     x = np.vstack([case_x for case_x, _ in cases])
     y = np.concatenate([case_y for _, case_y in cases])
     codes, values = rank_columns(x, y)
     bounds = np.cumsum([0] + [len(case_y) for _, case_y in cases])
     rng = np.random.default_rng(0)
-    rows = np.concatenate(
-        [rng.permutation(np.arange(a, b, dtype=np.int32)) for a, b in zip(bounds, bounds[1:])]
-    )
-    columns = np.tile(np.arange(x.shape[1]), (len(cases), 1))
-    return best_split(codes, values, rows, bounds, columns, min_leaf)
+    columns = np.arange(x.shape[1])
+    nodes = [rng.permutation(np.arange(a, b, dtype=np.int32)) for a, b in zip(bounds, bounds[1:])]
+    return [best_split(codes, values, rows, columns, min_leaf) for rows in nodes]
 
 
-def each_split_alone_and_joined(cases):
-    """(case, split found for it alone, split found with its group joined),
-    joining the cases of each (width, min_leaf) into one call."""
+def each_split_alone_and_in_a_fit(cases):
+    """(case, split found for it alone, split found for it as a node of a
+    fit of every case of its (width, min_leaf))."""
     groups = {}
     for x, y, min_leaf in cases:
         groups.setdefault((x.shape[1], min_leaf), []).append((x, y))
     for (_, min_leaf), group in groups.items():
-        joined = batched_split(group, min_leaf)
-        assert len(joined) == len(group)
-        for (x, y), found in zip(group, joined):
-            yield x, y, min_leaf, batched_split([(x, y)], min_leaf)[0], found
+        in_fit = split_each_node(group, min_leaf)
+        assert len(in_fit) == len(group)
+        for (x, y), found in zip(group, in_fit):
+            yield x, y, min_leaf, split_each_node([(x, y)], min_leaf)[0], found
 
 
 class TestKernels:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_one_pass_matches_column_loop(self, seed):
         cases = list(fuzz_split_cases(seed))
-        for x, y, min_leaf, alone, joined in each_split_alone_and_joined(cases):
+        for x, y, min_leaf, alone, in_fit in each_split_alone_and_in_a_fit(cases):
             want = reference_best_split(x, y, min_leaf)
-            assert alone == joined == want
+            assert alone == in_fit == want
             assert reference_node_split(x, y, min_leaf) == want
 
     def test_one_pass_matches_exact_oracle(self):
         cases = list(fuzz_split_cases(3, count=150))
-        for x, y, min_leaf, alone, joined in each_split_alone_and_joined(cases):
+        for x, y, min_leaf, alone, in_fit in each_split_alone_and_in_a_fit(cases):
             rows = [(*row, label) for row, label in zip(x.tolist(), y.tolist())]
             table = [
                 entry
                 for col in range(x.shape[1])
                 for entry in exact_split_table(rows, col, min_leaf)
             ]
-            assert alone == joined
+            assert alone == in_fit
             if not table:
                 assert alone is None
                 continue
@@ -329,12 +328,12 @@ class TestKernels:
     def test_no_split_when_node_too_small(self):
         x = np.ascontiguousarray([[0.0], [1.0]])
         y = np.array([0, 1], dtype=np.int8)
-        assert batched_split([(x, y)], 2) == [None]
+        assert split_each_node([(x, y)], 2) == [None]
 
     def test_constant_feature_yields_none(self):
         x = np.ascontiguousarray([[1.0], [1.0], [1.0], [1.0]])
         y = np.array([0, 1, 0, 1], dtype=np.int8)
-        assert batched_split([(x, y)], 1) == [None]
+        assert split_each_node([(x, y)], 1) == [None]
 
 
 class TestCart:
@@ -483,9 +482,9 @@ class TestForest:
         monkeypatch.setattr(native, "HELPER", None)
         widths = []
 
-        def counting(codes, values, rows, bounds, columns, min_leaf):
-            widths.append(columns.shape[1])
-            return best_split(codes, values, rows, bounds, columns, min_leaf)
+        def counting(codes, values, rows, columns, min_leaf):
+            widths.append(len(columns))
+            return best_split(codes, values, rows, columns, min_leaf)
 
         monkeypatch.setattr("nextday.learn.tree.best_split", counting)
         rng = np.random.default_rng(11)
@@ -546,7 +545,7 @@ class TestForest:
         n = len(counts)
         return ForestModel(
             config=ForestConfig(n_trees=n),
-            n_trees=n,
+            roots=np.arange(n, dtype=np.int32),
             feature=np.full(n, -1, dtype=np.int32),
             threshold=np.zeros(n),
             left=np.full(n, -1, dtype=np.int32),
@@ -1121,6 +1120,12 @@ class TestSharedDraws:
             train_forest(x, y, cfg, draws=tree_draws(9, cfg, 0))
         with pytest.raises(ValueError, match="bootstrap draws"):
             train_forest(x, y, ForestConfig(n_trees=2, bootstrap=False), draws=tree_draws(10, cfg, 0))
+        # a word count per tree: a shorter list would leave the later
+        # trees' generators at their seeds
+        rows, used = tree_draws(10, cfg, 0)
+        for words in (used[:1], [*used, used[0]]):
+            with pytest.raises(ValueError, match="bootstrap draws"):
+                train_forest(x, y, cfg, draws=(rows, words))
 
     def test_one_plan_list_serves_every_golden_scheme(self, golden_datasets):
         cfgs = {
@@ -1419,7 +1424,7 @@ def searched_nodes(tree: dict, cfg, depth: int = 0) -> int:
 
 
 class TestLockstepGrower:
-    """Trees grown in lockstep equal the recursive grower's, node for node."""
+    """Trees grown on either path equal the recursive grower's, node for node."""
 
     def test_cart_matches_recursion(self, monkeypatch):
         for x, y, leaf, depth, _ in fuzz_fit_cases(21, 400):
@@ -1441,19 +1446,6 @@ class TestLockstepGrower:
             want = reference_forest(x, y, cfg, seed)
             for path in on_each_grower(monkeypatch):
                 assert tree_dicts(train_forest(x, y, cfg, seed=seed)) == want, path
-
-    def test_rounds_searched_in_several_calls(self, monkeypatch):
-        # only the Python grower searches in `best_split` calls
-        monkeypatch.setattr(native, "HELPER", None)
-        monkeypatch.setattr("nextday.learn.tree._SEARCH_PAIRS", 40)
-        for x, y, leaf, depth, rng in fuzz_fit_cases(23, 60):
-            cart = CartConfig(max_depth=depth, min_samples_leaf=leaf)
-            want = reference_grow(x, np.asarray(y, dtype=np.int8), 0, cart, None, None)
-            assert tree_dicts(train_cart(x, y, cart)) == [want]
-            forest = ForestConfig(n_trees=5, max_features=1, max_depth=depth, min_samples_leaf=leaf)
-            assert tree_dicts(train_forest(x, y, forest, seed=4)) == reference_forest(
-                x, y, forest, 4
-            )
 
     def test_empty_fit_rejected(self):
         empty = np.empty((0, 3))
@@ -1492,23 +1484,41 @@ class TestLockstepGrower:
             searched += sum(searched_nodes(tree, model.config) for tree in tree_dicts(model))
         assert searched == 2_010
 
-    def test_golden_run_takes_220_rounds_in_python(self, golden_datasets, monkeypatch):
+    def test_golden_run_searches_each_node_once_in_python(self, golden_datasets, monkeypatch):
         # the traced golden run's fits, grown in Python: one `best_split`
-        # call per lockstep round
-        monkeypatch.setattr(native, "HELPER", None)
-        rounds = []
+        # call per searched node. A searched node stays a leaf when the
+        # call returns None or a split no better than the node itself
+        import nextday.learn.cv as cv
 
-        def counting(*args):
-            rounds.append(len(args[3]) - 1)
-            return best_split(*args)
+        monkeypatch.setattr(native, "HELPER", None)
+        calls = none = declined = 0
+
+        def counting(codes, values, rows, columns, min_leaf):
+            nonlocal calls, none, declined
+            calls += 1
+            found = best_split(codes, values, rows, columns, min_leaf)
+            n1 = int((codes[rows, 0] & 1).sum())
+            none += found is None
+            declined += found is not None and found[2] <= parent_score(len(rows) - n1, n1)
+            return found
 
         monkeypatch.setattr("nextday.learn.tree.best_split", counting)
+        fitted = []
+        for name in ("train_forest", "train_cart"):
+            fit = getattr(cv, name)
+            monkeypatch.setattr(
+                cv, name, lambda *args, fit=fit: fitted.append(fit(*args)) or fitted[-1]
+            )
         cfgs = {"random_forest": ForestConfig(n_trees=25), "cart": CartConfig()}
         plans = fold_plans(golden_datasets[0].y, 5, cfgs, 2016)
         for data in golden_datasets:
             kfold_cv(data, cfgs, plans)
-        assert len(rounds) == 220
-        assert sum(rounds) == 2_010
+        trees = [(tree, model.config) for model in fitted for tree in tree_dicts(model)]
+        searched = sum(searched_nodes(tree, cfg) for tree, cfg in trees)
+        split = sum(len(list(split_nodes(tree))) for tree, _ in trees)
+        assert calls == searched == 2_010
+        assert (none, declined, split) == (801, 16, 1_193)
+        assert none + declined + split == calls
 
     @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
     @pytest.mark.parametrize(
@@ -1575,7 +1585,7 @@ def node_arrays(model: TreeModel) -> list[np.ndarray]:
 
 def tree_depth(model: TreeModel) -> int:
     """The depth of the deepest leaf of any tree of `model`."""
-    level, depth = list(range(model.n_trees)), 0
+    level, depth = model.roots.tolist(), 0
     while True:
         level = [child for node in level if model.left[node] >= 0
                  for child in (model.left[node], model.right[node])]
@@ -1585,14 +1595,13 @@ def tree_depth(model: TreeModel) -> int:
 
 
 def assert_same_nodes(compiled: TreeModel, python: TreeModel) -> None:
-    assert compiled.n_trees == python.n_trees
-    for a, b in zip(node_arrays(compiled), node_arrays(python)):
+    for a, b in zip([compiled.roots, *node_arrays(compiled)], [python.roots, *node_arrays(python)]):
         assert a.dtype == b.dtype and np.array_equal(a, b)
         assert a.tobytes() == b.tobytes()  # signed zeros too
 
 
 class TestCompiledGrower:
-    """The compiled grower writes the Python lockstep grower's node arrays."""
+    """The compiled grower writes the Python grower's node arrays."""
 
     @settings(max_examples=300, deadline=None)
     @given(grower_cases())
@@ -1627,6 +1636,57 @@ class TestCompiledGrower:
         for compiled, python in zip(*fits):
             assert_same_nodes(compiled, python)
         assert [tree_depth(model) for model in fits[0]] == [99, 99]
+
+    def test_chain_deeper_than_the_recursion_limit(self, monkeypatch):
+        # the chain above, with more levels than Python's recursion limit
+        n = 1_100
+        assert n > sys.getrecursionlimit()
+        x = np.arange(float(n))[:, np.newaxis]
+        y = np.arange(n) % 2
+        cfg = CartConfig(max_depth=2_000, min_samples_leaf=1)
+        compiled, python = (train_cart(x, y, cfg) for _ in on_each_grower(monkeypatch))
+        assert_same_nodes(compiled, python)
+        assert tree_depth(python) == n - 1
+
+    def test_node_layout(self, monkeypatch):
+        x = np.round(np.random.default_rng(12).normal(size=(80, 5)), 1)
+        y = (x[:, 0] + x[:, 2] > 0).astype(int)
+        fits = {
+            "column-sampling forest": lambda: train_forest(
+                x, y, ForestConfig(n_trees=6, max_features=2), seed=2
+            ),
+            "forest of every column": lambda: train_forest(
+                x, y, ForestConfig(n_trees=4, max_features=5), seed=2
+            ),
+            "cart": lambda: train_cart(x, y, CartConfig(min_samples_leaf=1)),
+        }
+        for path in on_each_grower(monkeypatch):
+            for name, fit in fits.items():
+                model = fit()
+                roots = model.roots.tolist()
+                assert roots[0] == 0 and roots == sorted(set(roots)), (path, name)
+                for root, end in zip(roots, [*roots[1:], len(model.left)]):
+                    # a depth-first, left-first walk meets split k before k + 1
+                    owned, stack, k = [], [root], 0
+                    while stack:
+                        node = stack.pop()
+                        owned.append(node)
+                        if model.left[node] >= 0:
+                            assert model.left[node] == root + 2 * k + 1, (path, name)
+                            assert model.right[node] == model.left[node] + 1, (path, name)
+                            k += 1
+                            stack += [model.right[node], model.left[node]]
+                    assert sorted(owned) == list(range(root, end)), (path, name)
+                assert len(model.left) > len(roots), (path, name)
+
+    def test_forest_of_no_trees(self, monkeypatch):
+        fits = [
+            train_forest(EIGHT_X, EIGHT_Y, ForestConfig(n_trees=0))
+            for _ in on_each_grower(monkeypatch)
+        ]
+        assert_same_nodes(*fits)
+        for model in fits:
+            assert model.predict(EIGHT_X).tolist() == [0] * 8
 
     def test_words_of_a_block_of_one_are_redrawn(self, monkeypatch):
         # every column-sampling tree runs out at once and takes the same words
@@ -1669,6 +1729,10 @@ assert record == {"path": "compiled"}, record
 svm._shuffle_words = lambda n, epochs: 7  # some shuffles run out and draw again
 grow._FIRST_BLOCK = 1  # every sampling tree runs out and is grown again
 rng = np.random.default_rng(0)
+
+def node_bytes(model):
+    return [a.tobytes() for a in model.__dict__.values() if isinstance(a, np.ndarray)]
+
 for case in range(40):
     n, d = int(rng.integers(1, 40)), int(rng.integers(1, 12))
     x = np.round(rng.normal(size=(n, d)), int(rng.integers(0, 3)))
@@ -1680,12 +1744,18 @@ for case in range(40):
         fits.append((
             svm.epoch_orders(n, 3, case).tobytes(),
             svm.train_svm(x, y, SvmConfig(epochs=3), seed=case).weights.tobytes(),
-            [a.tobytes() for a in tree.train_forest(x, y, forest, seed=case).__dict__.values()
-             if isinstance(a, np.ndarray)],
-            [a.tobytes() for a in tree.train_cart(x, y, CartConfig()).__dict__.values()
-             if isinstance(a, np.ndarray)],
+            node_bytes(tree.train_forest(x, y, forest, seed=case)),
+            node_bytes(tree.train_cart(x, y, CartConfig())),
         ))
     assert fits[0] == fits[1], case
+# a chain deeper than the recursion limit, and a root alone
+x, y = np.arange(1100.0)[:, np.newaxis], np.arange(1100) % 2
+for cart in (CartConfig(max_depth=2000, min_samples_leaf=1), CartConfig(max_depth=0)):
+    fits = []
+    for path in (helper, None):
+        native.HELPER = path
+        fits.append(node_bytes(tree.train_cart(x, y, cart)))
+    assert fits[0] == fits[1], cart
 print("ok")
 """
 
