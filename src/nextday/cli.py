@@ -219,10 +219,10 @@ def _run_jobs(jobs: list[tuple], parallel: bool) -> list:
 
     With `parallel` and more than one job and CPU, the jobs run on a fork
     pool of one worker per CPU. Fork, not spawn, lets the workers inherit
-    the loaded datasets and imports; the only other thread at that point
-    is OpenBLAS's, which its own fork handler stops. `map` keeps the job
-    order, so callers see the same results either way, and an error
-    raised in a worker is re-raised here.
+    the loaded datasets and imports; `main` has started OpenBLAS on one
+    thread, so the parent has no other thread when it forks. `map` keeps
+    the job order, so callers see the same results either way, and an
+    error raised in a worker is re-raised here.
     """
     workers = min(len(os.sched_getaffinity(0)), len(jobs)) if parallel else 1
     if workers < 2:
@@ -379,8 +379,17 @@ def main(argv: list[str] | None = None) -> int:
     `argv` list gets every fit run one after another in the calling
     process, so in-process instrumentation sees them all. Both give the
     same artifacts.
+
+    With no `argv`, `main` owns the process, and it sets
+    `OPENBLAS_NUM_THREADS=1` (over any value the caller set) before any
+    command runs. OpenBLAS reads it once, when `evaluate` first imports
+    numpy, and then starts no thread pool: no fit uses one, and starting
+    it costs each `evaluate` process tens of milliseconds. A caller that
+    passes `argv` keeps its environment as it was.
     """
     parallel = argv is None
+    if parallel:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     args.parallel = parallel

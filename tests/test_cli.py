@@ -276,6 +276,23 @@ sys.exit(code)
 """
 
 
+# Runs `main()` on this process's command line, as POOL_PROBE does, then
+# reports the OpenBLAS setting and how many threads the process has left
+# (None where there is no /proc).
+BLAS_PROBE = """
+import json, os, sys
+from nextday.cli import main
+code = main()
+tasks = "/proc/self/task"
+print(json.dumps({
+    "numpy": "numpy" in sys.modules,
+    "openblas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+}))
+sys.exit(code)
+"""
+
+
 # POOL_PROBE with every SVM fit raising a data error. The patch is made
 # before `main()` runs, so forked pool workers inherit it.
 FAILING_FIT_PROBE = """
@@ -419,11 +436,39 @@ class TestEvaluate:
         monkeypatch.setattr(
             sys, "argv", ["nextday", "evaluate", "--config", str(prepared), "--scheme", scheme]
         )
+        # main() pins OpenBLAS in os.environ; setting it here restores it after the test
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         if pooled:
             with pytest.raises(PoolMade, match="fork"):
                 main()
         else:
             assert main() == 0
+
+    def test_command_line_run_starts_openblas_on_one_thread(self, prepared):
+        # One scheme, so no pool: forking would stop OpenBLAS's threads
+        # and hide a pool started at import.
+        result = subprocess.run(
+            [
+                sys.executable, "-c", BLAS_PROBE, "evaluate", "--config", str(prepared),
+                "--scheme", "proposed",
+            ],
+            capture_output=True,
+            text=True,
+            env=dict(child_env(), OPENBLAS_NUM_THREADS="4"),
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout.splitlines()[-1])
+        assert report["numpy"] is True
+        assert report["openblas_threads"] == "1"
+        if report["threads"] is None:
+            pytest.skip("no /proc/self/task to count threads")
+        assert report["threads"] == 1
+
+    def test_in_process_run_leaves_the_environment(self, capsys, monkeypatch, prepared):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        before = dict(os.environ)
+        assert run(capsys, "evaluate", "--config", str(prepared), "--scheme", "all")[0] == 0
+        assert dict(os.environ) == before
 
     def test_in_process_caller_runs_every_fit(self, capsys, monkeypatch, prepared):
         import nextday.learn.cv
