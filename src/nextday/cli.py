@@ -214,24 +214,54 @@ def _run_worker_job(index: int):
     return kfold_cv(*_worker_jobs[index])
 
 
-def _run_jobs(jobs: list[tuple], parallel: bool) -> list:
-    """`kfold_cv` over the jobs, in job order.
+# The least work, in dataset rows summed over the jobs, for which
+# `_run_jobs` forks a pool; see its docstring for the measurements.
+POOL_MIN_WORK = 1_200
 
-    With `parallel` and more than one job and CPU, the jobs run on a fork
-    pool of one worker per CPU. Fork, not spawn, lets the workers inherit
-    the loaded datasets and imports; `main` has started OpenBLAS on one
-    thread, so the parent has no other thread when it forks. `map` keeps
-    the job order, so callers see the same results either way, and an
-    error raised in a worker is re-raised here.
+
+def _run_jobs(jobs: list[tuple], parallel: bool) -> tuple[list, dict]:
+    """`kfold_cv` over the jobs, in job order, and how they ran, for run
+    metadata: {"path": "serial" or "pool", "workers": k, "work": w}.
+
+    The work w is the jobs' dataset rows summed: every fit's cost grows
+    with its rows. With `parallel`, more than one job and CPU, and at
+    least `POOL_MIN_WORK` of work, the jobs run on a fork pool of one
+    worker per CPU; otherwise one after another in this process. Fork, not
+    spawn, lets the workers inherit the loaded datasets and imports;
+    `main` has started OpenBLAS on one thread, so the parent has no other
+    thread when it forks. `map` keeps the job order, so callers see the
+    same results either way, and an error raised in a worker is re-raised
+    here.
+
+    The threshold comes from `evaluate --scheme all` run as a process on
+    a shared 2-vCPU host, pool against one process (medians of
+    alternating runs; in how many runs one process was faster):
+
+        26 articles (work 156)     0.302 s against 0.252 s  (17 of 21)
+        150 articles (900)         0.245 s against 0.244 s  (12 of 21)
+        300 articles (1,800)       0.326 s against 0.363 s  (6 of 15)
+        600 articles (3,600)       0.412 s against 0.503 s  (0 of 11)
+        3,000 articles (18,000)    1.19 s against 1.80 s    (0 of 5)
+
+    A pool costs some 20 ms to import and start (5–7 ms for `import
+    multiprocessing` and 12–18 ms for a `Pool(2)` of trivial jobs), while the six schemes' fits take 26 ms in one process at 26
+    articles and 49 ms at 150, so a second worker saves at most about
+    half of that. At 150 articles the pool also used more CPU (0.286 s
+    against 0.243 s). The threshold lies between the last size where one
+    process held its own (900) and the first where the pool won (1,800).
     """
-    workers = min(len(os.sched_getaffinity(0)), len(jobs)) if parallel else 1
-    if workers < 2:
-        return [kfold_cv(*job) for job in jobs]
+    work = sum(len(data.y) for data, _, _ in jobs)
+    workers = 1
+    if parallel and work >= POOL_MIN_WORK:
+        workers = min(len(os.sched_getaffinity(0)), len(jobs))
+    record = {"path": "pool" if workers > 1 else "serial", "workers": workers, "work": work}
+    if workers == 1:
+        return [kfold_cv(*job) for job in jobs], record
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
     with context.Pool(workers, initializer=_set_worker_jobs, initargs=(jobs,)) as pool:
-        return pool.map(_run_worker_job, range(len(jobs)), chunksize=1)
+        return pool.map(_run_worker_job, range(len(jobs)), chunksize=1), record
 
 
 def cmd_evaluate(config: PipelineConfig, args) -> int:
@@ -239,7 +269,8 @@ def cmd_evaluate(config: PipelineConfig, args) -> int:
     from nextday.learn import native
 
     # "compiled", or "python" with the reason the helper is not used: SVM
-    # epochs and tree growth take the same path
+    # epochs and tree growth take the same path; "jobs" says whether the
+    # cross-validations ran on a pool
     args.run_meta = {"svm_epochs": native.EPOCH_PATH}
 
     schemes = _resolve_schemes(args.scheme)
@@ -269,7 +300,7 @@ def cmd_evaluate(config: PipelineConfig, args) -> int:
     # shares, so each repeat's plans are built once and used by every scheme
     plans = {seed: fold_plans(datasets[0][1].y, config.learn.k, cfgs, seed) for seed in seeds}
     jobs = [(data, cfgs, plans[seed]) for _, data in datasets for seed in seeds]
-    results = _run_jobs(jobs, args.parallel)
+    results, args.run_meta["jobs"] = _run_jobs(jobs, args.parallel)
     runs = {
         scheme: results[i * repeats : (i + 1) * repeats] for i, scheme in enumerate(schemes)
     }
@@ -375,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
 
     With no `argv`, as from the `nextday` script or `python -m
     nextday.cli`, the command line is `sys.argv` and `evaluate` may run
-    its cross-validations on a process pool. A caller that passes an
+    its cross-validations on a process pool (see `_run_jobs`). A caller that passes an
     `argv` list gets every fit run one after another in the calling
     process, so in-process instrumentation sees them all. Both give the
     same artifacts.

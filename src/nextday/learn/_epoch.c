@@ -1,6 +1,6 @@
-/* The SVM's epoch shuffles and the step loop of a whole fit, for
- * nextday.learn.svm, and the growth of all trees of a CART or forest fit,
- * for nextday.learn.tree.
+/* The random draws of the SVM's epochs and of every forest tree, the SVM's
+ * step loop, and the growth of all trees of a CART or forest fit, for
+ * nextday.learn.svm and nextday.learn.tree.
  *
  * Every entry point reproduces the Python code it stands for, so a fit
  * gives the same bits either way. Build with
@@ -9,6 +9,7 @@
  */
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* cblas_ddot with 64-bit ints: the one ndarray.dot calls. */
 typedef double (*ddot_fn)(int64_t n, const double *x, int64_t incx, const double *y,
@@ -23,31 +24,114 @@ static int bit_length(uint32_t v) {
     return k;
 }
 
-/* Fill the (epochs, n) orders with CPython's `shuffle` of range(n), one
- * epoch after another, taking 32-bit Mersenne Twister words from
- * words[0..m) in draw order. Each `_randbelow(i + 1)` keeps the top
- * bit_length(i + 1) bits of a word and draws again while they exceed i.
- * Returns the number of words used, or -1 if m words were not enough.
+/* ---- CPython's Mersenne Twister ----
+ *
+ * MT19937 (Matsumoto and Nishimura, ACM TOMACS 1998) as CPython's
+ * `_random` module runs it. A state is MT_STATE words: the 624 words of
+ * the generator and then the index of the next word to temper, which is
+ * the second item of `random.Random.getstate()`.
  */
-int64_t shuffle_orders(const uint32_t *words, int64_t m, int32_t *orders, int64_t n,
-                       int64_t epochs) {
-    int64_t used = 0;
+#define MT_N 624
+#define MT_M 397
+#define MT_STATE (MT_N + 1)
+
+static uint32_t mt_next(uint32_t *mt) {
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    uint32_t y;
+    if (mt[MT_N] >= MT_N) { /* generate N words at one time */
+        int k;
+        for (k = 0; k < MT_N - MT_M; k++) {
+            y = (mt[k] & 0x80000000U) | (mt[k + 1] & 0x7fffffffU);
+            mt[k] = mt[k + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; k < MT_N - 1; k++) {
+            y = (mt[k] & 0x80000000U) | (mt[k + 1] & 0x7fffffffU);
+            mt[k] = mt[k + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        mt[MT_N] = 0;
+    }
+    y = mt[mt[MT_N]++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* `init_by_array(key)`: the state `random.Random` seeds from the 32-bit
+ * words of its seed's integer, least significant first. */
+static void mt_seed(uint32_t *mt, const uint32_t *key, int64_t key_length) {
+    mt[0] = 19650218U;
+    for (uint32_t i = 1; i < MT_N; i++) mt[i] = 1812433253U * (mt[i - 1] ^ (mt[i - 1] >> 30)) + i;
+    int64_t i = 1, j = 0;
+    for (int64_t k = MT_N > key_length ? MT_N : key_length; k; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U)) + key[j] + (uint32_t)j;
+        i++;
+        j++;
+        if (i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+        if (j >= key_length) j = 0;
+    }
+    for (int64_t k = MT_N - 1; k; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941U)) - (uint32_t)i;
+        i++;
+        if (i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+    }
+    mt[0] = 0x80000000U;
+    mt[MT_N] = MT_N;
+}
+
+/* CPython's `_randbelow(m)` for 0 < m < 2**32: the top bit_length(m)
+ * bits of a word, drawn again while they are not below m. */
+static uint32_t randbelow(uint32_t *mt, uint32_t m) {
+    int shift = 32 - bit_length(m);
+    for (;;) {
+        uint32_t r = mt_next(mt) >> shift;
+        if (r < m) return r;
+    }
+}
+
+/* Seed count generators into states (count, MT_STATE): generator i from
+ * keys[ends[i - 1] .. ends[i]) (from 0 for the first), each key at least
+ * one word long. */
+void seed_states(const uint32_t *keys, const int64_t *ends, int64_t count, uint32_t *states) {
+    int64_t start = 0;
+    for (int64_t i = 0; i < count; i++) {
+        mt_seed(states + i * MT_STATE, keys + start, ends[i] - start);
+        start = ends[i];
+    }
+}
+
+/* `[rng.randrange(n) for _ in range(n)]` from each of count states into
+ * rows (count, n), advancing each state past its draws. */
+void bootstrap_rows(uint32_t *states, int64_t count, int64_t n, int32_t *rows) {
+    for (int64_t t = 0; t < count; t++) {
+        uint32_t *mt = states + t * MT_STATE;
+        for (int64_t i = 0; i < n; i++) rows[t * n + i] = (int32_t)randbelow(mt, (uint32_t)n);
+    }
+}
+
+/* Fill the (epochs, n) orders with CPython's `shuffle` of range(n), one
+ * epoch after another, drawing from state, which is left after the last
+ * draw. */
+void shuffle_orders(uint32_t *state, int32_t *orders, int64_t n, int64_t epochs) {
     for (int64_t e = 0; e < epochs; e++) {
         int32_t *order = orders + e * n;
         for (int64_t i = 0; i < n; i++) order[i] = (int32_t)i;
         for (int64_t i = n - 1; i > 0; i--) {
-            int shift = 32 - bit_length((uint32_t)(i + 1));
-            uint32_t r;
-            do {
-                if (used == m) return -1;
-                r = words[used++] >> shift;
-            } while (r > (uint32_t)i);
+            uint32_t r = randbelow(state, (uint32_t)(i + 1));
             int32_t t = order[i];
             order[i] = order[r];
             order[r] = t;
         }
     }
-    return used;
 }
 
 /* Every epoch of `train_svm`'s step loop: epoch e visits the rows in
@@ -125,8 +209,7 @@ typedef struct {
     const int32_t *order; /* (d, n): each column's rows in rank order */
     const uint8_t *label; /* (n) */
     const double *values, *x;
-    const uint32_t *words; /* NULL: every node searches every column */
-    int64_t block, set_branch;
+    int64_t set_branch;
     /* one tree's state */
     const int32_t *sample; /* (m) */
     int32_t *multiplicity; /* (n) each row's copies in the sample */
@@ -138,35 +221,22 @@ typedef struct {
     uint8_t *chosen;  /* (d) */
     int32_t *columns; /* (d) */
     Pending *stack;   /* (per_tree) */
-    int64_t used;      /* words of the tree's block drawn */
-    const uint32_t *tree_words;
+    uint32_t mt[MT_STATE]; /* the tree's generator */
     /* the outputs, and the number of nodes written so far */
     int32_t *feature, *left, *counts;
     double *threshold;
     int64_t nodes;
 } Grower;
 
-/* CPython's `_randbelow(m)`: -1 when the tree's words run out. */
-static int64_t randbelow(Grower *g, uint32_t m) {
-    int shift = 32 - bit_length(m);
-    for (;;) {
-        if (g->used == g->block) return -1;
-        uint32_t r = g->tree_words[g->used++] >> shift;
-        if (r < m) return r;
-    }
-}
-
-/* `sorted(rng.sample(range(d), width))` into g->columns; 0, or -1 when
- * the words run out (which ends the call). The pool and set branches are
- * `Random.sample`'s. */
-static int sample_columns(Grower *g) {
+/* `sorted(rng.sample(range(d), width))` into g->columns, from the tree's
+ * generator. The pool and set branches are `Random.sample`'s. */
+static void sample_columns(Grower *g) {
     int64_t d = g->d, w = g->width;
     if (g->set_branch) {
         for (int64_t i = 0; i < w; i++) {
-            int64_t j;
+            uint32_t j;
             do {
-                j = randbelow(g, (uint32_t)d);
-                if (j < 0) return -1;
+                j = randbelow(g->mt, (uint32_t)d);
             } while (g->chosen[j]);
             g->chosen[j] = 1;
         }
@@ -174,8 +244,7 @@ static int sample_columns(Grower *g) {
         int32_t *pool = g->spill; /* free between partitions */
         for (int64_t i = 0; i < d; i++) pool[i] = (int32_t)i;
         for (int64_t i = 0; i < w; i++) {
-            int64_t j = randbelow(g, (uint32_t)(d - i));
-            if (j < 0) return -1;
+            uint32_t j = randbelow(g->mt, (uint32_t)(d - i));
             g->chosen[pool[j]] = 1;
             pool[j] = pool[d - i - 1];
         }
@@ -187,7 +256,6 @@ static int sample_columns(Grower *g) {
             g->chosen[c] = 0;
         }
     }
-    return 0;
 }
 
 static int searchable(const Grower *g, int32_t node, int32_t depth) {
@@ -300,8 +368,9 @@ static void split_node(Grower *g, const Pending *p, int64_t width, int64_t *stac
 }
 
 /* Grow one tree from its m sample rows into the outputs, one node at a
- * time off the stack; -1 when its words run out. */
-static int grow_tree(Grower *g, const int32_t *sample) {
+ * time off the stack, drawing its columns from a copy of state (NULL when
+ * the tree searches every column). */
+static void grow_tree(Grower *g, const int32_t *sample, const uint32_t *state) {
     int64_t ones = 0;
     for (int64_t i = 0; i < g->n; i++) g->multiplicity[i] = 0;
     for (int64_t i = 0; i < g->m; i++) {
@@ -310,52 +379,46 @@ static int grow_tree(Grower *g, const int32_t *sample) {
     }
     g->sample = sample;
     g->built = 0;
-    g->used = 0;
     int32_t root = add_node(g, g->m - ones, ones);
     int64_t stacked = 0;
     if (searchable(g, root, 0)) g->stack[stacked++] = (Pending){0, (int32_t)g->m, 0, root};
-    int sampling = g->words != NULL;
-    if (!sampling) {
+    if (state) {
+        memcpy(g->mt, state, sizeof(g->mt));
+    } else {
         for (int64_t c = 0; c < g->d; c++) g->columns[c] = (int32_t)c;
     }
     while (stacked > 0) {
         Pending p = g->stack[--stacked];
-        if (sampling && sample_columns(g) < 0) return -1;
-        split_node(g, &p, sampling ? g->width : g->d, &stacked);
+        if (state) sample_columns(g);
+        split_node(g, &p, state ? g->width : g->d, &stacked);
     }
-    return 0;
 }
 
-/* Grow trees progress[0].. of a fit into the outputs.
+/* Grow the n_trees trees of a fit into the outputs.
  *
  * codes (n, d) and values (d, stride) are `rank_columns(x, y)`, labels
  * y (n) as 0 and 1; x is the (n, d) matrix; samples (n_trees, m) each
- * tree's rows, all in range(n). words is NULL when no tree samples
- * columns, or (n_trees, block) 32-bit Mersenne Twister words, the stream
- * each tree's `rng.sample` calls would read; set_branch says which branch
- * of `Random.sample` a draw of `width` of d columns takes. per_tree
- * bounds one tree's nodes. The outputs (feature, threshold, left, counts
- * (.., 2)) hold n_trees * per_tree nodes; roots (n_trees) gets each
- * tree's first node. progress is {trees grown, nodes written}, both 0 on
- * the first call.
+ * tree's rows, all in range(n). states is NULL when no tree samples
+ * columns, or (n_trees, MT_STATE): each tree's generator as its node
+ * columns' `rng.sample` calls find it, left unchanged; set_branch says
+ * which branch of `Random.sample` a draw of `width` of d columns takes.
+ * per_tree bounds one tree's nodes. The outputs (feature, threshold,
+ * left, counts (.., 2)) hold n_trees * per_tree nodes; roots (n_trees)
+ * gets each tree's first node.
  *
- * Returns the number of nodes. When it returns -1, tree progress[0]'s
- * words ran out: it is not grown, the trees before it are kept, and the
- * call is made again with every block extended by the streams' next
- * words. -2 means memory ran out.
+ * Returns the number of nodes, or -1 when memory ran out.
  */
 int64_t grow_trees(int64_t n, int64_t d, const int32_t *codes, const uint8_t *labels,
                    const double *values, int64_t stride, const double *x, int64_t n_trees, int64_t m,
-                   const int32_t *samples, const uint32_t *words, int64_t block,
-                   int64_t set_branch, int64_t width, int64_t min_leaf, int64_t max_depth,
-                   int64_t per_tree, int64_t *progress, int32_t *roots, int32_t *feature,
-                   double *threshold, int32_t *left, int32_t *counts) {
+                   const int32_t *samples, const uint32_t *states, int64_t set_branch,
+                   int64_t width, int64_t min_leaf, int64_t max_depth, int64_t per_tree,
+                   int32_t *roots, int32_t *feature, double *threshold, int32_t *left,
+                   int32_t *counts) {
     Grower g = {.n = n, .d = d, .m = m, .stride = stride, .min_leaf = min_leaf < 1 ? 1 : min_leaf,
                 .max_depth = max_depth, .width = width, .label = labels, .values = values,
-                .x = x, .words = words, .block = block, .set_branch = set_branch,
-                .feature = feature, .threshold = threshold, .left = left, .counts = counts,
-                .nodes = progress[1]};
-    int64_t status = -2;
+                .x = x, .set_branch = set_branch,
+                .feature = feature, .threshold = threshold, .left = left, .counts = counts};
+    int64_t status = -1;
     /* every size is one more than it needs, so that none is 0 */
     int32_t *ranks = malloc(sizeof(int32_t) * (size_t)(n * d + 1));
     int32_t *order = malloc(sizeof(int32_t) * (size_t)(n * d + 1));
@@ -388,15 +451,9 @@ int64_t grow_trees(int64_t n, int64_t d, const int32_t *codes, const uint8_t *la
         }
         for (int64_t i = 0; i < n; i++) order[c * n + bucket[rank[i]]++] = (int32_t)i;
     }
-    for (int64_t t = progress[0]; t < n_trees; t++) {
-        g.tree_words = words ? words + t * block : NULL;
+    for (int64_t t = 0; t < n_trees; t++) {
         roots[t] = (int32_t)g.nodes;
-        if (grow_tree(&g, samples + t * m) < 0) {
-            status = -1;
-            goto done;
-        }
-        progress[0] = t + 1;
-        progress[1] = g.nodes;
+        grow_tree(&g, samples + t * m, states ? states + t * MT_STATE : NULL);
     }
     status = g.nodes;
 done:

@@ -151,7 +151,11 @@ def fold_plans(y, k: int, classifier_cfgs: dict, seed: int) -> list[FoldPlan]:
     plans = []
     for fold, holdout in enumerate(stratified_folds(y, k, seed)):
         test = np.array(holdout, dtype=np.intp)
-        train = np.setdiff1d(np.arange(len(y)), test)
+        # a mask, not np.setdiff1d: its `unique` imports numpy.ma, some
+        # 10 ms of every evaluate process
+        held = np.zeros(len(y), dtype=bool)
+        held[test] = True
+        train = np.flatnonzero(~held)
         fold_seed = seed * 1000 + fold
         draws = {name: _draw(name, c, len(train), fold_seed) for name, c in classifier_cfgs.items()}
         plans.append(FoldPlan(train, test, fold_seed, draws))

@@ -1,13 +1,18 @@
-"""The compiled helper `_epoch.c`: building, caching and loading it.
+"""The compiled helper `_epoch.c`: building, caching and loading it, and
+keying its random generator.
 
 It runs the SVM's epoch shuffles and step loop (`nextday.learn.svm`) and
 grows the trees of a CART or forest fit (`nextday.learn.tree`), one after
 another and each depth first, into the node arrays and `roots` that the
-Python grower writes. Importing this module compiles it with `cc` into
+Python grower writes. It also owns their random draws: it holds CPython's
+Mersenne Twister, seeded as `random.Random(seed)` seeds it for a `str`
+seed (`seeded_states`), and draws every shuffle, bootstrap row and node
+column sample from it, so no `random.Random` is built on the compiled
+path. Importing this module compiles the helper with `cc` into
 `__pycache__/` on first use and loads it with ctypes. When the library
 cannot be built or loaded, one warning says why and both trainers run
-their Python code instead, which gives the same bits and serves as the
-compiled code's test oracle.
+their Python code instead, on `random.Random`; it gives the same bits and
+serves as the compiled code's test oracle.
 """
 
 from __future__ import annotations
@@ -20,11 +25,19 @@ import tempfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+# random's own SHA-512: hashlib would load OpenSSL into every `evaluate`
+# process, some 3.5 MB of resident memory
+from random import _sha512
+
+import numpy as np
 
 _SOURCE = Path(__file__).with_name("_epoch.c")
 _BUILD = ["cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC"]
 _BUILD_TIMEOUT_S = 120
 _DDOT = "scipy_cblas_ddot64_"  # numpy's bundled OpenBLAS, 64-bit ints
+# A generator's state: 624 Mersenne Twister words and the index of the
+# next one, as in the second item of `random.Random.getstate()`.
+STATE_WORDS = 625
 
 
 class _Unavailable(Exception):
@@ -117,8 +130,12 @@ def load_helper(build_dir: Path) -> tuple[Helper | None, dict]:
         except OSError as exc:
             raise _Unavailable(f"cannot load the library: {exc}") from None
         pointer, count = ctypes.c_void_p, ctypes.c_int64
-        lib.shuffle_orders.restype = count
-        lib.shuffle_orders.argtypes = [pointer, count, pointer, count, count]
+        lib.seed_states.restype = None
+        lib.seed_states.argtypes = [pointer, pointer, count, pointer]
+        lib.bootstrap_rows.restype = None
+        lib.bootstrap_rows.argtypes = [pointer, count, count, pointer]
+        lib.shuffle_orders.restype = None
+        lib.shuffle_orders.argtypes = [pointer, pointer, count, count]
         lib.svm_fit.restype = None
         lib.svm_fit.argtypes = [
             pointer, count, count, pointer, pointer, pointer, pointer,
@@ -127,7 +144,7 @@ def load_helper(build_dir: Path) -> tuple[Helper | None, dict]:
         lib.grow_trees.restype = count
         lib.grow_trees.argtypes = [
             count, count, pointer, pointer, pointer, count, pointer, count, count, pointer,
-            pointer, count, count, count, count, count, count, *[pointer] * 6,
+            pointer, count, count, count, count, count, *[pointer] * 5,
         ]
         helper = Helper(lib, _numpy_ddot())
     except _Unavailable as exc:
@@ -138,6 +155,31 @@ def load_helper(build_dir: Path) -> tuple[Helper | None, dict]:
         logging.getLogger(__name__).warning("SVM epochs and tree growth run in Python: %s", exc)
         return None, {"path": "python", "reason": str(exc)}
     return helper, {"path": "compiled"}
+
+
+def seed_key(seed: str) -> bytes:
+    """The key `random.Random(seed)` hands to `init_by_array`, as
+    little-endian 32-bit words.
+
+    Version 2 seeding turns a `str` into the big-endian integer of its
+    UTF-8 bytes followed by their SHA-512; CPython then cuts the integer
+    into 32-bit words from the least significant end and drops the
+    leading zero words (keeping at least one).
+    """
+    data = seed.encode()
+    value = int.from_bytes(data + _sha512(data).digest(), "big")
+    return value.to_bytes(4 * max(1, (value.bit_length() + 31) // 32), "little")
+
+
+def seeded_states(helper: Helper, seeds: list[str]) -> np.ndarray:
+    """One helper generator per seed, as a (len(seeds), STATE_WORDS) uint32
+    array: row i is `random.Random(seeds[i]).getstate()[1]`."""
+    keys = [seed_key(seed) for seed in seeds]
+    ends = np.cumsum([len(key) // 4 for key in keys], dtype=np.int64)
+    words = np.frombuffer(b"".join(keys), dtype="<u4").astype(np.uint32, copy=False)
+    states = np.empty((len(seeds), STATE_WORDS), dtype=np.uint32)
+    helper.lib.seed_states(words.ctypes.data, ends.ctypes.data, len(seeds), states.ctypes.data)
+    return states
 
 
 # Both trainers read HELPER when they run, so setting it to None switches

@@ -46,18 +46,11 @@ def epoch_orders(n: int, epochs: int, seed: int) -> np.ndarray:
     Epoch e's order is `random.Random(f"svm:{seed}")`'s e-th shuffle of
     range(n). The orders depend only on (n, epochs, seed), so fits of
     several feature matrices with the same labels and fold can share them.
+    The compiled helper seeds that generator and shuffles in C; without
+    it, `random.Random` shuffles.
     """
-    return _orders(native.HELPER, n, epochs, seed)
-
-
-def _shuffle_words(n: int, epochs: int) -> int:
-    """Words drawn up front for `epochs` shuffles of n rows: a shuffle takes
-    fewer than 2 per row on average, so running out is rare."""
-    return 2 * n * epochs + 64
-
-
-def _orders(helper: native.Helper | None, n: int, epochs: int, seed: int) -> np.ndarray:
     orders = np.empty((epochs, n), dtype=np.int32)
+    helper = native.HELPER
     if helper is None:
         rng = random.Random(f"svm:{seed}")
         for epoch in range(epochs):
@@ -65,15 +58,9 @@ def _orders(helper: native.Helper | None, n: int, epochs: int, seed: int) -> np.
             rng.shuffle(order)
             orders[epoch] = order
         return orders
-    # the shuffles' words are the little-endian 32-bit limbs of one bulk
-    # draw, in draw order; if they run out, draw again from the same seed
-    words = _shuffle_words(n, epochs)
-    while True:
-        raw = random.Random(f"svm:{seed}").getrandbits(32 * words).to_bytes(4 * words, "little")
-        drawn = np.frombuffer(raw, dtype="<u4").astype(np.uint32, copy=False)
-        if helper.lib.shuffle_orders(drawn.ctypes.data, words, orders.ctypes.data, n, epochs) >= 0:
-            return orders
-        words *= 2
+    state = native.seeded_states(helper, [f"svm:{seed}"])
+    helper.lib.shuffle_orders(state.ctypes.data, orders.ctypes.data, n, epochs)
+    return orders
 
 
 def train_svm(x, y, cfg: SvmConfig | None = None, seed: int = 0, orders=None) -> SvmModel:

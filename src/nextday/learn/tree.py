@@ -7,12 +7,18 @@ then grows the trees one after another, each depth first and left child
 first. A forest tree draws a node's columns when it takes the node off
 its stack, so its draws are those of a recursive grower.
 
-When the compiled helper has loaded (`nextday.learn.native`), its
-`grow_trees` grows the trees instead and writes the same node arrays bit
-for bit. Otherwise `_grow_python` does, one `best_split` call per
-searched node; it looks that name up in this module on every call, so
-instrumentation that wraps `nextday.learn.tree.best_split` sees every
-split search. The Python grower is the compiled grower's test oracle.
+A forest tree's random draws, its bootstrap rows and then its node
+columns, come from one generator, `random.Random(f"tree:{seed}:{i}")`.
+`tree_draws` makes the bootstrap and keeps each generator's state after
+it, and a fit resumes each tree from a copy of that state.
+
+When the compiled helper has loaded (`nextday.learn.native`), it seeds
+and runs those generators itself, and its `grow_trees` grows the trees
+and writes the same node arrays bit for bit. Otherwise `_grow_python`
+does, on `random.Random`, one `best_split` call per searched node; it
+looks that name up in this module on every call, so instrumentation that
+wraps `nextday.learn.tree.best_split` sees every split search. The
+Python grower is the compiled grower's test oracle.
 
 Both write each node straight into flat arrays, one set for all trees of
 a fit, as scikit-learn's `Tree` does (see `TreeModel` for the layout).
@@ -121,17 +127,17 @@ def _grow_trees(
     y: np.ndarray,
     cfg: CartConfig | ForestConfig,
     samples: np.ndarray,
-    rngs: list[random.Random | None],
+    states: np.ndarray | None,
     width: int,
 ) -> dict:
     """One tree per row of `samples` (rows of `x` in range(n)): grown by the
-    compiled helper when it has loaded, else by `_grow_python`. `rngs`
-    are all None or all generators. Returns the `TreeModel` fields but
-    `config`."""
+    compiled helper when it has loaded, else by `_grow_python`. `states`
+    is None or each tree's generator state (see `tree_draws`). Returns
+    the `TreeModel` fields but `config`."""
     helper = native.HELPER
     if helper is None:
-        return _grow_python(x, y, cfg, samples, rngs, width)
-    return grow.grow_compiled(helper, x, y, *rank_columns(x, y), cfg, samples, rngs, width)
+        return _grow_python(x, y, cfg, samples, states, width)
+    return grow.grow_compiled(helper, x, y, *rank_columns(x, y), cfg, samples, states, width)
 
 
 def _grow_python(
@@ -139,7 +145,7 @@ def _grow_python(
     y: np.ndarray,
     cfg: CartConfig | ForestConfig,
     samples: np.ndarray,
-    rngs: list[random.Random | None],
+    states: np.ndarray | None,
     width: int,
 ) -> dict:
     """One tree per row of `samples`, each grown alone from an explicit
@@ -148,10 +154,11 @@ def _grow_python(
     A node is searched when it is shallower than `cfg.max_depth`, holds
     both classes and at least `2 * cfg.min_samples_leaf` rows, which its
     class counts tell without a look at its labels. It splits when the
-    best split beats `parent_score` and sends rows both ways. A tree with
-    an RNG and `width < d` searches `sorted(rng.sample(range(d), width))`
-    columns, drawn when the node is taken off the stack; any other tree
-    searches every column.
+    best split beats `parent_score` and sends rows both ways. With
+    `states` and `width < d`, a tree searches `sorted(rng.sample(range(d),
+    width))` columns, drawn when the node is taken off the stack from a
+    `random.Random` set to the tree's state; any other tree searches
+    every column.
 
     Returns the `TreeModel` fields but `config`.
     """
@@ -178,8 +185,11 @@ def _grow_python(
         if depth < cfg.max_depth and n0 > 0 and n1 > 0 and n0 + n1 >= 2 * min_leaf:
             stack.append((node, depth, rows))
 
-    for rows, rng in zip(samples, rngs):
-        sampling = rng is not None and width < d
+    sampling = states is not None and width < d
+    rng = random.Random()
+    for index, rows in enumerate(samples):
+        if sampling:
+            rng.setstate((3, tuple(states[index].tolist()), None))
         n1 = int(np.count_nonzero(is_one[rows]))
         roots.append(len(counts))
         stack: list = []
@@ -296,57 +306,40 @@ def train_cart(x, y, cfg: CartConfig | None = None) -> CartModel:
     cfg = cfg or CartConfig()
     matrix, labels = _training_data(x, y)
     n, d = matrix.shape
-    trees = _grow_trees(matrix, labels, cfg, np.arange(n, dtype=np.int32)[np.newaxis], [None], d)
+    trees = _grow_trees(matrix, labels, cfg, np.arange(n, dtype=np.int32)[np.newaxis], None, d)
     return CartModel(config=cfg, **trees)
 
 
-def bootstrap_rows(rng: random.Random, n: int) -> tuple[np.ndarray, int]:
-    """`[rng.randrange(n) for _ in range(n)]` as int32, and the words it used.
+def tree_draws(n: int, cfg: ForestConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every tree's bootstrap rows and its generator's state after them.
 
-    Each `randrange(n)` takes one 32-bit Mersenne Twister word, keeps its
-    top `n.bit_length()` bits and rejects values >= n. Here one
-    `getrandbits` call draws the words for all n at once; they come out
-    as the little-endian 32-bit limbs of the result, in draw order. `rng`
-    is left where the `randrange` loop would leave it: the state is put
-    back and advanced by exactly the words used.
+    Tree i's generator is `random.Random(f"tree:{seed}:{i}")`; its rows
+    are row i of an (n_trees, n) int32 array, `[rng.randrange(n) for _ in
+    range(n)]`, and its state is row i of an (n_trees, 625) uint32 array,
+    `rng.getstate()[1]` after those draws. With `cfg.bootstrap` off,
+    every tree's rows are range(n) and its state is the seeded one. The
+    draws depend only on (n, cfg, seed), so fits of several feature
+    matrices with the same labels and fold can share them.
+
+    The compiled helper seeds the generators and draws the rows in C;
+    without it, `random.Random` does.
     """
-    bits = n.bit_length()
-    state = rng.getstate()
-    # n draws need 2**bits words on average; the margin is some four
-    # standard deviations, so a second draw is rare
-    words = (1 << bits) + 4 * math.isqrt(1 << bits) + 8
-    while True:
-        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-        values = np.frombuffer(raw, dtype="<u4") >> (32 - bits)
-        kept = np.flatnonzero(values < n)
-        if len(kept) >= n:
-            break
-        rng.setstate(state)
-        words *= 2
-    used = int(kept[n - 1]) + 1
-    rng.setstate(state)
-    rng.getrandbits(32 * used)
-    return values[kept[:n]].astype(np.int32), used
-
-
-def tree_draws(n: int, cfg: ForestConfig, seed: int) -> tuple[np.ndarray, list[int]]:
-    """Every tree's bootstrap rows and the RNG words each bootstrap used.
-
-    Tree i's rows are row i of an (n_trees, n) int32 array, drawn from
-    `random.Random(f"tree:{seed}:{i}")`. They depend only on (n, cfg,
-    seed), so fits of several feature matrices with the same labels and
-    fold can share them. With `cfg.bootstrap` off, every tree's rows are
-    range(n) and use no words.
-    """
-    if not cfg.bootstrap:
-        rows = np.broadcast_to(np.arange(n, dtype=np.int32), (cfg.n_trees, n))
-        return rows, [0] * cfg.n_trees
+    seeds = [f"tree:{seed}:{index}" for index in range(cfg.n_trees)]
+    helper = native.HELPER
+    if helper is not None:
+        states = native.seeded_states(helper, seeds)
+        if not cfg.bootstrap:
+            return np.broadcast_to(np.arange(n, dtype=np.int32), (cfg.n_trees, n)), states
+        rows = np.empty((cfg.n_trees, n), dtype=np.int32)
+        helper.lib.bootstrap_rows(states.ctypes.data, cfg.n_trees, n, rows.ctypes.data)
+        return rows, states
     rows = np.empty((cfg.n_trees, n), dtype=np.int32)
-    used = []
-    for index in range(cfg.n_trees):
-        rows[index], words = bootstrap_rows(random.Random(f"tree:{seed}:{index}"), n)
-        used.append(words)
-    return rows, used
+    states = np.empty((cfg.n_trees, native.STATE_WORDS), dtype=np.uint32)
+    for index, name in enumerate(seeds):
+        rng = random.Random(name)
+        rows[index] = [rng.randrange(n) for _ in range(n)] if cfg.bootstrap else range(n)
+        states[index] = rng.getstate()[1]
+    return rows, states
 
 
 def train_forest(x, y, cfg: ForestConfig | None = None, seed: int = 0, draws=None) -> ForestModel:
@@ -357,33 +350,35 @@ def train_forest(x, y, cfg: ForestConfig | None = None, seed: int = 0, draws=Non
     from (seed, tree index) only, so training is reproducible and trees
     could be grown in any order.
 
-    `draws` is `tree_draws(n, cfg, seed)`, built here when not given. A
-    tree's RNG is advanced past its bootstrap's words before it grows,
-    so its column samples are those that followed the bootstrap.
+    `draws` is `tree_draws(n, cfg, seed)`, built here when not given.
+    Each tree resumes from a copy of its state there, so its column
+    samples are those that followed its bootstrap, and the draws can
+    serve any number of fits. Draws of another shape, states that are not
+    uint32 with an index in 0..624, and rows outside range(n) are
+    rejected before any tree grows.
     """
     cfg = cfg or ForestConfig()
     matrix, labels = _training_data(x, y)
     n, d = matrix.shape
-    rows, used = tree_draws(n, cfg, seed) if draws is None else draws
-    rows = np.asarray(rows)
+    rows, states = tree_draws(n, cfg, seed) if draws is None else draws
+    rows, states = np.asarray(rows), np.asarray(states)
     if (
         rows.shape != (cfg.n_trees, n)
-        or len(used) != cfg.n_trees
-        or any((words > 0) != cfg.bootstrap for words in used)
+        or states.shape != (cfg.n_trees, native.STATE_WORDS)
+        # without a bootstrap, every tree's rows are range(n)
+        or not (cfg.bootstrap or (rows == np.arange(n)).all())
     ):
         raise ValueError(f"bootstrap draws do not fit {cfg.n_trees} trees on {n} rows")
-    # the compiled grower reads rows by these values
+    # the compiled code indexes by the rows and by each state's last word
     if rows.dtype.kind not in "iu" or (rows.size and (rows.min() < 0 or rows.max() >= n)):
         raise ValueError(f"bootstrap rows must be integer rows in range({n})")
+    if states.dtype != np.uint32 or (states.size and states[:, -1].max() > 624):
+        raise ValueError("generator states must be uint32 with an index in 0..624")
     max_features = cfg.max_features
     if max_features is None:
         max_features = math.isqrt(d)
         if max_features * max_features < d:  # ceil(sqrt(d))
             max_features += 1
     max_features = min(max_features, d)
-
-    rngs = [random.Random(f"tree:{seed}:{index}") for index in range(cfg.n_trees)]
-    for rng, words in zip(rngs, used):
-        rng.getrandbits(32 * words)
-    trees = _grow_trees(matrix, labels, cfg, rows, rngs, max_features)
+    trees = _grow_trees(matrix, labels, cfg, rows, np.ascontiguousarray(states), max_features)
     return ForestModel(config=cfg, **trees)

@@ -3,6 +3,7 @@ import inspect
 import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -266,10 +267,13 @@ class TestFeatures:
 
 
 # Runs `main()` on this process's command line, as the `nextday` script
-# does, then reports whether it made a process pool.
+# does, with the pool's work threshold at 0, so that golden-sized runs of
+# several jobs take the pool; then reports whether it made a process pool.
 POOL_PROBE = """
 import json, sys
+import nextday.cli
 from nextday.cli import main
+nextday.cli.POOL_MIN_WORK = 0
 code = main()
 print(json.dumps({"pool": "multiprocessing.pool" in sys.modules}))
 sys.exit(code)
@@ -420,11 +424,19 @@ class TestEvaluate:
         assert json.loads(result.stdout.splitlines()[-1])["pool"] is False
 
     @pytest.mark.parametrize(
-        "scheme, cpus, pooled",
-        [("proposed", {0, 1}, False), ("all", {0}, False), ("all", {0, 1}, True)],
-        ids=["one-job", "one-cpu", "pooled"],
+        "scheme, cpus, min_work, pooled",
+        [
+            ("proposed", {0, 1}, 0, False),
+            ("all", {0}, 0, False),
+            ("all", {0, 1}, 0, True),
+            # golden's 6 jobs of 26 rows are below the threshold
+            ("all", {0, 1}, None, False),
+        ],
+        ids=["one-job", "one-cpu", "pooled", "golden-work"],
     )
-    def test_pool_only_for_several_jobs_and_cpus(self, monkeypatch, prepared, scheme, cpus, pooled):
+    def test_pool_only_for_several_jobs_and_cpus(
+        self, monkeypatch, prepared, scheme, cpus, min_work, pooled
+    ):
         class PoolMade(Exception):
             pass
 
@@ -433,6 +445,10 @@ class TestEvaluate:
 
         monkeypatch.setattr(multiprocessing, "get_context", no_pool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        if min_work is not None:
+            monkeypatch.setattr(nextday.cli, "POOL_MIN_WORK", min_work)
+        else:
+            assert 6 * 26 < nextday.cli.POOL_MIN_WORK
         monkeypatch.setattr(
             sys, "argv", ["nextday", "evaluate", "--config", str(prepared), "--scheme", scheme]
         )
@@ -443,6 +459,48 @@ class TestEvaluate:
                 main()
         else:
             assert main() == 0
+
+    def test_run_meta_records_how_the_jobs_ran(self, capsys, prepared, tmp_path):
+        out = tmp_path / "out"
+        argv = ["evaluate", "--config", str(prepared), "--scheme", "all"]
+        assert run(capsys, *argv)[0] == 0
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["jobs"] == {"path": "serial", "workers": 1, "work": 6 * 26}
+        assert list(meta)[-2:] == ["svm_epochs", "jobs"]
+        report = (out / "report.json").read_bytes()
+        assert b'"jobs"' not in report and b'"work"' not in report
+        result = subprocess.run(
+            [sys.executable, "-c", POOL_PROBE, *argv], capture_output=True, text=True, env=child_env()
+        )
+        assert result.returncode == 0, result.stderr
+        workers = min(len(os.sched_getaffinity(0)), 6)
+        want = {"path": "pool" if workers > 1 else "serial", "workers": workers, "work": 6 * 26}
+        assert json.loads((out / "run_meta.json").read_text())["jobs"] == want
+        assert (out / "report.json").read_bytes() == report
+
+    def test_compiled_run_seeds_only_the_folds(self, capsys, monkeypatch, prepared, tmp_path):
+        # the helper seeds and draws every shuffle, bootstrap and column
+        # sample itself: the only `random.Random` of the run is the one
+        # `stratified_folds` deals the folds with
+        seeded = []
+        seed = random.Random.seed
+
+        def recorded(self, a=None, version=2):
+            seeded.append(a)
+            return seed(self, a, version)
+
+        monkeypatch.setattr(random.Random, "seed", recorded)
+        argv = ["evaluate", "--config", str(prepared), "--scheme", "all", "--repeats", "2"]
+        assert run(capsys, *argv)[0] == 0
+        # tempfile names its files from an unseeded Random of its own
+        assert [a for a in seeded if a is not None] == ["folds:2016", "folds:2017"]
+        report = (tmp_path / "out" / "report.json").read_bytes()
+        seeded.clear()
+        monkeypatch.setattr("nextday.learn.native.HELPER", None)
+        assert run(capsys, *argv)[0] == 0
+        assert (tmp_path / "out" / "report.json").read_bytes() == report
+        # the Python path seeds a Random per tree and per SVM fold
+        assert {a.split(":")[0] for a in seeded if a is not None} == {"folds", "tree", "svm"}
 
     def test_command_line_run_starts_openblas_on_one_thread(self, prepared):
         # One scheme, so no pool: forking would stop OpenBLAS's threads
@@ -765,6 +823,7 @@ from nextday.cli import main
 code = main(sys.argv[1:])
 print(json.dumps({
     "numpy": "numpy" in sys.modules,
+    "numpy.ma": "numpy.ma" in sys.modules,
     "nextday": sorted(m for m in sys.modules if m.startswith("nextday")),
 }))
 sys.exit(code)
@@ -810,6 +869,11 @@ class TestColdStart:
             learn = [m for m in report["nextday"] if m.startswith("nextday.learn")]
             assert report["numpy"] is loads_learn, run_name
             assert bool(learn) is loads_learn, (run_name, learn)
+
+    def test_no_stage_loads_numpy_ma(self, loaded):
+        # no stage uses masked arrays, and importing them costs some 10 ms
+        for run_name, report in loaded.items():
+            assert report["numpy.ma"] is False, run_name
 
     def test_each_stage_loads_only_its_packages(self, loaded):
         stage_packages = set().union(*(wanted for _, wanted in STAGE_RUNS.values()))

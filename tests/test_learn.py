@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nextday.config import (
@@ -31,12 +31,11 @@ from nextday.learn import (
     train_svm,
 )
 from nextday.learn.cv import fold_plans
-from nextday.learn import grow, native, svm
+from nextday.learn import native, svm
 from nextday.learn.svm import SvmModel, epoch_orders
 from nextday.learn.tree import (
     TreeModel,
     best_split,
-    bootstrap_rows,
     parent_score,
     rank_columns,
     tree_draws,
@@ -1053,16 +1052,18 @@ class TestSharedDraws:
     """The random draws of a fit, built once and passed in, change no bit of it."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 2399, 2400, 4096, 4097])
-    def test_bulk_bootstrap_is_the_randrange_loop(self, n):
-        for index in range(3):
-            loop = random.Random(f"tree:7:{index}")
-            bulk = random.Random(f"tree:7:{index}")
-            want = [loop.randrange(n) for _ in range(n)]
-            rows, used = bootstrap_rows(bulk, n)
-            assert rows.dtype == np.int32
-            assert rows.tolist() == want
-            assert bulk.getstate() == loop.getstate()
-            assert used >= n
+    def test_bulk_bootstrap_is_the_randrange_loop(self, monkeypatch, n):
+        # the helper draws every tree's rows in one call; both paths give
+        # the randrange loop's rows and its generator's state after them
+        cfg = ForestConfig(n_trees=3)
+        for path in on_each_grower(monkeypatch):
+            rows, states = tree_draws(n, cfg, 7)
+            assert rows.dtype == np.int32 and rows.shape == (3, n), path
+            assert states.dtype == np.uint32 and states.shape == (3, 625), path
+            for index in range(3):
+                loop = random.Random(f"tree:7:{index}")
+                assert rows[index].tolist() == [loop.randrange(n) for _ in range(n)], path
+                assert states[index].tolist() == list(loop.getstate()[1]), path
 
     def test_epoch_orders_are_the_shuffle_loop(self):
         rng = random.Random("svm:5")
@@ -1101,9 +1102,10 @@ class TestSharedDraws:
         y = (x[:, 0] - x[:, 4] > 0.1).astype(int)
         cfg = ForestConfig(n_trees=12, bootstrap=bootstrap, max_features=2)
         draws = tree_draws(70, cfg, 8)
-        rows, used = draws
+        rows, states = draws
         assert rows.shape == (12, 70)
-        assert (sum(used) == 0) is not bootstrap
+        seeded = [random.Random(f"tree:8:{index}").getstate()[1] for index in range(12)]
+        assert (states.tolist() == [list(state) for state in seeded]) is not bootstrap
         if not bootstrap:
             assert (rows == np.arange(70)).all()
         given = train_forest(x, y, cfg, seed=8, draws=draws)
@@ -1120,12 +1122,12 @@ class TestSharedDraws:
             train_forest(x, y, cfg, draws=tree_draws(9, cfg, 0))
         with pytest.raises(ValueError, match="bootstrap draws"):
             train_forest(x, y, ForestConfig(n_trees=2, bootstrap=False), draws=tree_draws(10, cfg, 0))
-        # a word count per tree: a shorter list would leave the later
-        # trees' generators at their seeds
-        rows, used = tree_draws(10, cfg, 0)
-        for words in (used[:1], [*used, used[0]]):
+        # a generator state per tree: fewer would leave the later trees
+        # without one
+        rows, states = tree_draws(10, cfg, 0)
+        for given_states in (states[:1], np.vstack([states, states[:1]]), states[:, :624]):
             with pytest.raises(ValueError, match="bootstrap draws"):
-                train_forest(x, y, cfg, draws=(rows, words))
+                train_forest(x, y, cfg, draws=(rows, given_states))
 
     def test_one_plan_list_serves_every_golden_scheme(self, golden_datasets):
         cfgs = {
@@ -1141,7 +1143,10 @@ class TestSharedDraws:
 
 
 def python_shuffles(n, epochs, seed):
-    rng = random.Random(f"svm:{seed}")
+    return loop_shuffles(random.Random(f"svm:{seed}"), n, epochs)
+
+
+def loop_shuffles(rng: random.Random, n: int, epochs: int) -> list[list[int]]:
     orders = []
     for _ in range(epochs):
         order = list(range(n))
@@ -1187,6 +1192,79 @@ def final_state(x, y, cfg: SvmConfig, seed: int) -> bytes:
     return np.hstack(svm._descend(native.HELPER, standardized, signs, orders, lam)).tobytes()
 
 
+# Seeds that `random.Random` keys in each way: "" and one NUL (whose top
+# key word is all zeros and trimmed), four NULs (a whole zero word),
+# non-ASCII text, and 2,433 UTF-8 bytes (a key of 625 words, longer than
+# the 624-word state)
+STREAM_SEEDS = ["", "\x00", "\x00" * 4 + "tree", "é€😀 tree:1:2", "x" * 2433, "é" * 1217]
+stream_seeds = st.text(max_size=40) | st.sampled_from(STREAM_SEEDS)
+
+
+class TestHelperStream:
+    """The helper's generator is `random.Random`'s, for any `str` seed."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    @example("")
+    @example("\x00")
+    @example("\x00" * 4 + "tree")
+    @example("é€😀 tree:1:2")
+    @example("x" * 2433)
+    @example("é" * 1217)
+    def test_seeded_state_is_random_random(self, seed):
+        state = native.seeded_states(native.HELPER, [seed])
+        assert state.dtype == np.uint32 and state.shape == (1, 625)
+        assert state[0].tolist() == list(random.Random(seed).getstate()[1])
+
+    def test_key_trimming(self):
+        # the integer of a NUL and its SHA-512 has 512 bits: 16 words, not 17
+        assert len(native.seed_key("\x00")) == 4 * 16
+        assert len(native.seed_key("x" * 2433)) == 4 * 625
+        assert len(native.seed_key("x" * 2432)) == 4 * 624
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(stream_seeds, max_size=4), st.integers(0, 700))
+    def test_bootstrap_is_the_randrange_loop(self, seeds, n):
+        # 700 rows take more words than one 624-word block
+        states = native.seeded_states(native.HELPER, seeds)
+        rows = np.empty((len(seeds), n), dtype=np.int32)
+        native.HELPER.lib.bootstrap_rows(states.ctypes.data, len(seeds), n, rows.ctypes.data)
+        for seed, row, state in zip(seeds, rows, states):
+            rng = random.Random(seed)
+            assert row.tolist() == [rng.randrange(n) for _ in range(n)]
+            assert state.tolist() == list(rng.getstate()[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(stream_seeds, st.integers(0, 300), st.integers(0, 4))
+    def test_shuffles_are_the_shuffle_loop(self, seed, n, epochs):
+        state = native.seeded_states(native.HELPER, [seed])
+        orders = np.empty((epochs, n), dtype=np.int32)
+        native.HELPER.lib.shuffle_orders(state.ctypes.data, orders.ctypes.data, n, epochs)
+        rng = random.Random(seed)
+        assert orders.tolist() == loop_shuffles(rng, n, epochs)
+        assert state[0].tolist() == list(rng.getstate()[1])
+
+    @pytest.mark.parametrize(
+        "seed", STREAM_SEEDS, ids=["empty", "nul", "zero-word", "non-ascii", "625-words", "1217-e"]
+    )
+    def test_forest_columns_follow_the_bootstrap(self, monkeypatch, seed):
+        # a forest grown from a state resumes its stream: both growers give
+        # the trees grown from a Random set to the same state
+        x = np.round(np.random.default_rng(4).normal(size=(40, 7)), 1)
+        y = (x[:, 1] - x[:, 3] > 0).astype(int)
+        cfg = ForestConfig(n_trees=2, max_features=2)
+        rows = np.empty((2, 40), dtype=np.int32)
+        states = native.seeded_states(native.HELPER, [seed, seed + "!"])
+        native.HELPER.lib.bootstrap_rows(states.ctypes.data, 2, 40, rows.ctypes.data)
+        want = []
+        for name, chosen in zip([seed, seed + "!"], rows):
+            rng = random.Random(name)
+            assert chosen.tolist() == [rng.randrange(40) for _ in range(40)]
+            want.append(reference_grow(x[chosen], y[chosen].astype(np.int8), 0, cfg, rng, 2))
+        for path in on_each_grower(monkeypatch):
+            assert tree_dicts(train_forest(x, y, cfg, draws=(rows, states))) == want, path
+
+
 class TestCompiledEpochs:
     """The compiled shuffle and step loop give the Python loops' bits."""
 
@@ -1202,21 +1280,11 @@ class TestCompiledEpochs:
             assert orders.dtype == np.int32 and orders.shape == (epochs, n)
             assert orders.tolist() == python_shuffles(n, epochs, seed)
 
-    def test_shuffle_draws_again_when_words_run_out(self, monkeypatch):
-        words = np.zeros(1, dtype=np.uint32)
-        orders = np.empty((1, 3), dtype=np.int32)
-        assert native.HELPER.lib.shuffle_orders(words.ctypes.data, 1, orders.ctypes.data, 3, 1) == -1
-        monkeypatch.setattr(svm, "_shuffle_words", lambda n, epochs: 1)
-        for n, epochs in ((3, 1), (129, 4), (2400, 2)):
-            assert epoch_orders(n, epochs, 11).tolist() == python_shuffles(n, epochs, 11)
-
-    @pytest.mark.parametrize("path", ["compiled", "python", "redraw"])
+    @pytest.mark.parametrize("path", ["compiled", "python"])
     def test_orders_of_fewer_epochs_are_a_prefix(self, monkeypatch, path):
         # the test-side objective history fits e epochs over orders[:e]
         if path == "python":
             monkeypatch.setattr(native, "HELPER", None)
-        elif path == "redraw":
-            monkeypatch.setattr(svm, "_shuffle_words", lambda n, epochs: 1)
         for n, seed, epochs in ((1, 0, 5), (2, 3, 6), (129, 20160803, 6), (2400, 7, 4)):
             full = epoch_orders(n, epochs, seed)
             for e in range(epochs + 1):
@@ -1545,6 +1613,44 @@ class TestLockstepGrower:
         assert grown == []
 
 
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("one-state", "bootstrap draws do not fit"),
+            ("624-words", "bootstrap draws do not fit"),
+            ("flat", "bootstrap draws do not fit"),
+            ("int64", "generator states must be uint32"),
+            ("float", "generator states must be uint32"),
+            ("index-625", "generator states must be uint32"),
+            ("index-max", "generator states must be uint32"),
+        ],
+    )
+    def test_bad_generator_states_rejected(self, monkeypatch, compiled, bad, message):
+        if not compiled:
+            monkeypatch.setattr(native, "HELPER", None)
+        grown = []
+        monkeypatch.setattr(
+            "nextday.learn.tree._grow_trees", lambda *args: grown.append(args)
+        )
+        x = np.arange(20.0).reshape(10, 2)
+        y = np.array([0, 1] * 5)
+        cfg = ForestConfig(n_trees=2)
+        rows, states = tree_draws(10, cfg, 0)
+        states = {
+            "one-state": states[:1],
+            "624-words": states[:, :624],
+            "flat": states.ravel(),
+            "int64": states.astype(np.int64),
+            "float": states.astype(float),
+            "index-625": np.hstack([states[:, :624], np.full((2, 1), 625, dtype=np.uint32)]),
+            "index-max": np.hstack([states[:, :624], np.full((2, 1), 2**32 - 1, dtype=np.uint32)]),
+        }[bad]
+        with pytest.raises(ValueError, match=f"^{message}"):
+            train_forest(x, y, cfg, draws=(rows, states))
+        assert grown == []
+
+
 # (BELOW_ONE + 1.0) / 2.0 rounds onto 1.0, so a split between them sends
 # every row left and leaves the node a leaf
 BELOW_ONE = float(np.nextafter(1.0, 0.0))
@@ -1555,7 +1661,7 @@ GROWER_VALUES = [-0.0, 0.0, BELOW_ONE, 1.0, 2.5, -3.0]
 def grower_cases(draw):
     """A fit for both growers: tied, signed-zero and adjacent values, some
     constant columns, sometimes one class, any min_samples_leaf up to n,
-    depths from 0, widths up to d + 1, and word blocks of 1 or 64."""
+    depths from 0 and widths up to d + 1."""
     n = draw(st.integers(1, 30))
     d = draw(st.integers(1, 5))
     cell = st.sampled_from(GROWER_VALUES) | st.floats(-4.0, 4.0, allow_subnormal=False)
@@ -1576,7 +1682,7 @@ def grower_cases(draw):
         min_samples_leaf=leaf,
     )
     cart = CartConfig(max_depth=depth, min_samples_leaf=leaf)
-    return x, y, forest, cart, draw(st.integers(0, 999)), draw(st.sampled_from([1, 64]))
+    return x, y, forest, cart, draw(st.integers(0, 999))
 
 
 def node_arrays(model: TreeModel) -> list[np.ndarray]:
@@ -1606,16 +1712,15 @@ class TestCompiledGrower:
     @settings(max_examples=300, deadline=None)
     @given(grower_cases())
     def test_node_arrays_match_python(self, case):
-        x, y, forest, cart, seed, block = case
-        helper, first_block = native.HELPER, grow._FIRST_BLOCK
+        x, y, forest, cart, seed = case
+        helper = native.HELPER
         fits = []
         try:
-            grow._FIRST_BLOCK = block
             for path in (helper, None):
                 native.HELPER = path
                 fits.append((train_forest(x, y, forest, seed=seed), train_cart(x, y, cart)))
         finally:
-            native.HELPER, grow._FIRST_BLOCK = helper, first_block
+            native.HELPER = helper
         for compiled, python in zip(*fits):
             assert_same_nodes(compiled, python)
 
@@ -1688,16 +1793,6 @@ class TestCompiledGrower:
         for model in fits:
             assert model.predict(EIGHT_X).tolist() == [0] * 8
 
-    def test_words_of_a_block_of_one_are_redrawn(self, monkeypatch):
-        # every column-sampling tree runs out at once and takes the same words
-        x = np.round(np.random.default_rng(6).normal(size=(90, 9)), 1)
-        y = (x[:, 0] + x[:, 5] > 0).astype(int)
-        cfg = ForestConfig(n_trees=7, max_features=3)
-        want = tree_dicts(train_forest(x, y, cfg, seed=3))
-        monkeypatch.setattr(grow, "_FIRST_BLOCK", 1)
-        assert tree_dicts(train_forest(x, y, cfg, seed=3)) == want
-        assert want == reference_forest(x, y, cfg, 3)
-
     def test_set_branch_of_sample(self):
         # 30 columns and a width of 2 take `Random.sample`'s set branch
         x = np.round(np.random.default_rng(8).normal(size=(60, 30)), 1)
@@ -1717,18 +1812,21 @@ class TestCompiledGrower:
 # Loads the helper built with sanitizers from argv[1] and checks each entry
 # point against its Python oracle on short cases; the caller preloads ASan.
 SANITIZED_PROBE = """
-import sys
+import random, sys
 from pathlib import Path
 import numpy as np
 from nextday.config import CartConfig, ForestConfig, SvmConfig
-from nextday.learn import grow, native, svm, tree
+from nextday.learn import native, svm, tree
 
 native._BUILD = [*native._BUILD, *sys.argv[2:]]
 helper, record = native.load_helper(Path(sys.argv[1]))
 assert record == {"path": "compiled"}, record
-svm._shuffle_words = lambda n, epochs: 7  # some shuffles run out and draw again
-grow._FIRST_BLOCK = 1  # every sampling tree runs out and is grown again
 rng = np.random.default_rng(0)
+
+# keys of one word, of 20 and of more words than the state holds
+seeds = ["", "tree:0:1", "x" * 2433]
+states = native.seeded_states(helper, seeds)
+assert states.tolist() == [list(random.Random(s).getstate()[1]) for s in seeds]
 
 def node_bytes(model):
     return [a.tobytes() for a in model.__dict__.values() if isinstance(a, np.ndarray)]
@@ -1743,6 +1841,7 @@ for case in range(40):
         native.HELPER = path
         fits.append((
             svm.epoch_orders(n, 3, case).tobytes(),
+            [a.tobytes() for a in tree.tree_draws(n, forest, case)],
             svm.train_svm(x, y, SvmConfig(epochs=3), seed=case).weights.tobytes(),
             node_bytes(tree.train_forest(x, y, forest, seed=case)),
             node_bytes(tree.train_cart(x, y, CartConfig())),
