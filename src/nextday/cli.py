@@ -215,7 +215,8 @@ def _run_worker_job(index: int):
 
 
 # The least work, in dataset rows summed over the jobs, for which
-# `_run_jobs` forks a pool; see its docstring for the measurements.
+# `_run_jobs` forks a pool when the fits run in the compiled helper; see
+# its docstring for the measurements.
 POOL_MIN_WORK = 1_200
 
 
@@ -224,18 +225,19 @@ def _run_jobs(jobs: list[tuple], parallel: bool) -> tuple[list, dict]:
     metadata: {"path": "serial" or "pool", "workers": k, "work": w}.
 
     The work w is the jobs' dataset rows summed: every fit's cost grows
-    with its rows. With `parallel`, more than one job and CPU, and at
-    least `POOL_MIN_WORK` of work, the jobs run on a fork pool of one
-    worker per CPU; otherwise one after another in this process. Fork, not
-    spawn, lets the workers inherit the loaded datasets and imports;
-    `main` has started OpenBLAS on one thread, so the parent has no other
-    thread when it forks. `map` keeps the job order, so callers see the
-    same results either way, and an error raised in a worker is re-raised
-    here.
+    with its rows. With `parallel` and more than one job and CPU, the jobs
+    run on a fork pool of one worker per CPU when the fits take the Python
+    path (`native.HELPER` is None), or when they take the compiled one and
+    the work is at least `POOL_MIN_WORK`; otherwise one after another in
+    this process. Fork, not spawn, lets the workers inherit the loaded
+    datasets and imports; `main` has started OpenBLAS on one thread, so
+    the parent has no other thread when it forks. `map` keeps the job
+    order, so callers see the same results either way, and an error
+    raised in a worker is re-raised here.
 
-    The threshold comes from `evaluate --scheme all` run as a process on
-    a shared 2-vCPU host, pool against one process (medians of
-    alternating runs; in how many runs one process was faster):
+    The rule comes from `evaluate --scheme all` run as a process on a
+    shared 2-vCPU host, pool against one process (medians of alternating
+    runs; in how many runs one process was faster). Compiled fits:
 
         26 articles (work 156)     0.302 s against 0.252 s  (17 of 21)
         150 articles (900)         0.245 s against 0.244 s  (12 of 21)
@@ -244,15 +246,24 @@ def _run_jobs(jobs: list[tuple], parallel: bool) -> tuple[list, dict]:
         3,000 articles (18,000)    1.19 s against 1.80 s    (0 of 5)
 
     A pool costs some 20 ms to import and start (5–7 ms for `import
-    multiprocessing` and 12–18 ms for a `Pool(2)` of trivial jobs), while the six schemes' fits take 26 ms in one process at 26
+    multiprocessing` and 12–18 ms for a `Pool(2)` of trivial jobs), while
+    the six schemes' compiled fits take 26 ms in one process at 26
     articles and 49 ms at 150, so a second worker saves at most about
     half of that. At 150 articles the pool also used more CPU (0.286 s
     against 0.243 s). The threshold lies between the last size where one
     process held its own (900) and the first where the pool won (1,800).
+    Python fits cost far more than a pool's start (one process took 0.607 s
+    at 26 articles against 0.252 s compiled), so on that path the pool won
+    at every size measured, for at most 5% more CPU:
+
+        26 articles (work 156)     0.442 s against 0.607 s  (0 of 7)
+        150 articles (900)         0.689 s against 1.011 s  (0 of 7)
     """
+    from nextday.learn import native
+
     work = sum(len(data.y) for data, _, _ in jobs)
     workers = 1
-    if parallel and work >= POOL_MIN_WORK:
+    if parallel and (native.HELPER is None or work >= POOL_MIN_WORK):
         workers = min(len(os.sched_getaffinity(0)), len(jobs))
     record = {"path": "pool" if workers > 1 else "serial", "workers": workers, "work": work}
     if workers == 1:

@@ -1,4 +1,4 @@
-"""Offline corpus: articles, tweets, user profiles, and their indexes.
+"""Offline corpus: articles, tweets, user profiles, and their id lookups.
 
 File format is JSON-Lines throughout (one object per line). Loaders
 validate eagerly and report the offending line number; a built Corpus is
@@ -15,7 +15,6 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
-from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -241,13 +240,10 @@ def load_users(path) -> list[UserProfile]:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Immutable article/tweet/user collections plus lookup indexes.
+    """Immutable article/tweet/user collections plus lookups by id.
 
-    Index iteration order is sorted by key; id lists inside the indexes
-    are sorted too, so identical inputs always produce identical output.
-    `hashtag_index` and `tweet_date_index` are built on first read. Only
-    `nextday.relevance` reads them, so `ingest-check` and `features`
-    never build them.
+    The collections keep their files' order. A stage that needs another
+    grouping builds it: `associate_all` groups tweets by day itself.
     """
 
     articles: tuple[NewsArticle, ...]
@@ -257,24 +253,6 @@ class Corpus:
     tweet_by_id: dict[str, Tweet] = field(repr=False)
     user_by_id: dict[str, UserProfile] = field(repr=False)
     diagnostics: tuple[dict, ...] = ()
-
-    @cached_property
-    def hashtag_index(self) -> dict[str, tuple[str, ...]]:
-        return _sorted_index((h, t.id) for t in self.tweets for h in t.hashtags)
-
-    @cached_property
-    def tweet_date_index(self) -> dict[date, tuple[str, ...]]:
-        return _sorted_index((t.created_day, t.id) for t in self.tweets)
-
-    def tweets_on(self, day: date) -> list[Tweet]:
-        return [self.tweet_by_id[t] for t in self.tweet_date_index.get(day, ())]
-
-
-def _sorted_index(pairs: Iterable[tuple]) -> dict:
-    index: dict = {}
-    for key, value in pairs:
-        index.setdefault(key, set()).add(value)
-    return {key: tuple(sorted(index[key])) for key in sorted(index)}
 
 
 def build_corpus(

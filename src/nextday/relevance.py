@@ -211,13 +211,13 @@ class _SlidingHistory:
     """
 
     def __init__(self):
-        self.buckets: deque[tuple[date, int, Counter[str], dict[str, int]]] = deque()
+        self.buckets: deque[tuple[date, int, dict[str, int], dict[str, int]]] = deque()
         self.tweets = 0
         self.hashtag_counts: Counter[str] = Counter()
         self.article_counts: Counter[str] = Counter()
 
     def add(
-        self, day: date, tweets: int, hashtag_counts: Counter[str], article_counts: dict[str, int]
+        self, day: date, tweets: int, hashtag_counts: dict[str, int], article_counts: dict[str, int]
     ) -> None:
         self.buckets.append((day, tweets, hashtag_counts, article_counts))
         self.tweets += tweets
@@ -283,18 +283,18 @@ def expand_association(
     article_id: str,
     seed_ids: Iterable[str],
     window: HistoryWindow,
-    day_ids: set[str],
+    day_tags: Mapping[str, Iterable[str]],
     corpus: Corpus,
     params: RelevanceParams,
 ) -> ArticleAssociation:
     """Grow `seed_ids` through article-specific hashtags.
 
-    Each iteration labels the newly harvested hashtags and admits every
-    tweet of `day_ids` (the article's day) carrying a new specific tag,
-    found through `corpus.hashtag_index`; it stops at a fixpoint or
-    after `params.max_iterations` growth steps. A tweet's hashtags are
-    harvested once, in the iteration after it joins: every tag of
-    earlier tweets is already labelled, and every day tweet with an
+    `day_tags` maps each hashtag to the ids of the article's day's tweets
+    that carry it. Each iteration labels the newly harvested hashtags and
+    admits every tweet listed under a new specific tag; it stops at a
+    fixpoint or after `params.max_iterations` growth steps. A tweet's
+    hashtags are harvested once, in the iteration after it joins: every
+    tag of earlier tweets is already labelled, and every day tweet with an
     earlier specific tag has already joined.
     """
     current = set(seed_ids)
@@ -316,8 +316,8 @@ def expand_association(
         fresh = {
             tweet_id
             for tag in new_specific
-            for tweet_id in corpus.hashtag_index[tag]
-            if tweet_id in day_ids and tweet_id not in current
+            for tweet_id in day_tags.get(tag, ())
+            if tweet_id not in current
         }
         if not fresh:
             break
@@ -339,11 +339,13 @@ def associate_all(
 ) -> list[ArticleAssociation]:
     """Associations for every article, ordered by article id.
 
-    Days are visited in order. A day's tweets are tokenized against that
-    day's articles and dropped; the day's bucket joins the history window
-    after its own articles are expanded. An article with no indexable
-    tokens gets an empty association and one `unindexable_article`
-    JSON-lines event on `stream` (stderr by default).
+    Articles and tweets are grouped by day in one pass, and days are
+    visited in order. A day's tweets are tokenized against that day's
+    articles; one map from hashtag to the day's tweet ids serves both the
+    expansion of the day's articles and the day's history bucket, which
+    joins the window after its own articles are expanded. An article with
+    no indexable tokens gets an empty association and one
+    `unindexable_article` JSON-lines event on `stream` (stderr by default).
     """
     stream = stream if stream is not None else sys.stderr
     stopwords = default_stopwords()
@@ -354,28 +356,35 @@ def associate_all(
     articles_on: dict[date, list[NewsArticle]] = {}
     for a in corpus.articles:
         articles_on.setdefault(a.published_day, []).append(a)
+    tweets_by_day: dict[date, list[Tweet]] = {}
+    for t in corpus.tweets:
+        tweets_by_day.setdefault(t.created_day, []).append(t)
     history = _SlidingHistory()
     associations = []
-    for day in sorted(corpus.tweet_date_index.keys() | articles_on.keys()):
+    for day in sorted(tweets_by_day.keys() | articles_on.keys()):
         day_articles = articles_on.get(day, [])
-        day_tweets = corpus.tweets_on(day)
+        day_tweets = tweets_by_day.get(day, [])
+        day_tags: dict[str, list[str]] = {}
+        for tweet in day_tweets:
+            for tag in tweet.hashtags:
+                day_tags.setdefault(tag, []).append(tweet.id)
         keywords = {a.id: profiles[a.id].tokens() for a in day_articles if a.id in profiles}
         seeds = seed_tweets(keywords, day_tweets, params.min_overlap, stopwords)
         if day_articles:
             window = build_history(history, day, params)
-            day_ids = set(corpus.tweet_date_index.get(day, ()))
             for a in day_articles:
                 if a.id in seeds:
                     associations.append(
-                        expand_association(a.id, seeds[a.id], window, day_ids, corpus, params)
+                        expand_association(a.id, seeds[a.id], window, day_tags, corpus, params)
                     )
                 else:
                     empty = frozenset()
                     associations.append(ArticleAssociation(a.id, empty, empty, empty, empty, 0))
+        # a tweet's hashtags form a set, so each id list counts the tag's uses
         history.add(
             day,
             len(day_tweets),
-            Counter(tag for tweet in day_tweets for tag in tweet.hashtags),
+            {tag: len(ids) for tag, ids in day_tags.items()},
             {tag: len(ids) for tag, ids in _seed_hashtag_articles(seeds, corpus).items()},
         )
     return sorted(associations, key=lambda a: a.article_id)

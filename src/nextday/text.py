@@ -43,21 +43,11 @@ def extract_hashtags(text: str) -> set[str]:
 
 @lru_cache(maxsize=1)
 def default_stopwords() -> frozenset[str]:
-    return frozenset(load_stopwords_resource())
-
-
-def load_stopwords_resource() -> set[str]:
+    """The bundled stop words: one per line, lowercased; blank lines and
+    lines starting with '#' are skipped."""
     data = resources.files("nextday.data").joinpath("stopwords.txt").read_text("utf-8")
-    return load_stopwords_text(data)
-
-
-def load_stopwords_text(data: str) -> set[str]:
-    words = set()
-    for line in data.splitlines():
-        line = line.strip().lower()
-        if line and not line.startswith("#"):
-            words.add(line)
-    return words
+    lines = (line.strip().lower() for line in data.splitlines())
+    return frozenset(line for line in lines if line and not line.startswith("#"))
 
 
 def content_tokens(text: str, stopwords: frozenset[str] | set[str]) -> list[str]:

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 import nextday.cli
-import nextday.corpus
 from nextday.cli import main
 from nextday.config import ALL_SCHEMES
 
@@ -424,18 +423,21 @@ class TestEvaluate:
         assert json.loads(result.stdout.splitlines()[-1])["pool"] is False
 
     @pytest.mark.parametrize(
-        "scheme, cpus, min_work, pooled",
+        "scheme, cpus, min_work, compiled, pooled",
         [
-            ("proposed", {0, 1}, 0, False),
-            ("all", {0}, 0, False),
-            ("all", {0, 1}, 0, True),
+            ("proposed", {0, 1}, 0, True, False),
+            ("all", {0}, 0, True, False),
+            ("all", {0, 1}, 0, True, True),
             # golden's 6 jobs of 26 rows are below the threshold
-            ("all", {0, 1}, None, False),
+            ("all", {0, 1}, None, True, False),
+            # Python fits take the pool whatever the work
+            ("all", {0, 1}, None, False, True),
+            ("all", {0}, None, False, False),
         ],
-        ids=["one-job", "one-cpu", "pooled", "golden-work"],
+        ids=["one-job", "one-cpu", "pooled", "golden-work", "python-golden-work", "python-one-cpu"],
     )
     def test_pool_only_for_several_jobs_and_cpus(
-        self, monkeypatch, prepared, scheme, cpus, min_work, pooled
+        self, monkeypatch, prepared, scheme, cpus, min_work, compiled, pooled
     ):
         class PoolMade(Exception):
             pass
@@ -445,6 +447,8 @@ class TestEvaluate:
 
         monkeypatch.setattr(multiprocessing, "get_context", no_pool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        if not compiled:
+            monkeypatch.setattr("nextday.learn.native.HELPER", None)
         if min_work is not None:
             monkeypatch.setattr(nextday.cli, "POOL_MIN_WORK", min_work)
         else:
@@ -880,22 +884,6 @@ class TestColdStart:
         for run_name, (_, wanted) in STAGE_RUNS.items():
             packages = {".".join(m.split(".")[:2]) for m in loaded[run_name]["nextday"]}
             assert packages & stage_packages == wanted, run_name
-
-    def test_corpus_indexes_built_only_by_associate(self, capsys, golden_config, monkeypatch):
-        corpora = []
-
-        def load_corpus(*paths):
-            corpora.append(nextday.corpus.load_corpus(*paths))
-            return corpora[-1]
-
-        monkeypatch.setattr(nextday.cli, "load_corpus", load_corpus)
-        cfg = str(golden_config())
-        assert run(capsys, "ingest-check", "--config", cfg)[0] == 0
-        assert run(capsys, "associate", "--config", cfg)[0] == 0
-        indexes = {"hashtag_index", "tweet_date_index"}
-        checked, associated = corpora
-        assert indexes.isdisjoint(vars(checked))
-        assert indexes <= set(vars(associated))
 
     def test_tracer_binds_every_traced_name(self, monkeypatch):
         monkeypatch.syspath_prepend(str(REPO / "perfbench"))

@@ -319,36 +319,9 @@ class TestLoadUsers:
 
 
 class TestBuildCorpus:
-    def test_article_only_corpus_has_empty_hashtag_index(self):
-        corpus = corpus_of(articles=[article()])
-        assert corpus.hashtag_index == {}
-
     def test_unknown_user_is_diagnostic_not_error(self):
         corpus = corpus_of(tweets=[tweet(user_id="ghost")])
         assert corpus.diagnostics == ({"kind": "unresolved_user", "user_id": "ghost"},)
-
-    def test_shared_hashtag_indexes_both_tweets(self):
-        corpus = corpus_of(
-            tweets=[
-                tweet(id="t1", text="one #irandeal"),
-                tweet(id="t2", text="two #irandeal"),
-            ]
-        )
-        assert corpus.hashtag_index["irandeal"] == ("t1", "t2")
-
-    def test_index_completeness(self, golden_corpus):
-        for tw in golden_corpus.tweets:
-            for tag in tw.hashtags:
-                assert tw.id in golden_corpus.hashtag_index[tag]
-        for tag, ids in golden_corpus.hashtag_index.items():
-            for tid in ids:
-                assert tag in golden_corpus.tweet_by_id[tid].hashtags
-
-    def test_indexes_sorted(self, golden_corpus):
-        keys = list(golden_corpus.hashtag_index)
-        assert keys == sorted(keys)
-        for ids in golden_corpus.hashtag_index.values():
-            assert list(ids) == sorted(ids)
 
     def test_diagnostics_wire_format(self):
         corpus = corpus_of(tweets=[tweet(user_id="ghost")])
@@ -366,7 +339,6 @@ class TestRoundTrip:
         assert again.articles == golden_corpus.articles
         assert again.tweets == golden_corpus.tweets
         assert again.users == golden_corpus.users
-        assert again.hashtag_index == golden_corpus.hashtag_index
         assert again.diagnostics == golden_corpus.diagnostics
 
     def test_hashtag_extraction_idempotent(self, golden_corpus):

@@ -1,15 +1,17 @@
+import hashlib
 import io
 import json
 import math
 from collections import Counter
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nextday import relevance
-from nextday.config import RelevanceParams
+from nextday.config import RelevanceParams, load_config
 from nextday.corpus import DatasetError, load_corpus
 from nextday.relevance import (
     HashtagKind,
@@ -244,11 +246,16 @@ class TestAssociationProperties:
             if assoc.iterations_run >= params.max_iterations:
                 continue
             day = golden_corpus.article_by_id[assoc.article_id].published_day
+            day_tags = {}
+            for tw in golden_corpus.tweets:
+                if tw.created_day == day:
+                    for tag in tw.hashtags:
+                        day_tags.setdefault(tag, []).append(tw.id)
             again = expand_association(
                 assoc.article_id,
                 assoc.expanded_tweet_ids,
                 windows[day],
-                set(golden_corpus.tweet_date_index.get(day, ())),
+                day_tags,
                 golden_corpus,
                 params,
             )
@@ -349,6 +356,19 @@ class TestGoldenAgreement:
         for tag in ("whitehouse", "trump2016", "chicago"):
             assert history.article_counts[tag] >= 5
         assert "irandeal" not in history.hashtag_counts
+
+    def test_signal_150_matches_benchmark_reference(self, tmp_path):
+        # the full-150 benchmark workload: the generator's default seed and
+        # the example config's relevance parameters
+        repo = Path(__file__).parents[1]
+        reference = json.loads((repo / "perfbench" / "reference.json").read_text())
+        write_signal_corpus(tmp_path, n_articles=150)
+        corpus = load_corpus(*(tmp_path / f"{name}.jsonl" for name in ("articles", "tweets", "users")))
+        params = load_config(repo / "config.example.json").relevance
+        path = tmp_path / "associations.jsonl"
+        write_associations(path, associate_all(corpus, params, stream=io.StringIO()))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == reference["full-150"]["artifacts"]["associations.jsonl"]
 
 
 # The per-article association path that associate_all replaced, kept as its
