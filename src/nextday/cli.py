@@ -182,10 +182,10 @@ def cmd_features(config: PipelineConfig, args) -> int:
         associations = []
 
     for scheme in schemes:
-        matrix = assemble_matrix(corpus, associations, scheme, memo, config.features)
+        columns, rows = assemble_matrix(corpus, associations, scheme, memo, config.features)
         path = out / f"features_{scheme}.csv"
-        write_feature_csv(matrix, path)
-        print(f"wrote {path} ({len(matrix.vectors)} rows)")
+        write_feature_csv(columns, rows, path)
+        print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
 
 

@@ -6,8 +6,10 @@ associated tweets). The five baseline schemes use only the article text
 and publication calendar, mirroring content/polarity/event approaches.
 
 `SCHEME_BLOCKS` lists each scheme's column blocks and `BLOCK_COLUMNS`
-each block's columns. The text blocks come from one `TextMemo` per run,
-the only holder of the run's lexicons.
+each block's columns. Every block is a dict from those column names to
+values, and `assemble_matrix` gives each scheme's columns and one
+`(article_id, values, label)` row per article. The text blocks come from
+one `TextMemo` per run, the only holder of the run's lexicons.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import TYPE_CHECKING
 
@@ -93,42 +94,6 @@ SCHEME_BLOCKS = {
 INFLUENTIAL_FOLLOWERS = 1000
 
 
-@dataclass(frozen=True)
-class InvolvementIndices:
-    tweet_count_norm: float
-    avg_retweets: float
-    avg_favorites: float
-    affected_user_fraction: float
-    influential_user_fraction: float
-    authoritative_user_fraction: float
-    article_specific_hashtag_count: int
-
-
-@dataclass(frozen=True)
-class ReactionIndices:
-    sentiment_variance: float
-    emotion_variance: float
-    positive_count: int
-    negative_count: int
-    emotion_counts: tuple[int, ...]
-    tweet_total: int
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    article_id: str
-    scheme: str
-    values: dict[str, float]
-    label: int
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    scheme: str
-    columns: tuple[str, ...]
-    vectors: tuple[FeatureVector, ...]
-
-
 def sentiment_variance(pc: int, nc: int) -> float:
     """1 - |PC-NC| / (PC+NC); 0.0 when there are no polar tweets."""
     if pc < 0 or nc < 0:
@@ -158,9 +123,11 @@ def involvement_indices(
     corpus: Corpus,
     corpus_max_tweets: int,
     params: FeatureParams,
-) -> InvolvementIndices:
+) -> dict[str, float]:
     """Tweet, user, and hashtag statistics for one article's tweet set.
 
+    Keyed by the involvement block's columns, with
+    `authoritative_user_fraction` last when `params.authoritative` is on.
     User fractions are over all unique tweeting users; users without a
     profile stay in the denominator but are never counted influential
     or authoritative.
@@ -189,26 +156,30 @@ def involvement_indices(
         if profile.verified:
             authoritative += 1
 
-    return InvolvementIndices(
-        tweet_count_norm=count / corpus_max_tweets,
-        avg_retweets=retweets / count if count else 0.0,
-        avg_favorites=favorites / count if count else 0.0,
-        affected_user_fraction=(
+    values = {
+        "tweet_count_norm": count / corpus_max_tweets,
+        "avg_retweets": retweets / count if count else 0.0,
+        "avg_favorites": favorites / count if count else 0.0,
+        "affected_user_fraction": (
             sum(1 for c in per_user.values() if c >= 2) / unique_users
             if unique_users
             else 0.0
         ),
-        influential_user_fraction=influential / unique_users if unique_users else 0.0,
-        authoritative_user_fraction=authoritative / unique_users if unique_users else 0.0,
-        article_specific_hashtag_count=len(assoc.article_specific_hashtags),
-    )
+        "influential_user_fraction": influential / unique_users if unique_users else 0.0,
+        "article_specific_hashtag_count": float(len(assoc.article_specific_hashtags)),
+    }
+    if params.authoritative:
+        values["authoritative_user_fraction"] = (
+            authoritative / unique_users if unique_users else 0.0
+        )
+    return values
 
 
 def reaction_indices(
     assoc: ArticleAssociation,
     corpus: Corpus,
     memo: TextMemo,
-) -> ReactionIndices:
+) -> dict[str, float]:
     """Sentiment and emotion variance over the article's tweet set.
 
     Neutral tweets count toward neither PC nor NC; tweets without a
@@ -226,15 +197,10 @@ def reaction_indices(
             nc += 1
         if dominant is not None:
             counts[dominant] += 1
-    ordered = tuple(counts[c] for c in EMOTION_CATEGORIES)
-    return ReactionIndices(
-        sentiment_variance=sentiment_variance(pc, nc),
-        emotion_variance=emotion_variance(ordered),
-        positive_count=pc,
-        negative_count=nc,
-        emotion_counts=ordered,
-        tweet_total=len(assoc.expanded_tweet_ids),
-    )
+    return {
+        "sentiment_variance": sentiment_variance(pc, nc),
+        "emotion_variance": emotion_variance(counts.values()),
+    }
 
 
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+|\n+")
@@ -496,15 +462,10 @@ def _proposed_rows(
     rows = []
     for article in articles:
         assoc = assoc_by_id[article.id]
-        inv = involvement_indices(assoc, corpus, corpus_max, params)
-        indices = {"involvement": inv, "reaction": reaction_indices(assoc, corpus, memo)}
-        values = {
-            column: float(getattr(indices[name], column))
-            for name in SCHEME_BLOCKS[SCHEME_PROPOSED]
-            for column in BLOCK_COLUMNS[name]
-        }
-        if params.authoritative:
-            values["authoritative_user_fraction"] = inv.authoritative_user_fraction
+        values = involvement_indices(assoc, corpus, corpus_max, params)
+        values.update(reaction_indices(assoc, corpus, memo))
+        if params.authoritative:  # after the reaction block
+            values["authoritative_user_fraction"] = values.pop("authoritative_user_fraction")
         rows.append(values)
     return rows
 
@@ -530,8 +491,9 @@ def assemble_matrix(
     scheme: str,
     memo: TextMemo,
     params: FeatureParams,
-) -> FeatureMatrix:
-    """One FeatureVector per article, ordered by article id.
+) -> tuple[tuple[str, ...], list[tuple[str, dict[str, float], int]]]:
+    """The scheme's columns and one `(article_id, values, label)` row per
+    article, ordered by article id; `values` maps the columns in order.
 
     The proposed scheme requires an association for every article, each
     naming only articles and tweets of the corpus; the baselines ignore
@@ -549,25 +511,19 @@ def assemble_matrix(
             {c: v for name in SCHEME_BLOCKS[scheme] for c, v in memo.block(name, a).items()}
             for a in articles
         ]
-    vectors = []
     for article, values in zip(articles, rows):
         if tuple(values) != columns:
             raise ValueError(
                 f"scheme {scheme!r} emitted columns {tuple(values)} for article "
                 f"'{article.id}', expected {columns}"
             )
-        vectors.append(
-            FeatureVector(article_id=article.id, scheme=scheme, values=values, label=article.label)
-        )
-    return FeatureMatrix(scheme=scheme, columns=columns, vectors=tuple(vectors))
+    return columns, [(a.id, values, a.label) for a, values in zip(articles, rows)]
 
 
-def write_feature_csv(matrix: FeatureMatrix, path) -> None:
-    """CSV with header `article_id,<features...>,label`; floats use six decimals."""
+def write_feature_csv(columns: tuple[str, ...], rows, path) -> None:
+    """CSV with header `article_id,<columns...>,label`; floats use six decimals."""
     with atomic_write(path, newline="\n") as fh:
-        fh.write(",".join(("article_id", *matrix.columns, "label")) + "\n")
-        for vec in matrix.vectors:
-            cells = [vec.article_id]
-            cells.extend(f"{vec.values[c]:.6f}" for c in matrix.columns)
-            cells.append(str(vec.label))
+        fh.write(",".join(("article_id", *columns, "label")) + "\n")
+        for article_id, values, label in rows:
+            cells = [article_id, *(f"{values[c]:.6f}" for c in columns), str(label)]
             fh.write(",".join(cells) + "\n")

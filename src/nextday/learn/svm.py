@@ -16,7 +16,7 @@ import numpy as np
 
 from nextday.config import SvmConfig
 from nextday.learn import native
-from nextday.learn.tree import as_labels
+from nextday.learn.tree import _training_data
 
 
 @dataclass
@@ -79,15 +79,8 @@ def train_svm(x, y, cfg: SvmConfig | None = None, seed: int = 0, orders=None) ->
     given; any integer (epochs, n) array of rows in range(n) is accepted.
     """
     cfg = cfg or SvmConfig()
-    matrix = np.asarray(x, dtype=np.float64)
+    matrix, labels = _training_data(x, y)
     n, d = matrix.shape
-    if n == 0:
-        raise ValueError("cannot train on an empty dataset")
-    labels = as_labels(y)
-    if labels.shape != (n,):
-        raise ValueError(f"labels {labels.shape} do not fit {n} rows")
-    if not np.isfinite(matrix).all():
-        raise ValueError("feature values must be finite")
     orders = epoch_orders(n, cfg.epochs, seed) if orders is None else np.asarray(orders)
     if orders.shape != (cfg.epochs, n):
         raise ValueError(f"epoch orders {orders.shape} do not fit {cfg.epochs} epochs of {n} rows")

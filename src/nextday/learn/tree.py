@@ -228,23 +228,23 @@ def _as_matrix(x) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(x, dtype=np.float64))
 
 
-def as_labels(y) -> np.ndarray:
-    """The labels of a fit as int8. Every trainer takes only 0 and 1 (or
-    booleans), checked before the cast, which would read 0.5 as 0."""
-    labels = np.asarray(y)
-    if labels.size and not np.isin(labels, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    return labels.astype(np.int8, copy=False)
-
-
 def _training_data(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix and int8 labels of a fit, checked before any compiled
+    code indexes them: rows present, one label per row, finite values.
+    Every trainer takes only 0 and 1 (or booleans) as labels, checked
+    before the cast, which would read 0.5 as 0."""
     matrix = _as_matrix(x)
-    labels = as_labels(y)
-    if matrix.shape[0] == 0:
+    labels = np.asarray(y)
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    n = matrix.shape[0]
+    if n == 0:
         raise ValueError("cannot train on an empty dataset")
+    if labels.shape != (n,):
+        raise ValueError(f"labels {labels.shape} do not fit {n} rows")
     if not np.isfinite(matrix).all():
         raise ValueError("feature values must be finite")
-    return matrix, labels
+    return matrix, labels.astype(np.int8, copy=False)
 
 
 @dataclass

@@ -8,14 +8,14 @@ tags; the latter pull in further same-day tweets until a fixpoint.
 `associate_all` makes one pass over the corpus in day order through five
 steps: `tfidf_keywords` once for the corpus, then per day `seed_tweets`,
 `build_history` (a running sum of per-day buckets) and, per article,
-`expand_association`, which labels hashtags with `classify_hashtags`.
-Each article and each tweet is tokenized at most once and document
-frequencies are counted once.
+`expand_association`, which asks `classify_hashtags` for the generic
+ones among its new hashtags; the rest are article-specific. Each article
+and each tweet is tokenized at most once and document frequencies are
+counted once.
 """
 
 from __future__ import annotations
 
-import enum
 import json
 import logging
 import math
@@ -32,27 +32,6 @@ from nextday.text import content_tokens, default_stopwords
 log = logging.getLogger(__name__)
 
 MIN_TOKEN_LENGTH = 3
-
-
-class HashtagKind(enum.Enum):
-    GENERIC = "generic"
-    ARTICLE_SPECIFIC = "article_specific"
-
-
-@dataclass(frozen=True)
-class KeywordProfile:
-    article_id: str
-    keywords: tuple[tuple[str, float], ...]
-
-    def tokens(self) -> set[str]:
-        return {token for token, _ in self.keywords}
-
-
-@dataclass(frozen=True)
-class HashtagLabel:
-    hashtag: str
-    kind: HashtagKind
-    article_id: str | None = None
 
 
 @dataclass(frozen=True)
@@ -112,11 +91,11 @@ def _keyword_scores(
 
 def tfidf_keywords(
     articles: Iterable[NewsArticle], params: RelevanceParams, stopwords
-) -> dict[str, KeywordProfile]:
-    """Top `params.keyword_count` TF-IDF keywords of each article, by id.
+) -> dict[str, tuple[tuple[str, float], ...]]:
+    """Top `params.keyword_count` (token, TF-IDF) pairs of each article, by id.
 
     Document frequencies and D count every article in `articles`; an
-    article with no indexable tokens counts in D and gets no profile.
+    article with no indexable tokens counts in D and gets no entry.
     """
     articles = list(articles)
     token_lists = [
@@ -126,10 +105,7 @@ def tfidf_keywords(
     for tokens in token_lists:
         df.update(set(tokens))
     return {
-        a.id: KeywordProfile(
-            article_id=a.id,
-            keywords=_keyword_scores(tokens, df, len(articles), params.keyword_count),
-        )
+        a.id: _keyword_scores(tokens, df, len(articles), params.keyword_count)
         for a, tokens in zip(articles, token_lists)
         if tokens
     }
@@ -248,35 +224,27 @@ def build_history(
 
 
 def classify_hashtags(
-    candidate_hashtags: set[str],
-    window: HistoryWindow,
-    params: RelevanceParams,
-    article_id: str | None,
-) -> list[HashtagLabel]:
-    """Label candidates generic or article-specific, sorted by hashtag.
+    candidate_hashtags: set[str], window: HistoryWindow, params: RelevanceParams
+) -> set[str]:
+    """The generic candidates; the others are article-specific.
 
     Generic requires attachment to enough distinct prior articles or a
     usage count above the window's frequency quantile. With an empty
-    window everything is article-specific (a warning is logged).
+    window every candidate is article-specific (a warning is logged).
     """
-    if window.empty and candidate_hashtags:
-        log.warning(
-            "empty hashtag history window; labelling all %d candidates article-specific",
-            len(candidate_hashtags),
-        )
-        return [
-            HashtagLabel(tag, HashtagKind.ARTICLE_SPECIFIC, article_id)
-            for tag in sorted(candidate_hashtags)
-        ]
-    labels = []
-    for tag in sorted(candidate_hashtags):
-        attached = window.article_counts.get(tag, 0)
-        count = window.hashtag_counts.get(tag, 0)
-        if attached >= params.generic_article_threshold or count > window.threshold:
-            labels.append(HashtagLabel(tag, HashtagKind.GENERIC))
-        else:
-            labels.append(HashtagLabel(tag, HashtagKind.ARTICLE_SPECIFIC, article_id))
-    return labels
+    if window.empty:
+        if candidate_hashtags:
+            log.warning(
+                "empty hashtag history window; labelling all %d candidates article-specific",
+                len(candidate_hashtags),
+            )
+        return set()
+    return {
+        tag
+        for tag in candidate_hashtags
+        if window.article_counts.get(tag, 0) >= params.generic_article_threshold
+        or window.hashtag_counts.get(tag, 0) > window.threshold
+    }
 
 
 def expand_association(
@@ -306,13 +274,11 @@ def expand_association(
         harvested = set()
         for tweet_id in fresh:
             harvested.update(corpus.tweet_by_id[tweet_id].hashtags)
-        new_specific = []
-        for label in classify_hashtags(harvested - specific - generic, window, params, article_id):
-            if label.kind is HashtagKind.GENERIC:
-                generic.add(label.hashtag)
-            else:
-                specific.add(label.hashtag)
-                new_specific.append(label.hashtag)
+        candidates = harvested - specific - generic
+        new_generic = classify_hashtags(candidates, window, params)
+        new_specific = candidates - new_generic
+        generic |= new_generic
+        specific |= new_specific
         fresh = {
             tweet_id
             for tag in new_specific
@@ -368,7 +334,9 @@ def associate_all(
         for tweet in day_tweets:
             for tag in tweet.hashtags:
                 day_tags.setdefault(tag, []).append(tweet.id)
-        keywords = {a.id: profiles[a.id].tokens() for a in day_articles if a.id in profiles}
+        keywords = {
+            a.id: {token for token, _ in profiles[a.id]} for a in day_articles if a.id in profiles
+        }
         seeds = seed_tweets(keywords, day_tweets, params.min_overlap, stopwords)
         if day_articles:
             window = build_history(history, day, params)

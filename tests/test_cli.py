@@ -14,6 +14,7 @@ import nextday.cli
 from nextday.cli import main
 from nextday.config import ALL_SCHEMES
 
+from signal_corpus import write_signal_corpus
 from util import child_env, write_golden_config
 
 REPO = Path(__file__).parents[1]
@@ -32,9 +33,9 @@ def example_config_args(monkeypatch, tmp_path):
     return ["--config", "config.example.json", "--set", f"paths.output_dir={out}"]
 
 
-def reference_digests():
-    """The golden-26 artifact digests the benchmark's reference records."""
-    return json.loads((REPO / "perfbench" / "reference.json").read_text())["golden-26"]["artifacts"]
+def reference_digests(workload="golden-26"):
+    """The artifact digests the benchmark's reference records for `workload`."""
+    return json.loads((REPO / "perfbench" / "reference.json").read_text())[workload]["artifacts"]
 
 
 def assert_one_error_line(err, message):
@@ -597,11 +598,18 @@ class TestEvaluate:
         assert "RFC" in out
 
 
-def test_golden_artifacts_match_benchmark_reference(capsys, monkeypatch, tmp_path):
-    """All five stages on the golden corpus with `config.example.json` write
-    the bytes whose sha256 digests the benchmark's reference records."""
-    expected = reference_digests()
+@pytest.mark.parametrize("workload", ["golden-26", "full-150"])
+def test_golden_artifacts_match_benchmark_reference(capsys, monkeypatch, tmp_path, workload):
+    """All five stages with `config.example.json` write the bytes whose
+    sha256 digests the benchmark's reference records: on the golden corpus,
+    and on the 150-article signal corpus of the generator's default seed."""
+    expected = reference_digests(workload)
     common = example_config_args(monkeypatch, tmp_path)
+    if workload == "full-150":
+        corpus = tmp_path / "corpus"
+        write_signal_corpus(corpus, n_articles=150)
+        for name in ("articles", "tweets", "users"):
+            common += ["--set", f"paths.{name}={json.dumps(str(corpus / f'{name}.jsonl'))}"]
     for stage in ("ingest-check", "associate", "features", "evaluate", "report"):
         schemes = ["--scheme", "all"] if stage in ("features", "evaluate") else []
         assert main([stage, *common, *schemes]) == 0, stage

@@ -14,7 +14,7 @@ from nextday.corpus import (
     load_users,
     parse_rfc3339,
 )
-from nextday.features import FeatureMatrix, FeatureVector, write_feature_csv
+from nextday.features import write_feature_csv
 from nextday.relevance import ArticleAssociation, write_associations
 
 from util import article, corpus_of, tweet, user, utc
@@ -377,11 +377,8 @@ def _broken_associations(path):
 
 
 def _broken_features(path):
-    vectors = tuple(
-        FeatureVector(article_id, "toy", {"f0": value}, 0)
-        for article_id, value in (("a1", 0.5), ("a2", None))
-    )
-    write_feature_csv(FeatureMatrix("toy", ("f0",), vectors), path)
+    rows = [(article_id, {"f0": value}, 0) for article_id, value in (("a1", 0.5), ("a2", None))]
+    write_feature_csv(("f0",), rows, path)
 
 
 def _broken_block(path):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -28,6 +29,7 @@ from nextday.lexicons import (
     MODIFIER_WINDOW,
     NEGATION_SCALAR,
     NORMALIZATION_ALPHA,
+    Sentiment,
     SentimentLexicon,
     classify_sentiment,
     dominant_emotion,
@@ -125,9 +127,9 @@ class TestInvolvement:
             assoc("a1", [t.id for t in tweets]), corpus, 1319, FeatureParams()
         )
         assert sum(t.retweet_count for t in tweets) == 42150
-        assert indices.avg_retweets == pytest.approx(42150 / 1319)
-        assert round(indices.avg_retweets, 2) == 31.96
-        assert indices.tweet_count_norm == 1.0
+        assert indices["avg_retweets"] == pytest.approx(42150 / 1319)
+        assert round(indices["avg_retweets"], 2) == 31.96
+        assert indices["tweet_count_norm"] == 1.0
 
     def test_tweet_count_normalized_by_corpus_max(self):
         tweets = [tweet(id=f"t{i}", text="x", user_id=f"u{i}") for i in range(208)]
@@ -136,8 +138,8 @@ class TestInvolvement:
         indices = involvement_indices(
             assoc("a1", [t.id for t in tweets]), corpus, 1319, FeatureParams()
         )
-        assert indices.tweet_count_norm == pytest.approx(208 / 1319)
-        assert round(indices.tweet_count_norm, 4) == 0.1577
+        assert indices["tweet_count_norm"] == pytest.approx(208 / 1319)
+        assert round(indices["tweet_count_norm"], 4) == 0.1577
 
     def test_affected_fraction(self):
         # 1240 unique users, 60 of them tweeting more than once (1319 events)
@@ -154,7 +156,7 @@ class TestInvolvement:
         indices = involvement_indices(
             assoc("a1", [t.id for t in tweets]), corpus, 1319, FeatureParams()
         )
-        assert indices.affected_user_fraction == pytest.approx(60 / 1240)
+        assert indices["affected_user_fraction"] == pytest.approx(60 / 1240)
 
     def test_influential_and_authoritative_fractions(self):
         when = utc()
@@ -171,20 +173,23 @@ class TestInvolvement:
         ]
         art = article(id="a1", when=when)
         corpus = corpus_of(articles=[art], tweets=tweets, users=users)
-        indices = involvement_indices(
-            assoc("a1", ["t1", "t2", "t3", "t4"]), corpus, 4, FeatureParams()
-        )
+        tweet_ids = ["t1", "t2", "t3", "t4"]
+        params = FeatureParams(authoritative=True)
+        indices = involvement_indices(assoc("a1", tweet_ids), corpus, 4, params)
         # unresolved 'ghost' counts in the denominator, never in a numerator
-        assert indices.influential_user_fraction == 0.25
-        assert indices.authoritative_user_fraction == 0.25
+        assert indices["influential_user_fraction"] == 0.25
+        assert indices["authoritative_user_fraction"] == 0.25
+        assert list(indices)[-1] == "authoritative_user_fraction"
+        default = involvement_indices(assoc("a1", tweet_ids), corpus, 4, FeatureParams())
+        assert tuple(default) == features.BLOCK_COLUMNS["involvement"]
 
     def test_empty_association_all_zero(self):
         art = article(id="a1")
         corpus = corpus_of(articles=[art])
         indices = involvement_indices(assoc("a1"), corpus, 1, FeatureParams())
-        assert indices.tweet_count_norm == 0.0
-        assert indices.avg_retweets == 0.0
-        assert indices.affected_user_fraction == 0.0
+        assert indices["tweet_count_norm"] == 0.0
+        assert indices["avg_retweets"] == 0.0
+        assert indices["affected_user_fraction"] == 0.0
 
     def test_corpus_max_precondition(self):
         art = article(id="a1")
@@ -193,37 +198,51 @@ class TestInvolvement:
             involvement_indices(assoc("a1", ["t1"]), corpus, 0, FeatureParams())
 
 
+def reaction_counts(assoc_, corpus, memo):
+    """PC, NC and the eight emotion counts of the association's tweets,
+    from the memo's sentiment and dominant emotion of each tweet."""
+    reactions = [memo.tweet_reaction(corpus.tweet_by_id[t]) for t in assoc_.expanded_tweet_ids]
+    sentiments = Counter(sentiment for sentiment, _ in reactions)
+    emotions = Counter(dominant for _, dominant in reactions)
+    return (
+        sentiments[Sentiment.POSITIVE],
+        sentiments[Sentiment.NEGATIVE],
+        [emotions[c] for c in EMOTION_CATEGORIES],
+    )
+
+
 class TestReaction:
     def test_empty_association(self, lexicons):
         art = article(id="a1")
         corpus = corpus_of(articles=[art])
         indices = reaction_indices(assoc("a1"), corpus, TextMemo(lexicons))
-        assert indices.sentiment_variance == 0.0
-        assert indices.emotion_variance == 0.0
-        assert indices.tweet_total == 0
+        assert indices["sentiment_variance"] == 0.0
+        assert indices["emotion_variance"] == 0.0
 
     def test_balanced_synthetic(self, lexicons):
         texts = ["great win today"] * 4 + ["terrible disaster here"] * 4
         tweets = [tweet(id=f"t{i}", text=t, user_id=f"u{i}") for i, t in enumerate(texts)]
         art = article(id="a1")
         corpus = corpus_of(articles=[art], tweets=tweets)
-        indices = reaction_indices(
-            assoc("a1", [t.id for t in tweets]), corpus, TextMemo(lexicons)
-        )
-        assert indices.positive_count == 4
-        assert indices.negative_count == 4
-        assert indices.sentiment_variance == 1.0
+        memo = TextMemo(lexicons)
+        indices = reaction_indices(assoc("a1", [t.id for t in tweets]), corpus, memo)
+        assert reaction_counts(assoc("a1", [t.id for t in tweets]), corpus, memo)[:2] == (4, 4)
+        assert indices["sentiment_variance"] == 1.0
 
     def test_golden_values(self, golden_dir, golden_corpus, golden_associations, lexicons):
         expected = json.loads((golden_dir / "expected_reaction.json").read_text())
         by_id = {a.article_id: a for a in golden_associations}
         for article_id, want in expected.items():
-            got = reaction_indices(by_id[article_id], golden_corpus, TextMemo(lexicons))
-            assert got.positive_count == want["positive_count"]
-            assert got.negative_count == want["negative_count"]
-            assert list(got.emotion_counts) == want["emotion_counts"]
-            assert got.sentiment_variance == want["sentiment_variance"]
-            assert got.emotion_variance == want["emotion_variance"]
+            memo = TextMemo(lexicons)
+            pc, nc, emotion_counts = reaction_counts(by_id[article_id], golden_corpus, memo)
+            assert pc == want["positive_count"]
+            assert nc == want["negative_count"]
+            assert emotion_counts == want["emotion_counts"]
+            got = reaction_indices(by_id[article_id], golden_corpus, memo)
+            assert got == {
+                "sentiment_variance": want["sentiment_variance"],
+                "emotion_variance": want["emotion_variance"],
+            }
 
     def test_matches_brute_force_recount(self, golden_corpus, golden_associations, lexicons):
         # re-score every tweet independently and recompute both indices
@@ -240,10 +259,11 @@ class TestReaction:
                 top = dominant_emotion(tag_emotions(text, lexicons.emotions))
                 if top:
                     counts[top] += 1
-            got = reaction_indices(assoc_, golden_corpus, TextMemo(lexicons))
-            assert (got.positive_count, got.negative_count) == (pc, nc)
-            assert got.sentiment_variance == sentiment_variance(pc, nc)
-            assert got.emotion_variance == emotion_variance(
+            memo = TextMemo(lexicons)
+            assert reaction_counts(assoc_, golden_corpus, memo)[:2] == (pc, nc)
+            got = reaction_indices(assoc_, golden_corpus, memo)
+            assert got["sentiment_variance"] == sentiment_variance(pc, nc)
+            assert got["emotion_variance"] == emotion_variance(
                 [counts[c] for c in EMOTION_CATEGORIES]
             )
 
@@ -253,10 +273,10 @@ def block(lexicons, name, art):
 
 
 def event_values(arts, article_id, lexicons):
-    matrix = assemble_matrix(
+    _, rows = assemble_matrix(
         corpus_of(arts), [], "event_importance", TextMemo(lexicons), FeatureParams()
     )
-    return next(v.values for v in matrix.vectors if v.article_id == article_id)
+    return next(values for row_id, values, _ in rows if row_id == article_id)
 
 
 class TestPolarityFeatures:
@@ -525,16 +545,15 @@ class TestEventImportance:
             article(id="b2", title="Hermine moves", body=storm, when=utc(2016, 8, 6)),
             article(id="c1", title="Rain Coming", body="A storm is over the coast tonight."),
         ]
-        matrix = assemble_matrix(
+        _, rows = assemble_matrix(
             corpus_of(arts), [], "event_importance", TextMemo(lexicons), FeatureParams()
         )
         clusters = build_event_clusters(arts, FeatureParams().similarity_threshold)
-        for vec in matrix.vectors:
-            cluster = clusters[vec.article_id]
-            days = {a.published_day for a in arts if a.id in cluster}
-            assert vec.values["event_days"] == float(len(days))
-        assert [vec.values["event_days"] for vec in matrix.vectors] == [3, 3, 3, 3, 2, 2, 1]
-        assert [vec.values["event_articles"] for vec in matrix.vectors] == [4, 4, 4, 4, 2, 2, 1]
+        for article_id, values, _ in rows:
+            days = {a.published_day for a in arts if a.id in clusters[article_id]}
+            assert values["event_days"] == float(len(days))
+        assert [values["event_days"] for _, values, _ in rows] == [3, 3, 3, 3, 2, 2, 1]
+        assert [values["event_articles"] for _, values, _ in rows] == [4, 4, 4, 4, 2, 2, 1]
 
     def test_similarity_symmetric(self):
         arts = [
@@ -668,7 +687,7 @@ class TestMatrix:
             golden_corpus, list(golden_associations), "proposed", memo, FeatureParams()
         )
         out = tmp_path / "features_proposed.csv"
-        write_feature_csv(matrix, out)
+        write_feature_csv(*matrix, out)
         assert out.read_bytes() == (golden_dir / "expected_features_proposed.csv").read_bytes()
 
     def test_header_shape(self, tmp_path, golden_corpus, lexicons):
@@ -676,7 +695,7 @@ class TestMatrix:
             golden_corpus, [], "event_importance", TextMemo(lexicons), FeatureParams()
         )
         out = tmp_path / "f.csv"
-        write_feature_csv(matrix, out)
+        write_feature_csv(*matrix, out)
         header = out.read_text().splitlines()[0]
         assert header == "article_id,event_days,event_articles,label"
 
@@ -695,27 +714,27 @@ class TestMatrix:
                 golden_corpus, list(golden_associations), "proposed", memo, FeatureParams()
             )
             path = tmp_path / f"m{len(outputs)}.csv"
-            write_feature_csv(matrix, path)
+            write_feature_csv(*matrix, path)
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
 
     def test_normalization_peaks_at_one(self, golden_corpus, golden_associations, lexicons):
         memo = TextMemo(lexicons)
-        matrix = assemble_matrix(
+        _, rows = assemble_matrix(
             golden_corpus, list(golden_associations), "proposed", memo, FeatureParams()
         )
-        peaks = [v.values["tweet_count_norm"] for v in matrix.vectors]
+        peaks = [values["tweet_count_norm"] for _, values, _ in rows]
         assert max(peaks) == 1.0
 
     def test_all_schemes_assemble(self, golden_corpus, golden_associations, lexicons):
         for scheme in ALL_SCHEMES:
             memo = TextMemo(lexicons)
-            matrix = assemble_matrix(
+            columns, rows = assemble_matrix(
                 golden_corpus, list(golden_associations), scheme, memo, FeatureParams()
             )
-            assert len(matrix.vectors) == len(golden_corpus.articles)
-            for vector in matrix.vectors:
-                assert tuple(vector.values) == matrix.columns
+            assert len(rows) == len(golden_corpus.articles)
+            for _, values, _ in rows:
+                assert tuple(values) == columns
 
     def test_wrong_columns_rejected(self, monkeypatch, golden_corpus, lexicons):
         real = features.text_blocks
@@ -764,7 +783,7 @@ class TestMatrix:
 
     def test_authoritative_column_appended(self, golden_corpus, golden_associations, lexicons):
         params = FeatureParams(authoritative=True)
-        matrix = assemble_matrix(
+        columns, _ = assemble_matrix(
             golden_corpus, list(golden_associations), "proposed", TextMemo(lexicons), params
         )
-        assert matrix.columns[-1] == "authoritative_user_fraction"
+        assert columns[-1] == "authoritative_user_fraction"

@@ -645,6 +645,20 @@ class TestTrainerLabels:
         want = trainer(FOUR_X, FOUR_Y).predict(FOUR_X)
         assert np.array_equal(trainer(FOUR_X, labels).predict(FOUR_X), want)
 
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
+    @pytest.mark.parametrize("fit", [train_cart, train_forest], ids=["cart", "forest"])
+    @pytest.mark.parametrize(
+        "labels, message",
+        [([1], r"\(1,\)"), (np.array([[0], [1]] * 5), r"\(10, 1\)")],
+        ids=["one-label", "2-d"],
+    )
+    def test_labels_of_another_shape_rejected(self, monkeypatch, compiled, fit, labels, message):
+        # the compiled grower would read past a short label buffer
+        if not compiled:
+            monkeypatch.setattr(native, "HELPER", None)
+        with pytest.raises(ValueError, match=f"^labels {message} do not fit 10 rows$"):
+            fit(np.arange(20.0).reshape(10, 2), labels)
+
 
 def hinge_objective(weights: np.ndarray, bias: float, x: np.ndarray, signs: np.ndarray, c: float) -> float:
     """0.5*||w||^2 + C * sum of hinge losses on (x, signs)."""
@@ -733,7 +747,7 @@ def signal_features(tmp_path_factory):
         for scheme in SIGNAL_SCHEMES:
             path = root / f"features_{scheme}.csv"
             write_feature_csv(
-                assemble_matrix(corpus, associations, scheme, memo, FeatureParams()), path
+                *assemble_matrix(corpus, associations, scheme, memo, FeatureParams()), path
             )
             data = Dataset.from_csv(path, scheme)
             matrices[(seed, scheme)] = (data.x, data.y)
@@ -1043,7 +1057,7 @@ def golden_datasets(tmp_path_factory, golden_corpus, golden_associations, lexico
     for scheme in ALL_SCHEMES:
         path = root / f"features_{scheme}.csv"
         matrix = assemble_matrix(golden_corpus, golden_associations, scheme, memo, FeatureParams())
-        write_feature_csv(matrix, path)
+        write_feature_csv(*matrix, path)
         datasets.append(Dataset.from_csv(path, scheme))
     return datasets
 
