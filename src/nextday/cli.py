@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING
 
@@ -30,6 +29,7 @@ from nextday.config import (
     SCHEME_PROPOSED,
     ConfigError,
     PipelineConfig,
+    config_dict,
     load_config,
 )
 from nextday.corpus import (
@@ -77,7 +77,7 @@ def _write_run_meta(
         "started_at": started,
         "finished_at": _now(),
         "version": __version__,
-        "effective_config": asdict(config),
+        "effective_config": config_dict(config),
         **extra,
     }
     _write_text(out / "run_meta.json", json.dumps(meta, indent=2) + "\n")
@@ -318,7 +318,7 @@ def cmd_evaluate(config: PipelineConfig, args) -> int:
 
     # paths are machine-specific run metadata (present in run_meta.json);
     # keeping them out makes report.json location-independent
-    snapshot = {k: v for k, v in asdict(config).items() if k != "paths"}
+    snapshot = {k: v for k, v in config_dict(config).items() if k != "paths"}
     report = build_report(runs, config.learn.k, seeds, snapshot)
     _write_text(out / "report.json", json.dumps(report, indent=2) + "\n")
     markdown = render_report_md(report)

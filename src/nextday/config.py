@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from nextday.text import decode_utf8
 
@@ -29,8 +29,7 @@ class ConfigError(ValueError):
     """Unusable configuration or missing prerequisite file."""
 
 
-@dataclass(frozen=True)
-class PathsConfig:
+class PathsConfig(NamedTuple):
     articles: str = "articles.jsonl"
     tweets: str = "tweets.jsonl"
     users: str = "users.jsonl"
@@ -41,8 +40,7 @@ class PathsConfig:
     boosters: str | None = None
 
 
-@dataclass(frozen=True)
-class RelevanceParams:
+class RelevanceParams(NamedTuple):
     min_overlap: int = 3
     generic_article_threshold: int = 5
     generic_frequency_quantile: float = 0.90
@@ -52,21 +50,18 @@ class RelevanceParams:
     keyword_count: int = 10
 
 
-@dataclass(frozen=True)
-class FeatureParams:
+class FeatureParams(NamedTuple):
     active_window_days: int = 30
     similarity_threshold: float = 0.3
     authoritative: bool = False
 
 
-@dataclass(frozen=True)
-class CartConfig:
+class CartConfig(NamedTuple):
     max_depth: int = 8
     min_samples_leaf: int = 2
 
 
-@dataclass(frozen=True)
-class ForestConfig:
+class ForestConfig(NamedTuple):
     n_trees: int = 100
     bootstrap: bool = True
     max_features: int | None = None  # None = ceil(sqrt(d))
@@ -74,28 +69,25 @@ class ForestConfig:
     min_samples_leaf: int = 2
 
 
-@dataclass(frozen=True)
-class SvmConfig:
+class SvmConfig(NamedTuple):
     c: float = 1.0
     epochs: int = 200
 
 
-@dataclass(frozen=True)
-class LearnParams:
+class LearnParams(NamedTuple):
     k: int = 10
     seed: int = 2016
     repeats: int = 1
-    cart: CartConfig = field(default_factory=CartConfig)
-    forest: ForestConfig = field(default_factory=ForestConfig)
-    svm: SvmConfig = field(default_factory=SvmConfig)
+    cart: CartConfig = CartConfig()
+    forest: ForestConfig = ForestConfig()
+    svm: SvmConfig = SvmConfig()
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    paths: PathsConfig = field(default_factory=PathsConfig)
-    relevance: RelevanceParams = field(default_factory=RelevanceParams)
-    features: FeatureParams = field(default_factory=FeatureParams)
-    learn: LearnParams = field(default_factory=LearnParams)
+class PipelineConfig(NamedTuple):
+    paths: PathsConfig = PathsConfig()
+    relevance: RelevanceParams = RelevanceParams()
+    features: FeatureParams = FeatureParams()
+    learn: LearnParams = LearnParams()
 
     def output_dir(self) -> Path:
         return Path(self.paths.output_dir)
@@ -169,22 +161,22 @@ _TYPE_RULES = {
 def _build(section, cls, context: str):
     """`cls` from the config object `section`, checking each value's type.
 
-    A field whose default is a config dataclass is a nested section and is
-    built the same way.
+    A field whose default is a config section is a nested section and is
+    built the same way. Annotations are strings here, which NamedTuple
+    keeps as `ForwardRef`s.
     """
     if not isinstance(section, dict):
         raise ConfigError(f"'{context}' must be an object, got {json.dumps(section)}")
-    fields = cls.__dataclass_fields__
     values = {}
     for key, value in section.items():
         name = f"{context}.{key}" if context else key
-        if key not in fields:
+        if key not in cls._fields:
             raise ConfigError(f"unknown config key '{name}'")
-        spec = fields[key]
-        if is_dataclass(spec.default_factory):
-            values[key] = _build(value, spec.default_factory, name)
+        default = cls._field_defaults.get(key)
+        if isinstance(default, tuple):
+            values[key] = _build(value, type(default), name)
             continue
-        accepts, wanted = _TYPE_RULES[spec.type]
+        accepts, wanted = _TYPE_RULES[cls.__annotations__[key].__forward_arg__]
         if not accepts(value):
             raise ConfigError(f"'{name}' must be {wanted}, got {json.dumps(value)}")
         values[key] = value
@@ -192,12 +184,20 @@ def _build(section, cls, context: str):
 
 
 def config_from_dict(tree: dict) -> PipelineConfig:
-    unknown = set(tree) - set(PipelineConfig.__dataclass_fields__)
+    unknown = set(tree) - set(PipelineConfig._fields)
     if unknown:
         raise ConfigError(f"unknown config section(s): {', '.join(sorted(unknown))}")
     config = _build(tree, PipelineConfig, "")
     _validate(config)
     return config
+
+
+def config_dict(section) -> dict:
+    """`section`'s fields in declaration order, each nested section as a dict."""
+    return {
+        key: config_dict(value) if isinstance(value, tuple) else value
+        for key, value in zip(section._fields, section)
+    }
 
 
 def _validate(config: PipelineConfig) -> None:

@@ -13,10 +13,9 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from nextday.text import extract_hashtags
 
@@ -52,8 +51,7 @@ def parse_rfc3339(value: str) -> datetime:
     return parsed.astimezone(timezone.utc)
 
 
-@dataclass(frozen=True)
-class NewsArticle:
+class NewsArticle(NamedTuple):
     id: str
     title: str
     body: str
@@ -66,8 +64,7 @@ class NewsArticle:
         return self.published_at.date()
 
 
-@dataclass(frozen=True)
-class Tweet:
+class Tweet(NamedTuple):
     id: str
     text: str
     user_id: str
@@ -81,8 +78,7 @@ class Tweet:
         return self.created_at.date()
 
 
-@dataclass(frozen=True)
-class UserProfile:
+class UserProfile(NamedTuple):
     user_id: str
     followers_count: int
     last_active_at: datetime
@@ -181,36 +177,51 @@ def load_articles(path) -> list[NewsArticle]:
 
 
 def load_tweets(path) -> list[Tweet]:
-    """Read tweets.jsonl; hashtags = supplied set union tags found in text."""
+    """Read tweets.jsonl; hashtags = supplied set union tags found in text.
+
+    Each record is checked here, field by field in a fixed order: id,
+    duplicate id, text, hashtags, user_id, created_at, retweet_count,
+    favorite_count. A field that fails is passed to its `_require_*`
+    helper, which raises the error naming the field and line.
+    """
     tweets: list[Tweet] = []
     seen: set[str] = set()
     for line_no, obj in _read_jsonl(path):
-        tweet_id = _require_str(obj, "id", line_no, path)
+        tweet_id = obj.get("id")
+        if not isinstance(tweet_id, str):
+            _require_str(obj, "id", line_no, path)
         if tweet_id in seen:
             raise CorpusError(f"duplicate tweet id '{tweet_id}' at line {line_no} of {path}")
         seen.add(tweet_id)
-        text = _require_str(obj, "text", line_no, path)
+        text = obj.get("text")
+        if not isinstance(text, str):
+            _require_str(obj, "text", line_no, path)
         supplied = obj.get("hashtags", [])
         if not isinstance(supplied, list) or not all(isinstance(h, str) for h in supplied):
             raise CorpusError(
                 f"field 'hashtags' must be a list of strings at line {line_no} of {path}"
             )
-        hashtags = set(extract_hashtags(text))
+        hashtags = extract_hashtags(text)
         for tag in supplied:
             normalized = normalize_hashtag(tag)
             if not _HASHTAG_OK_RE.fullmatch(normalized):
                 raise CorpusError(f"invalid hashtag {tag!r} at line {line_no} of {path}")
             hashtags.add(normalized)
+        user_id = obj.get("user_id")
+        if not isinstance(user_id, str):
+            _require_str(obj, "user_id", line_no, path)
+        try:
+            created_at = parse_rfc3339(obj["created_at"])
+        except (KeyError, ValueError):
+            _require_timestamp(obj, "created_at", line_no, path)
+        retweets = obj.get("retweet_count")
+        if type(retweets) is not int or retweets < 0:  # a bool is no count
+            _require_count(obj, "retweet_count", line_no, path)
+        favorites = obj.get("favorite_count")
+        if type(favorites) is not int or favorites < 0:
+            _require_count(obj, "favorite_count", line_no, path)
         tweets.append(
-            Tweet(
-                id=tweet_id,
-                text=text,
-                user_id=_require_str(obj, "user_id", line_no, path),
-                created_at=_require_timestamp(obj, "created_at", line_no, path),
-                retweet_count=_require_count(obj, "retweet_count", line_no, path),
-                favorite_count=_require_count(obj, "favorite_count", line_no, path),
-                hashtags=frozenset(hashtags),
-            )
+            Tweet(tweet_id, text, user_id, created_at, retweets, favorites, frozenset(hashtags))
         )
     return tweets
 
@@ -238,8 +249,7 @@ def load_users(path) -> list[UserProfile]:
     return users
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(NamedTuple):
     """Immutable article/tweet/user collections plus lookups by id.
 
     The collections keep their files' order. A stage that needs another
@@ -249,9 +259,9 @@ class Corpus:
     articles: tuple[NewsArticle, ...]
     tweets: tuple[Tweet, ...]
     users: tuple[UserProfile, ...]
-    article_by_id: dict[str, NewsArticle] = field(repr=False)
-    tweet_by_id: dict[str, Tweet] = field(repr=False)
-    user_by_id: dict[str, UserProfile] = field(repr=False)
+    article_by_id: dict[str, NewsArticle]
+    tweet_by_id: dict[str, Tweet]
+    user_by_id: dict[str, UserProfile]
     diagnostics: tuple[dict, ...] = ()
 
 

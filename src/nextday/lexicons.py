@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from nextday.corpus import LexiconError
 from nextday.text import decode_utf8, is_token, tokenize, tokenize_cased
@@ -41,20 +41,17 @@ class Sentiment(enum.Enum):
     NEUTRAL = "neutral"
 
 
-@dataclass(frozen=True)
-class SentimentLexicon:
+class SentimentLexicon(NamedTuple):
     entries: dict[str, float]
     negators: frozenset[str]
     boosters: dict[str, float]
 
 
-@dataclass(frozen=True)
-class EmotionLexicon:
+class EmotionLexicon(NamedTuple):
     entries: dict[str, frozenset[str]]
 
 
-@dataclass(frozen=True)
-class Lexicons:
+class Lexicons(NamedTuple):
     sentiment: SentimentLexicon
     emotions: EmotionLexicon
 

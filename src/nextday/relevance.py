@@ -17,25 +17,20 @@ counted once.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import sys
 from collections import Counter, deque
-from dataclasses import dataclass, fields
 from datetime import date, timedelta
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, NamedTuple
 
 from nextday.config import RelevanceParams
 from nextday.corpus import Corpus, DatasetError, NewsArticle, Tweet, atomic_write
 from nextday.text import content_tokens, default_stopwords
 
-log = logging.getLogger(__name__)
-
 MIN_TOKEN_LENGTH = 3
 
 
-@dataclass(frozen=True)
-class ArticleAssociation:
+class ArticleAssociation(NamedTuple):
     article_id: str
     seed_tweet_ids: frozenset[str]
     expanded_tweet_ids: frozenset[str]
@@ -44,8 +39,7 @@ class ArticleAssociation:
     iterations_run: int
 
 
-@dataclass(frozen=True)
-class HistoryWindow:
+class HistoryWindow(NamedTuple):
     """What hashtag labelling reads from the days before an article's day."""
 
     empty: bool  # no tweet in the window
@@ -230,14 +224,9 @@ def classify_hashtags(
 
     Generic requires attachment to enough distinct prior articles or a
     usage count above the window's frequency quantile. With an empty
-    window every candidate is article-specific (a warning is logged).
+    window every candidate is article-specific.
     """
     if window.empty:
-        if candidate_hashtags:
-            log.warning(
-                "empty hashtag history window; labelling all %d candidates article-specific",
-                len(candidate_hashtags),
-            )
         return set()
     return {
         tag
@@ -312,6 +301,9 @@ def associate_all(
     joins the window after its own articles are expanded. An article with
     no indexable tokens gets an empty association and one
     `unindexable_article` JSON-lines event on `stream` (stderr by default).
+    An article whose history window is empty, so that all its hashtags
+    were labelled article-specific, gets one `empty_history_window` event
+    there when it has any; these follow in article id order.
     """
     stream = stream if stream is not None else sys.stderr
     stopwords = default_stopwords()
@@ -327,6 +319,7 @@ def associate_all(
         tweets_by_day.setdefault(t.created_day, []).append(t)
     history = _SlidingHistory()
     associations = []
+    no_history: set[str] = set()
     for day in sorted(tweets_by_day.keys() | articles_on.keys()):
         day_articles = articles_on.get(day, [])
         day_tweets = tweets_by_day.get(day, [])
@@ -340,6 +333,8 @@ def associate_all(
         seeds = seed_tweets(keywords, day_tweets, params.min_overlap, stopwords)
         if day_articles:
             window = build_history(history, day, params)
+            if window.empty:
+                no_history.update(a.id for a in day_articles)
             for a in day_articles:
                 if a.id in seeds:
                     associations.append(
@@ -355,7 +350,12 @@ def associate_all(
             {tag: len(ids) for tag, ids in day_tags.items()},
             {tag: len(ids) for tag, ids in _seed_hashtag_articles(seeds, corpus).items()},
         )
-    return sorted(associations, key=lambda a: a.article_id)
+    associations.sort(key=lambda a: a.article_id)
+    for assoc in associations:
+        if assoc.article_specific_hashtags and assoc.article_id in no_history:
+            event = {"kind": "empty_history_window", "article_id": assoc.article_id}
+            stream.write(json.dumps(event) + "\n")
+    return associations
 
 
 def association_to_dict(assoc: ArticleAssociation) -> dict:
@@ -400,7 +400,7 @@ def load_associations(path) -> list[ArticleAssociation]:
             except ValueError:  # invalid JSON or invalid UTF-8
                 raise DatasetError(f"{path}:{line_no}: truncated or invalid JSON line") from None
             try:
-                article_id, *lists, iterations = [obj[f.name] for f in fields(ArticleAssociation)]
+                article_id, *lists, iterations = [obj[name] for name in ArticleAssociation._fields]
             except KeyError as exc:
                 raise DatasetError(f"{path}:{line_no}: missing field {exc.args[0]!r}") from None
             except TypeError:  # the line holds no JSON object

@@ -632,6 +632,56 @@ class TestConfigPlumbing:
         assert meta["effective_config"]["relevance"]["min_overlap"] == 2
         assert meta["effective_config"]["learn"]["k"] == 5
 
+    def test_effective_config_lists_every_key_in_declaration_order(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # config.example.json's values, with every default it omits filled in
+        code, _, _ = run(capsys, "ingest-check", *example_config_args(monkeypatch, tmp_path))
+        assert code == 0
+        expected = {
+            "paths": {
+                "articles": "tests/data/golden/articles.jsonl",
+                "tweets": "tests/data/golden/tweets.jsonl",
+                "users": "tests/data/golden/users.jsonl",
+                "output_dir": str(tmp_path / "out"),
+                "sentiment_lexicon": None,
+                "emotion_lexicon": None,
+                "negators": None,
+                "boosters": None,
+            },
+            "relevance": {
+                "min_overlap": 3,
+                "generic_article_threshold": 5,
+                "generic_frequency_quantile": 0.9,
+                "max_iterations": 3,
+                "history_days": 30,
+                "keywords_source": "title_body",
+                "keyword_count": 10,
+            },
+            "features": {
+                "active_window_days": 30,
+                "similarity_threshold": 0.3,
+                "authoritative": False,
+            },
+            "learn": {
+                "k": 5,
+                "seed": 2016,
+                "repeats": 1,
+                "cart": {"max_depth": 8, "min_samples_leaf": 2},
+                "forest": {
+                    "n_trees": 100,
+                    "bootstrap": True,
+                    "max_features": None,
+                    "max_depth": 8,
+                    "min_samples_leaf": 2,
+                },
+                "svm": {"c": 1.0, "epochs": 200},
+            },
+        }
+        meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+        # compared as text, so key order and 1.0 against 1 count too
+        assert json.dumps(meta["effective_config"], indent=2) == json.dumps(expected, indent=2)
+
     def test_bad_set_value_rejected(self, capsys, golden_config):
         cfg = golden_config()
         code, _, err = run(
@@ -827,8 +877,8 @@ class TestBadInputs:
         assert not (tmp_path / "out" / "report.md").exists()
 
 
-# Runs one CLI stage, then reports whether the process loaded numpy and
-# which `nextday` modules it loaded.
+# Runs one CLI stage, then reports whether the process loaded numpy,
+# `dataclasses` and `logging`, and which `nextday` modules it loaded.
 LOADED_MODULES_PROBE = """
 import json, sys
 from nextday.cli import main
@@ -836,6 +886,8 @@ code = main(sys.argv[1:])
 print(json.dumps({
     "numpy": "numpy" in sys.modules,
     "numpy.ma": "numpy.ma" in sys.modules,
+    "dataclasses": "dataclasses" in sys.modules,
+    "logging": "logging" in sys.modules,
     "nextday": sorted(m for m in sys.modules if m.startswith("nextday")),
 }))
 sys.exit(code)
@@ -886,6 +938,14 @@ class TestColdStart:
         # no stage uses masked arrays, and importing them costs some 10 ms
         for run_name, report in loaded.items():
             assert report["numpy.ma"] is False, run_name
+
+    def test_only_evaluate_may_load_dataclasses_or_logging(self, loaded):
+        # the records are NamedTuples and the stages emit JSON-lines events,
+        # so neither module's import time is paid outside `evaluate`
+        for run_name, report in loaded.items():
+            if run_name != "evaluate":
+                assert report["dataclasses"] is False, run_name
+                assert report["logging"] is False, run_name
 
     def test_each_stage_loads_only_its_packages(self, loaded):
         stage_packages = set().union(*(wanted for _, wanted in STAGE_RUNS.values()))

@@ -4,6 +4,7 @@ from datetime import timezone
 
 import pytest
 
+from nextday.config import PipelineConfig
 from nextday.corpus import (
     CorpusError,
     atomic_write,
@@ -67,7 +68,7 @@ def user_record(user):
 
 
 def write_jsonl(path, objects):
-    write_lines(path, *(json.dumps(obj, ensure_ascii=False) for obj in objects))
+    return write_lines(path, *(json.dumps(obj, ensure_ascii=False) for obj in objects))
 
 
 class TestLoadArticles:
@@ -283,6 +284,92 @@ class TestLoadTweets:
         assert str(caught.value) == f"field 'retweet_count' must be an integer at line 3 of {path}"
 
 
+# Tweets with two faults at once, and the one error the loader reports:
+# it checks id, duplicate id, text, hashtags, user_id, created_at,
+# retweet_count and favorite_count in that order. Line 1 holds `FIRST`.
+FIRST = {
+    "id": "t0",
+    "text": "fine #ok",
+    "user_id": "u1",
+    "created_at": "2016-08-03T12:00:00Z",
+    "retweet_count": 0,
+    "favorite_count": 0,
+}
+MISSING = object()
+TWO_FAULTS = {
+    "missing-user-negative-retweets": (
+        {"user_id": MISSING, "retweet_count": -1},
+        "missing field 'user_id' at line 2 of {path}",
+    ),
+    "bad-hashtag-bad-created-at": (
+        {"hashtags": ["bad tag"], "created_at": "yesterday"},
+        "invalid hashtag 'bad tag' at line 2 of {path}",
+    ),
+    "hashtags-not-list-missing-text": (
+        {"hashtags": "x", "text": MISSING},
+        "missing field 'text' at line 2 of {path}",
+    ),
+    "id-not-string-missing-text": (
+        {"id": 5, "text": MISSING},
+        "field 'id' must be a string at line 2 of {path}",
+    ),
+    "duplicate-id-missing-text": (
+        {"id": "t0", "text": MISSING},
+        "duplicate tweet id 't0' at line 2 of {path}",
+    ),
+    "bad-created-at-negative-favorites": (
+        {"created_at": "2016-13-01T00:00:00Z", "favorite_count": -2},
+        "bad created_at at line 2 of {path}: not an RFC 3339 timestamp: '2016-13-01T00:00:00Z'",
+    ),
+    "bool-retweets-negative-favorites": (
+        {"retweet_count": True, "favorite_count": -1},
+        "field 'retweet_count' must be an integer at line 2 of {path}",
+    ),
+    "int-user-missing-created-at": (
+        {"user_id": 7, "created_at": MISSING},
+        "field 'user_id' must be a string at line 2 of {path}",
+    ),
+    "mixed-hashtag-list": (
+        {"hashtags": ["bad tag", 3]},
+        "field 'hashtags' must be a list of strings at line 2 of {path}",
+    ),
+    "both-counts-negative": (
+        {"retweet_count": -1, "favorite_count": -1},
+        "negative retweet_count at line 2 of {path}",
+    ),
+    "int-created-at-float-favorites": (
+        {"created_at": 123, "favorite_count": 1.0},
+        "bad created_at at line 2 of {path}: timestamp must be a string, got int",
+    ),
+    "naive-created-at-missing-retweets": (
+        {"created_at": "2016-08-03T12:00:00", "retweet_count": MISSING},
+        "bad created_at at line 2 of {path}: timestamp lacks a UTC offset: '2016-08-03T12:00:00'",
+    ),
+    "text-not-string-bad-hashtag": (
+        {"text": ["x"], "hashtags": ["#"]},
+        "field 'text' must be a string at line 2 of {path}",
+    ),
+    "no-id-hashtags-not-list": (
+        {"id": MISSING, "hashtags": 3},
+        "missing field 'id' at line 2 of {path}",
+    ),
+    "missing-favorites-null-retweets": (
+        {"favorite_count": MISSING, "retweet_count": None},
+        "field 'retweet_count' must be an integer at line 2 of {path}",
+    ),
+}
+
+
+@pytest.mark.parametrize("faults, message", TWO_FAULTS.values(), ids=TWO_FAULTS.keys())
+def test_first_of_two_faults_is_reported(tmp_path, faults, message):
+    record = {**FIRST, "id": "t1", **faults}
+    record = {key: value for key, value in record.items() if value is not MISSING}
+    path = write_jsonl(tmp_path / "tweets.jsonl", [FIRST, record])
+    with pytest.raises(CorpusError) as caught:
+        load_tweets(path)
+    assert str(caught.value) == message.format(path=path)
+
+
 class TestLoadUsers:
     def test_basic(self, tmp_path):
         path = write_lines(
@@ -368,6 +455,25 @@ def _association(article_id, seeds):
         generic_hashtags=frozenset(),
         iterations_run=1,
     )
+
+
+@pytest.mark.parametrize(
+    "record, name",
+    [
+        (tweet(), "text"),
+        (article(), "title"),
+        (user(), "verified"),
+        (_association("a1", ["t1"]), "expanded_tweet_ids"),
+        (PipelineConfig(), "paths"),
+        (PipelineConfig().learn.svm, "epochs"),
+    ],
+    ids=["tweet", "article", "user", "association", "config", "config-section"],
+)
+def test_records_are_immutable(record, name):
+    with pytest.raises(AttributeError):
+        setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.extra = 1
 
 
 def _broken_associations(path):

@@ -135,13 +135,10 @@ class TestClassifyHashtags:
         history = window(counts=counts)
         assert classify_hashtags({"viral", "tail0"}, history, RelevanceParams()) == {"viral"}
 
-    def test_empty_history_all_specific_with_warning(self, caplog):
+    def test_empty_history_all_specific(self):
         history = window(tweets=0)
         assert history.empty
-        with caplog.at_level("WARNING"):
-            generic = classify_hashtags({"a", "b"}, history, RelevanceParams())
-        assert generic == set()
-        assert "empty hashtag history" in caplog.text
+        assert classify_hashtags({"a", "b"}, history, RelevanceParams()) == set()
 
 
 def six_tweet_corpus():
@@ -596,4 +593,35 @@ class TestOnePass:
             "iterations_run": 0,
         }
         assert second.seed_tweet_ids == {"t1"}
-        assert events.getvalue() == '{"kind": "unindexable_article", "article_id": "a0"}\n'
+        # a1's day has no history, so it also gets an empty_history_window event
+        assert events.getvalue().splitlines() == [
+            '{"kind": "unindexable_article", "article_id": "a0"}',
+            '{"kind": "empty_history_window", "article_id": "a1"}',
+        ]
+
+    def test_empty_history_window_events(self):
+        first, second = utc(hour=9), utc(day=4, hour=9)
+        articles = [
+            article(id="c1", title="vote fraud ballots", body="vote fraud ballots", when=first),
+            article(id="b1", title="iran ransom cash", body="iran ransom cash", when=second),
+            article(id="a1", title="storm coast flood", body="storm coast flood", when=first),
+            article(id="a0", title="harbor strike dockers", body="harbor strike", when=first),
+        ]
+        tweets = [
+            tweet(id="t1", text="vote fraud ballots #rigged", when=first),
+            tweet(id="t2", text="storm coast flood again", when=first),
+            tweet(id="t3", text="harbor strike dockers #portstrike", when=first),
+            tweet(id="t4", text="iran ransom cash #deal", when=second),
+        ]
+        events = io.StringIO()
+        associations = associate_all(
+            corpus_of(articles=articles, tweets=tweets), RelevanceParams(), stream=events
+        )
+        specific = {a.article_id: a.article_specific_hashtags for a in associations}
+        assert specific == {"a0": {"portstrike"}, "a1": set(), "b1": {"deal"}, "c1": {"rigged"}}
+        # one event per article with article-specific hashtags and an empty
+        # window, in article id order; b1's window holds the first day
+        assert [json.loads(line) for line in events.getvalue().splitlines()] == [
+            {"kind": "empty_history_window", "article_id": "a0"},
+            {"kind": "empty_history_window", "article_id": "c1"},
+        ]
