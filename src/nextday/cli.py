@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING
 
@@ -39,6 +40,7 @@ from nextday.corpus import (
     atomic_write,
     build_corpus,
     emit_diagnostics,
+    emit_event,
     load_articles,
     load_corpus,
 )
@@ -315,6 +317,14 @@ def cmd_evaluate(config: PipelineConfig, args) -> int:
     runs = {
         scheme: results[i * repeats : (i + 1) * repeats] for i, scheme in enumerate(schemes)
     }
+    # one event per scheme and set of SVM columns standardized to zero,
+    # written here so that a pool's workers cannot reorder them
+    for (_, data), (scheme, scheme_runs) in zip(datasets, runs.items()):
+        folds = [cols for run in scheme_runs for cols in run["linear_svm"]["zero_variance"]]
+        for columns, fits in Counter(filter(None, folds)).items():
+            names = [data.feature_names[j] for j in columns]
+            event = {"kind": "zero_variance_columns", "scheme": scheme, "columns": names}
+            emit_event({**event, "fits": fits})
 
     # paths are machine-specific run metadata (present in run_meta.json);
     # keeping them out makes report.json location-independent

@@ -48,7 +48,10 @@ def parse_rfc3339(value: str) -> datetime:
         raise ValueError(f"not an RFC 3339 timestamp: {value!r}") from None
     if parsed.tzinfo is None:
         raise ValueError(f"timestamp lacks a UTC offset: {value!r}")
-    return parsed.astimezone(timezone.utc)
+    try:
+        return parsed.astimezone(timezone.utc)
+    except OverflowError:  # the UTC value falls outside years 1-9999
+        raise ValueError(f"timestamp out of range in UTC: {value!r}") from None
 
 
 class NewsArticle(NamedTuple):
@@ -291,11 +294,16 @@ def build_corpus(
     )
 
 
+def emit_event(event: dict, stream: IO[str] | None = None) -> None:
+    """Write `event` as one single-line JSON object to `stream` (stderr by
+    default): every warning of the pipeline takes this shape."""
+    (stream if stream is not None else sys.stderr).write(json.dumps(event) + "\n")
+
+
 def emit_diagnostics(corpus: Corpus, stream: IO[str] | None = None) -> None:
-    """Write one single-line JSON object per diagnostic to stderr."""
-    stream = stream if stream is not None else sys.stderr
+    """Write each of the corpus's diagnostics as one event."""
     for diag in corpus.diagnostics:
-        stream.write(json.dumps(diag, sort_keys=False) + "\n")
+        emit_event(diag, stream)
 
 
 @contextmanager

@@ -1,14 +1,8 @@
 """Classifiers and the cross-validation evaluation harness."""
 
-from nextday.learn.cv import (
-    Dataset,
-    f_score,
-    kfold_cv,
-    metrics,
-    stratified_folds,
-)
+from nextday.learn.cv import Dataset, f_score, kfold_cv, metrics, stratified_folds
 from nextday.learn.svm import SvmModel, train_svm
-from nextday.learn.tree import CartModel, ForestModel, train_cart, train_forest
+from nextday.learn.tree import TreeModel, train_cart, train_forest
 
 __all__ = [
     "Dataset",
@@ -18,8 +12,7 @@ __all__ = [
     "stratified_folds",
     "SvmModel",
     "train_svm",
-    "CartModel",
-    "ForestModel",
+    "TreeModel",
     "train_cart",
     "train_forest",
 ]

@@ -7,7 +7,7 @@ import io
 import math
 import random
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,23 +23,12 @@ _FEATURE_CELL = re.compile(r"-?[0-9]+(\.[0-9]+)?")
 _LABEL_CELL = re.compile(r"[0-9]+")
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(NamedTuple):
     scheme: str
     feature_names: tuple[str, ...]
     x: np.ndarray
     y: np.ndarray
     article_ids: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.x.shape != (len(self.article_ids), len(self.feature_names)):
-            raise DatasetError("feature matrix shape does not match names/rows")
-        if self.y.shape != (len(self.article_ids),):
-            raise DatasetError("label vector length does not match rows")
-        if self.y.size and not np.isin(self.y, (0, 1)).all():
-            raise DatasetError("labels must be 0 or 1")
-        if not np.isfinite(self.x).all():
-            raise DatasetError("feature values must be finite")
 
     @classmethod
     def from_csv(cls, path, scheme: str = "") -> "Dataset":
@@ -78,7 +67,15 @@ class Dataset:
             labels.append(label)
         x = np.asarray(rows, dtype=np.float64).reshape(len(first_line), len(names))
         y = np.asarray(labels, dtype=np.int8)
-        return cls(scheme=scheme, feature_names=names, x=x, y=y, article_ids=tuple(first_line))
+        if x.shape != (len(first_line), len(names)):
+            raise DatasetError("feature matrix shape does not match names/rows")
+        if y.shape != (len(first_line),):
+            raise DatasetError("label vector length does not match rows")
+        if y.size and not np.isin(y, (0, 1)).all():
+            raise DatasetError("labels must be 0 or 1")
+        if not np.isfinite(x).all():
+            raise DatasetError("feature values must be finite")
+        return cls(scheme, names, x, y, tuple(first_line))
 
 
 def f_score(precision: float, recall: float) -> float:
@@ -130,8 +127,7 @@ def _draw(name: str, cfg, n: int, seed: int):
     raise ValueError(f"unknown classifier {name!r}")
 
 
-@dataclass(frozen=True)
-class FoldPlan:
+class FoldPlan(NamedTuple):
     """One fold: ascending `train` and `test` row indices, the seed of its
     fits, and each classifier's random draws for fitting the train rows."""
 
@@ -197,18 +193,23 @@ def kfold_cv(data: Dataset, classifier_cfgs: dict, plans: list[FoldPlan]) -> dic
     """Cross-validate each classifier of `classifier_cfgs` on the folds of
     `plans`, a `fold_plans` list over `data.y`. Per classifier: the
     confusion matrix pooled over folds with its metrics (the headline
-    numbers), each fold's, and their mean."""
+    numbers), each fold's, and their mean; for the SVM also each fold's
+    zero-variance columns (`SvmModel.zero_variance`), which the report
+    leaves out."""
     n = len(data.y)
     if not plans or sorted(i for plan in plans for i in plan.test.tolist()) != list(range(n)):
         raise ValueError(f"the fold plans' test rows do not partition the {n} rows")
     results: dict[str, dict] = {}
     for name, cfg in classifier_cfgs.items():
         counts = []
+        zero_variance = []
         for plan in plans:
             model = _train(
                 name, cfg, data.x[plan.train], data.y[plan.train], plan.seed, plan.draws[name]
             )
             counts.append(_confusion(data.y[plan.test], model.predict(data.x[plan.test])))
+            if name == "linear_svm":
+                zero_variance.append(model.zero_variance)
         folds = [{"fold": fold, **_with_metrics(c)} for fold, c in enumerate(counts)]
         results[name] = {
             "pooled": _with_metrics({key: sum(c[key] for c in counts) for key in counts[0]}),
@@ -218,6 +219,8 @@ def kfold_cv(data: Dataset, classifier_cfgs: dict, plans: list[FoldPlan]) -> dic
                 for metric in ("precision", "recall", "f_score")
             },
         }
+        if name == "linear_svm":
+            results[name]["zero_variance"] = zero_variance
     return results
 
 

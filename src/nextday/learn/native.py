@@ -10,9 +10,9 @@ seed (`seeded_states`), and draws every shuffle, bootstrap row and node
 column sample from it, so no `random.Random` is built on the compiled
 path. Importing this module compiles the helper with `cc` into
 `__pycache__/` on first use and loads it with ctypes. When the library
-cannot be built or loaded, one warning says why and both trainers run
-their Python code instead, on `random.Random`; it gives the same bits and
-serves as the compiled code's test oracle.
+cannot be built or loaded, one `compiled_helper_unavailable` event says
+why and both trainers run their Python code instead, on `random.Random`;
+it gives the same bits and serves as the compiled code's test oracle.
 """
 
 from __future__ import annotations
@@ -23,13 +23,15 @@ import shutil
 import sysconfig
 import tempfile
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 # random's own SHA-512: hashlib would load OpenSSL into every `evaluate`
 # process, some 3.5 MB of resident memory
 from random import _sha512
+from typing import NamedTuple
 
 import numpy as np
+
+from nextday.corpus import emit_event
 
 _SOURCE = Path(__file__).with_name("_epoch.c")
 _BUILD = ["cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC"]
@@ -44,8 +46,7 @@ class _Unavailable(Exception):
     """Why the compiled helper cannot be used."""
 
 
-@dataclass(frozen=True)
-class Helper:
+class Helper(NamedTuple):
     lib: ctypes.CDLL
     ddot: int  # the address of numpy's ddot
 
@@ -121,9 +122,9 @@ def _numpy_ddot() -> int:
 
 
 def load_helper(build_dir: Path) -> tuple[Helper | None, dict]:
-    """The compiled helper from `build_dir`, or None after one warning;
-    and a record of the path the SVM epochs and tree growth take, for run
-    metadata."""
+    """The compiled helper from `build_dir`, or None after one
+    `compiled_helper_unavailable` event on stderr; and a record of the
+    path the SVM epochs and tree growth take, for run metadata."""
     try:
         try:
             lib = ctypes.CDLL(str(_library(build_dir)))
@@ -148,11 +149,7 @@ def load_helper(build_dir: Path) -> tuple[Helper | None, dict]:
         ]
         helper = Helper(lib, _numpy_ddot())
     except _Unavailable as exc:
-        # logging is imported only to warn: importing it with the package
-        # would add some 150 KB to every process's peak RSS
-        import logging
-
-        logging.getLogger(__name__).warning("SVM epochs and tree growth run in Python: %s", exc)
+        emit_event({"kind": "compiled_helper_unavailable", "reason": str(exc)})
         return None, {"path": "python", "reason": str(exc)}
     return helper, {"path": "compiled"}
 

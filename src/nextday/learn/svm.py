@@ -10,7 +10,7 @@ run instead; they are also the compiled path's test oracles.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,13 +19,14 @@ from nextday.learn import native
 from nextday.learn.tree import _training_data
 
 
-@dataclass
-class SvmModel:
+class SvmModel(NamedTuple):
     config: SvmConfig
     weights: np.ndarray
     bias: float
     mean: np.ndarray
     scale: np.ndarray
+    # the training columns of zero variance, which standardize to zero
+    zero_variance: tuple[int, ...]
 
     def _standardize(self, x: np.ndarray) -> np.ndarray:
         return (x - self.mean) / self.scale
@@ -67,8 +68,9 @@ def train_svm(x, y, cfg: SvmConfig | None = None, seed: int = 0, orders=None) ->
     """Hinge-loss sub-gradient descent with a 1/(lambda*t) step schedule.
 
     Features are standardized from the training data itself (zero
-    variance columns are left at zero rather than divided). Labels map
-    {0 -> -1, 1 -> +1}; the bias is not regularized.
+    variance columns are left at zero rather than divided; the model
+    lists them). Labels map {0 -> -1, 1 -> +1}; the bias is not
+    regularized.
 
     The fitted parameters are the running average of the iterates: the
     raw iterate oscillates around the optimum by construction of the
@@ -92,12 +94,6 @@ def train_svm(x, y, cfg: SvmConfig | None = None, seed: int = 0, orders=None) ->
     mean = matrix.mean(axis=0)
     std = matrix.std(axis=0)
     flat = std == 0.0
-    if flat.any():
-        import logging  # only to warn, as in `native.load_helper`
-
-        logging.getLogger(__name__).warning(
-            "zero-variance features standardized to zero: %s", np.nonzero(flat)[0].tolist()
-        )
     scale = np.where(flat, 1.0, std)
     standardized = np.ascontiguousarray((matrix - mean) / scale)
     lam = 1.0 / (cfg.c * n)
@@ -108,7 +104,8 @@ def train_svm(x, y, cfg: SvmConfig | None = None, seed: int = 0, orders=None) ->
         weights = (harmonic * scaled_sum - folded) / (lam * (cfg.epochs * n))
     else:
         weights, bias = np.zeros(d), 0.0
-    return SvmModel(config=cfg, weights=weights, bias=bias, mean=mean, scale=scale)
+    zero_variance = tuple(np.flatnonzero(flat).tolist())
+    return SvmModel(cfg, weights, bias, mean, scale, zero_variance)
 
 
 def _descend(helper: native.Helper | None, standardized, signs, orders, lam: float):

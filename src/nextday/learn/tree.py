@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -247,8 +247,7 @@ def _training_data(x, y) -> tuple[np.ndarray, np.ndarray]:
     return matrix, labels.astype(np.int8, copy=False)
 
 
-@dataclass
-class TreeModel:
+class TreeModel(NamedTuple):
     """A fit's trees as parallel node arrays, as in scikit-learn's `Tree`.
 
     Node i sends a row to node `left[i]` when `row[feature[i]] <=
@@ -287,17 +286,7 @@ class TreeModel:
         return (2 * votes > n_trees).astype(np.int8)
 
 
-@dataclass
-class CartModel(TreeModel):
-    config: CartConfig
-
-
-@dataclass
-class ForestModel(TreeModel):
-    config: ForestConfig
-
-
-def train_cart(x, y, cfg: CartConfig | None = None) -> CartModel:
+def train_cart(x, y, cfg: CartConfig | None = None) -> TreeModel:
     """Grow a CART tree by greedy Gini-impurity reduction.
 
     Single-class data produces a depth-0 majority leaf; prediction ties
@@ -307,7 +296,7 @@ def train_cart(x, y, cfg: CartConfig | None = None) -> CartModel:
     matrix, labels = _training_data(x, y)
     n, d = matrix.shape
     trees = _grow_trees(matrix, labels, cfg, np.arange(n, dtype=np.int32)[np.newaxis], None, d)
-    return CartModel(config=cfg, **trees)
+    return TreeModel(config=cfg, **trees)
 
 
 def tree_draws(n: int, cfg: ForestConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -342,7 +331,7 @@ def tree_draws(n: int, cfg: ForestConfig, seed: int) -> tuple[np.ndarray, np.nda
     return rows, states
 
 
-def train_forest(x, y, cfg: ForestConfig | None = None, seed: int = 0, draws=None) -> ForestModel:
+def train_forest(x, y, cfg: ForestConfig | None = None, seed: int = 0, draws=None) -> TreeModel:
     """Bagged CART ensemble with per-node feature subsampling.
 
     Each node searches `cfg.max_features` columns drawn at random (capped
@@ -381,4 +370,4 @@ def train_forest(x, y, cfg: ForestConfig | None = None, seed: int = 0, draws=Non
             max_features += 1
     max_features = min(max_features, d)
     trees = _grow_trees(matrix, labels, cfg, rows, np.ascontiguousarray(states), max_features)
-    return ForestModel(config=cfg, **trees)
+    return TreeModel(config=cfg, **trees)

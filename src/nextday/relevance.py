@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from collections import Counter, deque
 from datetime import date, timedelta
 from typing import IO, Iterable, Mapping, NamedTuple
 
 from nextday.config import RelevanceParams
-from nextday.corpus import Corpus, DatasetError, NewsArticle, Tweet, atomic_write
+from nextday.corpus import Corpus, DatasetError, NewsArticle, Tweet, atomic_write, emit_event
 from nextday.text import content_tokens, default_stopwords
 
 MIN_TOKEN_LENGTH = 3
@@ -305,11 +304,10 @@ def associate_all(
     were labelled article-specific, gets one `empty_history_window` event
     there when it has any; these follow in article id order.
     """
-    stream = stream if stream is not None else sys.stderr
     stopwords = default_stopwords()
     profiles = tfidf_keywords(corpus.articles, params, stopwords)
     for article_id in sorted(a.id for a in corpus.articles if a.id not in profiles):
-        stream.write(json.dumps({"kind": "unindexable_article", "article_id": article_id}) + "\n")
+        emit_event({"kind": "unindexable_article", "article_id": article_id}, stream)
 
     articles_on: dict[date, list[NewsArticle]] = {}
     for a in corpus.articles:
@@ -353,8 +351,7 @@ def associate_all(
     associations.sort(key=lambda a: a.article_id)
     for assoc in associations:
         if assoc.article_specific_hashtags and assoc.article_id in no_history:
-            event = {"kind": "empty_history_window", "article_id": assoc.article_id}
-            stream.write(json.dumps(event) + "\n")
+            emit_event({"kind": "empty_history_window", "article_id": assoc.article_id}, stream)
     return associations
 
 

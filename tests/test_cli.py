@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -113,7 +114,7 @@ class TestAssociate:
         assert code == 2
         assert str(missing) in err
 
-    def test_jobs_flag_gives_identical_output(self, capsys, golden_config, tmp_path):
+    def test_rerun_gives_identical_output(self, capsys, golden_config, tmp_path):
         cfg = golden_config()
         assert run(capsys, "associate", "--config", str(cfg))[0] == 0
         serial = (tmp_path / "out" / "associations.jsonl").read_bytes()
@@ -392,6 +393,36 @@ class TestEvaluate:
         assert pooled is (len(os.sched_getaffinity(0)) > 1)
         for name, expected in serial.items():
             assert (out / name).read_bytes() == expected, name
+
+    def test_pool_gives_the_same_stderr(self, prepared, tmp_path):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("a pool needs two CPUs")
+        argv = ["evaluate", "--config", str(prepared), "--scheme", "all"]
+        err = {}
+        # POOL_PROBE takes the pool at any work; golden's is below the
+        # threshold, so the command line runs the jobs in one process
+        for path, command in (("pool", ["-c", POOL_PROBE]), ("serial", ["-m", "nextday.cli"])):
+            result = subprocess.run(
+                [sys.executable, *command, *argv], capture_output=True, env=child_env()
+            )
+            assert result.returncode == 0, result.stderr
+            meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+            assert meta["jobs"]["path"] == path
+            err[path] = result.stderr
+        assert err["pool"] == err["serial"]
+        events = [json.loads(line) for line in err["serial"].decode().splitlines()]
+        assert all(isinstance(event, dict) for event in events)
+        zero_variance = [event for event in events if event["kind"] == "zero_variance_columns"]
+        assert [event["scheme"] for event in zero_variance] == [
+            "article_polarity",
+            "article_polarity",
+            "article_content_polarity",
+            "article_content_polarity",
+            "title_polarity",
+            "title_content_polarity",
+            "event_importance",
+        ]
+        assert sum(event["fits"] for event in zero_variance) == 25
 
     def test_worker_error_keeps_exit_code(self, prepared):
         result = subprocess.run(
@@ -939,13 +970,20 @@ class TestColdStart:
         for run_name, report in loaded.items():
             assert report["numpy.ma"] is False, run_name
 
-    def test_only_evaluate_may_load_dataclasses_or_logging(self, loaded):
+    def test_no_stage_loads_dataclasses_or_logging(self, loaded):
         # the records are NamedTuples and the stages emit JSON-lines events,
-        # so neither module's import time is paid outside `evaluate`
+        # so no stage pays either module's import time
         for run_name, report in loaded.items():
-            if run_name != "evaluate":
-                assert report["dataclasses"] is False, run_name
-                assert report["logging"] is False, run_name
+            assert report["dataclasses"] is False, run_name
+            assert report["logging"] is False, run_name
+
+    def test_no_module_imports_dataclasses_or_logging(self):
+        # the source, so that branches no stage run takes (the compiled
+        # helper's fallback, say) are covered too
+        imports = re.compile(r"^\s*(from|import) (dataclasses|logging)\b", re.MULTILINE)
+        sources = sorted((REPO / "src" / "nextday").rglob("*.py"))
+        assert len(sources) > 10
+        assert [str(path) for path in sources if imports.search(path.read_text())] == []
 
     def test_each_stage_loads_only_its_packages(self, loaded):
         stage_packages = set().union(*(wanted for _, wanted in STAGE_RUNS.values()))

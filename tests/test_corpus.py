@@ -446,6 +446,28 @@ class TestRoundTrip:
             parse_rfc3339("2016-08-08T06:00:00")
 
 
+# Valid local times whose UTC value lies before year 1 or after year 9999,
+# and a one-line file holding each in the field every loader parses.
+OUT_OF_RANGE = {"year-0": "0001-01-01T00:00:00+01:00", "year-10000": "9999-12-31T23:30:00-01:00"}
+TIMESTAMP_FIELDS = {
+    "published_at": (load_articles, {"id": "a1", "title": "T", "body": "B", "label": 0}),
+    "created_at": (load_tweets, {key: FIRST[key] for key in FIRST if key != "created_at"}),
+    "last_active_at": (load_users, {"user_id": "u1", "followers_count": 1, "verified": False}),
+}
+
+
+@pytest.mark.parametrize("stamp", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+@pytest.mark.parametrize("field", TIMESTAMP_FIELDS)
+def test_timestamp_out_of_range_in_utc_rejected(tmp_path, field, stamp):
+    load, record = TIMESTAMP_FIELDS[field]
+    path = write_jsonl(tmp_path / "records.jsonl", [{**record, field: stamp}])
+    with pytest.raises(CorpusError) as caught:
+        load(path)
+    assert str(caught.value) == (
+        f"bad {field} at line 1 of {path}: timestamp out of range in UTC: {stamp!r}"
+    )
+
+
 def _association(article_id, seeds):
     return ArticleAssociation(
         article_id=article_id,

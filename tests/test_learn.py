@@ -2,7 +2,6 @@ import json
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -539,10 +538,8 @@ class TestForest:
     @staticmethod
     def leaf_forest(counts):
         """A forest of single-leaf trees, one per (n0, n1) in `counts`."""
-        from nextday.learn.tree import ForestModel
-
         n = len(counts)
-        return ForestModel(
+        return TreeModel(
             config=ForestConfig(n_trees=n),
             roots=np.arange(n, dtype=np.int32),
             feature=np.full(n, -1, dtype=np.int32),
@@ -587,12 +584,12 @@ class TestSvm:
             tail = history[len(history) // 2 :]
             assert all(b <= a for a, b in zip(tail, tail[1:]))
 
-    def test_zero_variance_feature_diagnostic(self, caplog):
+    def test_zero_variance_feature_diagnostic(self, capsys):
         x = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0], [4.0, 5.0]])
         y = np.array([0, 0, 1, 1])
-        with caplog.at_level("WARNING"):
-            model = train_svm(x, y, SvmConfig())
-        assert "zero-variance" in caplog.text
+        model = train_svm(x, y, SvmConfig())
+        assert model.zero_variance == (1,)
+        assert capsys.readouterr().err == ""  # `evaluate` reports the columns
         assert np.array_equal(model.predict(x), y)
 
     def test_determinism(self):
@@ -723,7 +720,8 @@ def reference_train_svm(x, y, cfg: SvmConfig, seed: int) -> tuple[SvmModel, tupl
             avg_weights += (weights - avg_weights) / step
             avg_bias += (bias - avg_bias) / step
         history.append(hinge_objective(avg_weights, avg_bias, standardized, signs, cfg.c))
-    model = SvmModel(config=cfg, weights=avg_weights, bias=avg_bias, mean=mean, scale=scale)
+    zero_variance = tuple(np.flatnonzero(std == 0.0).tolist())
+    model = SvmModel(cfg, avg_weights, avg_bias, mean, scale, zero_variance)
     return model, tuple(history)
 
 
@@ -763,6 +761,7 @@ class TestSvmMatchesReferenceLoop:
         np.testing.assert_allclose(got.weights, want.weights, rtol=1e-9)
         np.testing.assert_allclose(got.bias, want.bias, rtol=1e-9)
         np.testing.assert_allclose(got_history, want_history, rtol=1e-9)
+        assert got.zero_variance == want.zero_variance
         if (np.asarray(x).std(axis=0) == 0.0).all():
             # only the bias moves, along the same recurrence in both loops
             assert got.bias == want.bias
@@ -939,7 +938,7 @@ class TestKfoldCv:
         [
             lambda plans: plans[1:],
             lambda plans: plans + plans[:1],
-            lambda plans: [replace(plans[0], test=plans[0].test[1:]), *plans[1:]],
+            lambda plans: [plans[0]._replace(test=plans[0].test[1:]), *plans[1:]],
             lambda plans: [],
         ],
         ids=["fold-missing", "fold-repeated", "row-missing", "no-plans"],
@@ -1355,7 +1354,8 @@ class TestCompiledEpochs:
         if not compiled:
             monkeypatch.setattr(native, "HELPER", None)
         model = train_svm(FOUR_X, FOUR_Y, SvmConfig(epochs=7), seed=3)
-        assert list(vars(model)) == ["config", "weights", "bias", "mean", "scale"]
+        fields = ["config", "weights", "bias", "mean", "scale", "zero_variance"]
+        assert list(model._fields) == fields
 
     def test_source_compiles_without_warnings(self):
         # a build's diagnostics are captured and dropped, so check them here
@@ -1388,6 +1388,11 @@ print(json.dumps({"record": record, "same": same}))
 """
 
 
+def unavailable_event(reason):
+    """The line `native.load_helper` writes when the helper cannot be used."""
+    return json.dumps({"kind": "compiled_helper_unavailable", "reason": reason})
+
+
 class TestEpochHelperBuild:
     """Building, caching and falling back from the compiled epoch helper."""
 
@@ -1399,29 +1404,29 @@ class TestEpochHelperBuild:
         assert result.returncode == 0, result.stderr
         return json.loads(result.stdout), result.stderr
 
-    def test_no_compiler_falls_back_to_the_same_bits(self, monkeypatch, caplog, tmp_path):
+    def test_no_compiler_falls_back_to_the_same_bits(self, monkeypatch, capsys, tmp_path):
         x = np.round(np.random.default_rng(4).normal(size=(30, 18)), 1)
         y = np.arange(30) % 3 == 0
         cfg = SvmConfig(epochs=12)
         compiled = train_svm(x, y, cfg, seed=2), epoch_orders(50, 6, 2)
         monkeypatch.setattr(native.shutil, "which", lambda name: None)
-        with caplog.at_level("WARNING", logger="nextday.learn.native"):
-            helper, record = native.load_helper(tmp_path / "build")
+        capsys.readouterr()
+        helper, record = native.load_helper(tmp_path / "build")
         assert helper is None
         assert record == {"path": "python", "reason": "no C compiler 'cc' on PATH"}
-        assert [r.getMessage() for r in caplog.records] == [
-            "SVM epochs and tree growth run in Python: no C compiler 'cc' on PATH"
+        assert capsys.readouterr().err.splitlines() == [
+            unavailable_event("no C compiler 'cc' on PATH")
         ]
         monkeypatch.setattr(native, "HELPER", helper)
         assert bit_identical_svm(compiled[0], train_svm(x, y, cfg, seed=2))
         assert epoch_orders(50, 6, 2).tobytes() == compiled[1].tobytes()
 
-    def test_failed_build_falls_back(self, monkeypatch, caplog, tmp_path):
+    def test_failed_build_falls_back(self, monkeypatch, capsys, tmp_path):
         monkeypatch.setattr(native, "_BUILD", ["false", *native._BUILD[1:]])
-        with caplog.at_level("WARNING", logger="nextday.learn.native"):
-            helper, record = native.load_helper(tmp_path)
+        capsys.readouterr()
+        helper, record = native.load_helper(tmp_path)
         assert helper is None and record["reason"].startswith("build failed")
-        assert len(caplog.records) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []  # no temporary file left behind
 
     def test_missing_ddot_falls_back(self, monkeypatch, tmp_path):
@@ -1467,7 +1472,7 @@ class TestEpochHelperBuild:
         # without cc the damaged copy is not loaded: the probe falls back
         probe, err = self.cached_load(tmp_path)
         assert probe == {"record": {"path": "python", "reason": "no C compiler 'cc' on PATH"}, "same": True}
-        assert "SVM epochs and tree growth run in Python" in err
+        assert unavailable_event("no C compiler 'cc' on PATH") in err
         assert native._library(tmp_path) == library
         assert library.read_bytes() == good
         assert self.cached_load(tmp_path)[0] == {"record": {"path": "compiled"}, "same": True}
@@ -1843,7 +1848,7 @@ states = native.seeded_states(helper, seeds)
 assert states.tolist() == [list(random.Random(s).getstate()[1]) for s in seeds]
 
 def node_bytes(model):
-    return [a.tobytes() for a in model.__dict__.values() if isinstance(a, np.ndarray)]
+    return [a.tobytes() for a in model if isinstance(a, np.ndarray)]
 
 for case in range(40):
     n, d = int(rng.integers(1, 40)), int(rng.integers(1, 12))
